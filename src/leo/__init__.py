@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .autodiff import GraphError, NumericError, Tensor, backward, finite_difference_check
 from .config import TrainConfig, load_config, parse_config_text
 from .data import DatasetRecord, load_dataset, split_dataset, write_dataset
-from .encoder import EncodedFunction, EncoderParams, encode_batch, encode_function, init_encoder_params
+from .encoder import EncoderParams, encode_batch, init_encoder_params
 from .losses import (
     ClassifierParams,
     ClusterAssignment,
@@ -22,7 +22,6 @@ from .losses import (
     batch_cross_entropy,
     classifier_forward,
     cluster_contrastive_loss,
-    cross_entropy,
     data_distribution_loss,
     init_classifier_params,
     joint_loss,
@@ -51,21 +50,15 @@ from .normalize import (
 )
 from .optim import Adam, ParameterStore, clip_gradients, init_mlp_params
 from .scoring import (
-    CalibratedDetector,
     ClusterStatistics,
     calibrate_threshold,
-    decide,
     fit_cluster_statistics,
-    mahalanobis_score,
     mahalanobis_scores,
-    msp_score,
-    scoring_representation,
 )
 from .selector import (
     SelectorParams,
     deterministic_mask,
     init_selector_params,
-    relax_bernoulli,
     relax_gates,
     sample_gumbel,
     selector_forward,

@@ -45,11 +45,8 @@ class TrainConfig:
     def validate(self):
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        positive_ints = ("max_statements", "embed_dim", "vocab_max",
-                         "kernel_size", "clusters", "batch_size", "epochs",
-                         "stmt_token_cap", "kmeans_iters")
-        for name in positive_ints:
-            if getattr(self, name) < 1:
+        for name, kind in _FIELD_TYPES.items():
+            if kind == "int" and name != "seed" and getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         for name in ("relax_temp", "contrastive_temp", "learning_rate",
                      "clip_norm"):
@@ -74,52 +71,43 @@ class TrainConfig:
     def fingerprint(self) -> str:
         """Semicolon-joined key=value pairs in field order; commas are
         avoided so the string embeds cleanly into report tables."""
-        parts = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                v = "x".join(str(w) for w in v)
-            elif isinstance(v, bool):
-                v = "true" if v else "false"
-            parts.append(f"{f.name}={v}")
-        return ";".join(parts)
+        return ";".join(f"{f.name}={_format_value(getattr(self, f.name), 'x')}"
+                        for f in fields(self))
 
     def render(self) -> str:
         """The config file form: one key = value line per field."""
-        lines = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                v = ",".join(str(w) for w in v)
-            elif isinstance(v, bool):
-                v = "true" if v else "false"
-            lines.append(f"{f.name} = {v}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{f.name} = {_format_value(getattr(self, f.name), ',')}\n"
+                       for f in fields(self))
 
 
+def _format_value(value, width_sep: str) -> str:
+    """A field value as text; hidden-layer widths are joined by width_sep."""
+    if isinstance(value, tuple):
+        return width_sep.join(str(w) for w in value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def _parse_bool(raw: str) -> bool:
+    low = raw.lower()
+    if low in ("true", "1", "yes", "on"):
+        return True
+    if low in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"cannot read boolean from '{raw}'")
+
+
+# Each key's type is its TrainConfig annotation, a string under postponed evaluation.
 _FIELD_TYPES = {f.name: f.type for f in fields(TrainConfig)}
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool,
+            "tuple": lambda raw: tuple(int(w) for w in raw.split(",") if w.strip())}
 
 
 def _parse_value(key: str, raw: str):
-    raw = raw.strip()
     if key not in _FIELD_TYPES:
         raise ValueError(f"unknown config key '{key}'")
-    if key in ("selector_hidden", "classifier_hidden"):
-        return tuple(int(part) for part in raw.split(",") if part.strip())
-    if key == "ablate_cd":
-        low = raw.lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(f"cannot read boolean from '{raw}'")
-    if key in ("scoring_mode", "contrastive_variant", "gate_mode"):
-        return raw
-    if key in ("seed", "max_statements", "embed_dim", "vocab_max",
-               "kernel_size", "clusters", "batch_size", "epochs",
-               "stmt_token_cap", "kmeans_iters"):
-        return int(raw)
-    return float(raw)
+    return _PARSERS[_FIELD_TYPES[key]](raw.strip())
 
 
 def parse_config_text(text: str) -> dict:

@@ -39,7 +39,8 @@ def load_dataset(path: str) -> list[DatasetRecord]:
             if "label" not in obj:
                 raise ValueError(f"{path} line {lineno}: missing 'label'")
             label = obj["label"]
-            if label not in (0, 1):
+            # JSON true and 1.0 compare equal to 1; only a real integer counts
+            if type(label) is not int or label not in (0, 1):
                 raise ValueError(
                     f"{path} line {lineno}: label must be 0 or 1, got {label!r}")
             sample_id = str(obj.get("id", f"line{lineno}"))
@@ -49,7 +50,7 @@ def load_dataset(path: str) -> list[DatasetRecord]:
             records.append(DatasetRecord(
                 sample_id=sample_id,
                 code=str(obj["code"]),
-                label=int(label),
+                label=label,
                 cwe=str(obj.get("cwe", "")),
             ))
     if not records:

@@ -8,8 +8,10 @@ order, zero rows after them.
 
 encode_batch runs every real statement in a batch through one shared
 convolution by padding them to a common length and masking the windows the
-padding invented; its output matches the per-statement path exactly because
-ReLU output is nonnegative, so zeroed extra windows never win the max.
+padding invented. Each statement still gets exactly the vector a lone
+convolution over it would give (a statement shorter than the kernel is
+zero-padded to one window): ReLU output is nonnegative, so zeroed extra
+windows never win the max.
 """
 from __future__ import annotations
 
@@ -72,14 +74,6 @@ def init_encoder_params(store: ParameterStore, vocab_size: int, embed_dim: int,
     )
 
 
-@dataclass
-class EncodedFunction:
-    """Fixed-size statement matrix for one function."""
-    matrix: Tensor  # (max_statements, dim); rows >= true_length are zero
-    true_length: int
-    label: int | None = None
-
-
 def _embed_ids(id_matrix: np.ndarray, params: EncoderParams) -> Tensor:
     """Embed an integer id array of any shape to (..., dim), with padding
     positions multiplied by a structural zero so they carry no value and no
@@ -91,36 +85,11 @@ def _embed_ids(id_matrix: np.ndarray, params: EncoderParams) -> Tensor:
     return ad.mul(emb, ad.constant(mask, name="pad_mask"))
 
 
-def embed_statement(token_ids, params: EncoderParams, train_flag: bool = False,
-                    rng: np.random.Generator | None = None) -> Tensor:
-    """Token ids -> (T, dim) embedded matrix; dropout only in train mode."""
-    ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.ndim != 1 or ids.size == 0:
-        raise GraphError("embed_statement expects a non-empty 1-D id sequence")
-    out = _embed_ids(ids, params)
-    if train_flag:
-        if rng is None:
-            raise GraphError("train-mode embedding needs a dropout rng")
-        out = ad.dropout(out, params.dropout_retain, rng, train=True)
-    return out
-
-
-def encode_statement(embedded: Tensor, params: EncoderParams) -> Tensor:
-    """(T, dim) embedded matrix -> (dim,) vector via conv, ReLU, max over
-    time. Inputs shorter than the kernel are zero-padded on the right."""
-    t, d = embedded.data.shape
-    if t < params.kernel_size:
-        pad = ad.constant(np.zeros((params.kernel_size - t, d)))
-        embedded = ad.concat([embedded, pad], axis=0)
-        t = params.kernel_size
-    x = ad.reshape(embedded, (1, t, d))
-    h = ad.relu(ad.conv1d(x, params.conv_kernel, params.conv_bias))
-    return ad.reshape(ad.max_time(h), (d,))
-
-
 def _stack_ids(statements: list[np.ndarray], kernel_size: int):
     """Pad id sequences to one (S, T) matrix plus their true lengths."""
     lengths = np.array([len(s) for s in statements], dtype=np.int64)
+    if lengths.min() < 1:
+        raise GraphError("cannot encode an empty statement")
     t_max = max(kernel_size, int(lengths.max()))
     ids = np.full((len(statements), t_max), PAD_ID, dtype=np.int64)
     for i, s in enumerate(statements):
@@ -145,38 +114,15 @@ def _encode_stack(ids: np.ndarray, lengths: np.ndarray, params: EncoderParams,
     return ad.max_time(h)
 
 
-def encode_function(statements: list, params: EncoderParams, max_statements: int,
-                    train_flag: bool = False,
-                    rng: np.random.Generator | None = None,
-                    label: int | None = None) -> EncodedFunction:
-    """Encode one function's statements into a (max_statements, dim) matrix.
-
-    The first min(count, max_statements) statements are encoded in order;
-    rows past true_length stay exactly zero.
-    """
-    kept = [np.asarray(s, dtype=np.int64) for s in statements[:max_statements]]
-    d = params.dim
-    if not kept:
-        return EncodedFunction(ad.constant(np.zeros((max_statements, d))), 0, label)
-    vectors = [
-        encode_statement(embed_statement(s, params, train_flag, rng), params)
-        for s in kept
-    ]
-    stacked = ad.concat([ad.reshape(v, (1, d)) for v in vectors], axis=0)
-    n = len(kept)
-    placed = ad.scatter_rows(stacked, np.zeros(n, dtype=np.int64),
-                             np.arange(n, dtype=np.int64), 1, max_statements)
-    return EncodedFunction(ad.reshape(placed, (max_statements, d)), n, label)
-
-
 def encode_batch(batch: list[list], params: EncoderParams, max_statements: int,
                  train_flag: bool = False,
                  rng: np.random.Generator | None = None):
     """Encode a batch of functions (each a list of token id sequences) into
     one (B, max_statements, dim) tensor plus the per-function true lengths.
 
-    All real statements share a single embedding lookup and convolution;
-    the result equals running encode_function on each element.
+    The first min(count, max_statements) statements of each function are
+    encoded in order; rows past a function's true length stay exactly zero.
+    All real statements share a single embedding lookup and convolution.
     """
     b = len(batch)
     d = params.dim

@@ -24,7 +24,6 @@ from .selector import (
     SelectorParams,
     apply_mask,
     pad_gate,
-    relax_bernoulli,
     relax_gates,
     sample_gumbel,
     selector_presigmoid,
@@ -64,10 +63,8 @@ def init_classifier_params(store: ParameterStore, input_dim: int,
 def classifier_forward(x: Tensor, params: ClassifierParams,
                        train_flag: bool = False,
                        rng: np.random.Generator | None = None) -> Tensor:
-    """Class probabilities: (n, features) -> (n, 2), or a single flattened
-    sample (features,) -> (2,)."""
-    single = x.data.ndim == 1
-    h = ad.reshape(x, (1, x.data.shape[0])) if single else x
+    """Class probabilities: (n, features) -> (n, 2)."""
+    h = x
     for w, b in params.layers:
         h = ad.relu(ad.add(ad.matmul(h, w), b))
         if train_flag:
@@ -75,8 +72,7 @@ def classifier_forward(x: Tensor, params: ClassifierParams,
                 raise GraphError("train-mode forward needs a dropout rng")
             h = ad.dropout(h, params.dropout_retain, rng, train=True)
     w, b = params.head
-    probs = ad.softmax(ad.add(ad.matmul(h, w), b), axis=-1)
-    return ad.reshape(probs, (2,)) if single else probs
+    return ad.softmax(ad.add(ad.matmul(h, w), b), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -86,19 +82,6 @@ def classifier_forward(x: Tensor, params: ClassifierParams,
 def _check_labels(labels: np.ndarray) -> None:
     if labels.size and not np.isin(labels, (0, 1)).all():
         raise GraphError("labels must be 0 or 1")
-
-
-def cross_entropy(probs: Tensor, label: int) -> Tensor:
-    """-log p[label] with the probability clamped to [1e-12, 1]."""
-    if label not in (0, 1):
-        raise GraphError(f"label must be 0 or 1, got {label!r}")
-    if probs.data.shape != (2,):
-        raise GraphError("cross_entropy expects a 2-probability vector")
-    onehot = np.zeros(2)
-    onehot[label] = 1.0
-    clamped = ad.minimum_const(ad.maximum_const(probs, _PROB_FLOOR), 1.0)
-    picked = ad.reduce_sum(ad.mul(clamped, ad.constant(onehot)))
-    return ad.neg(ad.log(picked))
 
 
 def batch_cross_entropy(probs: Tensor, labels) -> Tensor:
@@ -140,7 +123,9 @@ def data_distribution_loss(x: Tensor, true_lengths, labels,
             raise GraphError("data_distribution_loss needs an rng for its mask")
         noise_a = sample_gumbel((b, rows), rng)
         noise_b = sample_gumbel((b, rows), rng)
-        r = relax_bernoulli(np.full((b, rows), 0.5), noise_a, noise_b, relax_temp)
+        # a zero score is the log-odds of keep probability one half
+        r = relax_gates(ad.constant(np.zeros((b, rows))), noise_a, noise_b,
+                        relax_temp).data
     else:
         r = np.asarray(mask_override, dtype=np.float64)
         if r.shape != (b, rows):
@@ -241,24 +226,7 @@ def minibatch_kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
 
 
 # ---------------------------------------------------------------------------
-# similarity helpers
-
-
-def flatten_representation(masked: Tensor) -> Tensor:
-    """Row-major flatten of one (rows, dim) masked matrix."""
-    rows, dim = masked.data.shape
-    return ad.reshape(masked, (rows * dim,))
-
-
-def cosine_similarity(u, v) -> float:
-    """Plain cosine; either vector with norm below 1e-12 gives 0."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    nu = float(np.sqrt((u * u).sum()))
-    nv = float(np.sqrt((v * v).sum()))
-    if nu < 1e-12 or nv < 1e-12:
-        return 0.0
-    return float(u @ v) / (nu * nv)
+# similarity helper
 
 
 def unit_rows(x: np.ndarray) -> np.ndarray:

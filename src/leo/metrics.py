@@ -4,6 +4,8 @@ and average precision. Plus the plain-text report and score-dump formats.
 """
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +95,31 @@ def build_report(scores: ScoreSet, fingerprint: str = "",
     )
 
 
+def _csv_line(fields) -> str:
+    """One CSV record ending in a bare newline. A field holding a comma, a
+    quote, a carriage return or a newline is quoted; the csv module quotes
+    the characters of its line terminator, hence the "\r\n" trimmed here."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(fields)
+    return buf.getvalue()[:-2] + "\n"
+
+
+def _csv_rows(text: str, header: list[str], what: str) -> list[list[str]]:
+    """The records after the header, blank lines skipped, each header-wide."""
+    rows = [r for r in csv.reader(io.StringIO(text, newline="")) if r]
+    if not rows or rows[0] != header:
+        raise ValueError(f"{what} must start with a '{','.join(header)}' header")
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise ValueError(f"{what} record {lineno}: expected {len(header)} "
+                             f"fields, got {len(row)}")
+    return rows[1:]
+
+
+_REPORT_HEADER = ["metric", "value"]
+_DUMP_HEADER = ["id", "population", "score", "decision"]
+
+
 def render_report(report: EvalReport) -> str:
     """Comma-separated table, one metric per row. Float values use the
     shortest round-tripping decimal form."""
@@ -105,17 +132,11 @@ def render_report(report: EvalReport) -> str:
         ("fingerprint", report.fingerprint),
         ("dump_path", report.dump_path),
     ]
-    return "metric,value\n" + "\n".join(f"{k},{v}" for k, v in rows) + "\n"
+    return "".join(_csv_line(row) for row in [_REPORT_HEADER, *rows])
 
 
 def parse_report(text: str) -> EvalReport:
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != "metric,value":
-        raise ValueError("report must start with a 'metric,value' header")
-    values = {}
-    for ln in lines[1:]:
-        key, _, value = ln.partition(",")
-        values[key] = value
+    values = dict(_csv_rows(text, _REPORT_HEADER, "report"))
     return EvalReport(
         fpr_at_tpr95=float(values["fpr_at_tpr95"]),
         auroc=float(values["auroc"]),
@@ -130,20 +151,15 @@ def parse_report(text: str) -> EvalReport:
 def render_score_dump(rows) -> str:
     """One record per scored sample: id, population (id|ood), score,
     decision (ID|OOD)."""
-    out = ["id,population,score,decision"]
+    out = [_csv_line(_DUMP_HEADER)]
     for sample_id, population, score, decision in rows:
         if population not in ("id", "ood"):
             raise ValueError(f"population must be 'id' or 'ood', got {population!r}")
-        out.append(f"{sample_id},{population},{float(score)!r},{decision}")
-    return "\n".join(out) + "\n"
+        out.append(_csv_line((sample_id, population, repr(float(score)), decision)))
+    return "".join(out)
 
 
 def parse_score_dump(text: str):
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != "id,population,score,decision":
-        raise ValueError("dump must start with its 'id,population,score,decision' header")
-    rows = []
-    for ln in lines[1:]:
-        sample_id, population, score, decision = ln.split(",")
-        rows.append((sample_id, population, float(score), decision))
-    return rows
+    return [(sample_id, population, float(score), decision)
+            for sample_id, population, score, decision
+            in _csv_rows(text, _DUMP_HEADER, "dump")]

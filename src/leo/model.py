@@ -12,6 +12,8 @@ CONF (config snapshot as key = value text), CLST (cluster statistics),
 THRS (threshold + quantile), LOGD (training log digest). Parameters are
 stored as little-endian float32; cluster statistics and the threshold are
 float64 because scoring is calibrated after the float32 quantization.
+Unknown or repeated section tags, and bytes left over after a section's
+content, are rejected; every decoding failure raises ModelFormatError.
 """
 from __future__ import annotations
 
@@ -59,7 +61,7 @@ class _Reader:
         self.pos = 0
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
+        if n < 0 or self.pos + n > len(self.buf):
             raise ModelFormatError("section payload truncated")
         out = self.buf[self.pos:self.pos + n]
         self.pos += n
@@ -77,6 +79,11 @@ class _Reader:
     def string(self) -> str:
         return self.take(self.u32()).decode("utf-8")
 
+    def done(self, tag: bytes) -> None:
+        if self.pos != len(self.buf):
+            raise ModelFormatError(
+                f"section {tag!r} has {len(self.buf) - self.pos} trailing bytes")
+
 
 def _encode_vocab(vocab: Vocabulary) -> bytes:
     parts = [struct.pack("<I", vocab.size)]
@@ -88,7 +95,9 @@ def _encode_vocab(vocab: Vocabulary) -> bytes:
 def _decode_vocab(payload: bytes) -> Vocabulary:
     r = _Reader(payload)
     count = r.u32()
-    return Vocabulary(tokens=tuple(r.string() for _ in range(count)))
+    tokens = tuple(r.string() for _ in range(count))
+    r.done(b"VOCB")
+    return Vocabulary(tokens=tokens)
 
 
 def _encode_tensors(tensors: dict) -> bytes:
@@ -113,6 +122,7 @@ def _decode_tensors(payload: bytes) -> dict:
         n_bytes = 4 * int(np.prod(shape, dtype=np.int64)) if ndim else 4
         data = np.frombuffer(r.take(n_bytes), dtype="<f4").reshape(shape)
         tensors[name] = data.copy()
+    r.done(b"TENS")
     return tensors
 
 
@@ -141,6 +151,7 @@ def _decode_stats(payload: bytes) -> ClusterStatistics:
     inverses = np.frombuffer(r.take(8 * inv_count), dtype="<f8").reshape(inv_shape).copy()
     counts = np.frombuffer(r.take(4 * k), dtype="<u4").astype(np.int64)
     eps_used = np.frombuffer(r.take(8 * k), dtype="<f8").copy()
+    r.done(b"CLST")
     return ClusterStatistics(means=means, inverses=inverses, counts=counts,
                              eps_used=eps_used, diagonal_covariance=diagonal,
                              mode=mode)
@@ -183,6 +194,10 @@ def deserialize_model(blob: bytes) -> ModelArtifact:
         if pos + 8 > end:
             raise ModelFormatError("truncated section header")
         tag = blob[pos:pos + 4]
+        if tag not in _SECTION_ORDER:
+            raise ModelFormatError(f"unknown section tag {tag!r}")
+        if tag in sections:
+            raise ModelFormatError(f"duplicate section {tag!r}")
         length = struct.unpack("<I", blob[pos + 4:pos + 8])[0]
         pos += 8
         if pos + length > end:
@@ -192,17 +207,22 @@ def deserialize_model(blob: bytes) -> ModelArtifact:
     missing = [t for t in _SECTION_ORDER if t not in sections]
     if missing:
         raise ModelFormatError(f"missing sections: {missing}")
-    threshold, quantile = struct.unpack("<dd", sections[b"THRS"])
-    return ModelArtifact(
-        vocab=_decode_vocab(sections[b"VOCB"]),
-        tensors=_decode_tensors(sections[b"TENS"]),
-        config=TrainConfig(**parse_config_text(sections[b"CONF"].decode("utf-8"))),
-        stats=_decode_stats(sections[b"CLST"]),
-        threshold=threshold,
-        quantile=quantile,
-        log_digest=sections[b"LOGD"].decode("utf-8"),
-        version=version,
-    )
+    try:
+        threshold, quantile = struct.unpack("<dd", sections[b"THRS"])
+        return ModelArtifact(
+            vocab=_decode_vocab(sections[b"VOCB"]),
+            tensors=_decode_tensors(sections[b"TENS"]),
+            config=TrainConfig(**parse_config_text(sections[b"CONF"].decode("utf-8"))),
+            stats=_decode_stats(sections[b"CLST"]),
+            threshold=threshold,
+            quantile=quantile,
+            log_digest=sections[b"LOGD"].decode("utf-8"),
+            version=version,
+        )
+    except ModelFormatError:
+        raise
+    except (ValueError, TypeError, struct.error) as exc:  # UnicodeDecodeError is a ValueError
+        raise ModelFormatError(f"malformed section content: {exc}") from exc
 
 
 def save_model(artifact: ModelArtifact, path: str) -> None:

@@ -308,23 +308,6 @@ def normalize_source(source_text: str) -> NormalizedFunction:
     return NormalizedFunction(statements=statements, rename_map=rename_map)
 
 
-def split_statements(tokens) -> list[list[str]]:
-    """Statement splitting on an already-normalized token stream.
-
-    Accepts plain token strings (treated as a single source line) or
-    (token, line, first_on_line) triples; normalize_source runs the same
-    logic internally with real line information.
-    """
-    lexemes = []
-    for i, item in enumerate(tokens):
-        if isinstance(item, str):
-            lexemes.append(_Lexeme("IDENT", item, 1, i == 0))
-        else:
-            tok, ln, first = item
-            lexemes.append(_Lexeme("IDENT", tok, ln, first))
-    return _split(lexemes)
-
-
 # ---------------------------------------------------------------------------
 # vocabulary
 

@@ -1,5 +1,5 @@
 """Outlier scoring: cluster-conditioned Mahalanobis distance with a
-validation-calibrated threshold, plus the max-softmax comparison score.
+validation-calibrated threshold.
 
 Training representations are clustered (raw, unnormalized), each cluster
 gets a mean and a shrinkage-regularized inverse covariance, and a sample's
@@ -42,33 +42,7 @@ class ClusterStatistics:
         return self.means.shape[1]
 
 
-@dataclass
-class CalibratedDetector:
-    stats: ClusterStatistics
-    threshold: float
-    quantile: float = 0.95
-
-
 SCORING_MODES = ("pooled-d", "concat-diagonal")
-
-
-def scoring_representation(masked_matrix: np.ndarray, true_length: int,
-                           mode: str = "pooled-d") -> np.ndarray:
-    """Collapse one gated (rows, dim) matrix to the scoring vector.
-
-    pooled-d: mean of the first true_length rows (zero vector when empty).
-    concat-diagonal: the full row-major flattened matrix.
-    """
-    m = np.asarray(masked_matrix, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError("scoring_representation expects a (rows, dim) matrix")
-    if mode == "concat-diagonal":
-        return m.reshape(-1).copy()
-    if mode != "pooled-d":
-        raise ValueError(f"unknown scoring mode '{mode}'")
-    if true_length <= 0:
-        return np.zeros(m.shape[1])
-    return m[:true_length].mean(axis=0)
 
 
 def _invert_spd(cov: np.ndarray, eps: float) -> tuple[np.ndarray, float]:
@@ -142,17 +116,9 @@ def fit_cluster_statistics(representations: np.ndarray, k: int,
                              mode=mode, notes=notes)
 
 
-def mahalanobis_score(rep: np.ndarray, stats: ClusterStatistics) -> float:
-    """Smallest quadratic form (x - mu)' Sigma^-1 (x - mu) over clusters."""
-    rep = np.asarray(rep, dtype=np.float64)
-    if rep.shape != (stats.dim,):
-        raise ValueError(
-            f"representation has dimension {rep.shape}, expected ({stats.dim},)")
-    return float(mahalanobis_scores(rep[None, :], stats)[0])
-
-
 def mahalanobis_scores(reps: np.ndarray, stats: ClusterStatistics) -> np.ndarray:
-    """Vectorized mahalanobis_score over an (n, dim) block."""
+    """Smallest quadratic form (x - mu)' Sigma^-1 (x - mu) over the
+    clusters, for each row x of an (n, dim) block."""
     reps = np.asarray(reps, dtype=np.float64)
     if reps.ndim != 2 or reps.shape[1] != stats.dim:
         raise ValueError(
@@ -180,13 +146,3 @@ def calibrate_threshold(scores, quantile: float = 0.95) -> float:
     ordered = np.sort(scores)
     rank = int(np.ceil(quantile * scores.size))
     return float(ordered[max(rank, 1) - 1])
-
-
-def decide(score: float, detector: CalibratedDetector) -> str:
-    """"OOD" exactly when the score strictly exceeds the threshold."""
-    return "OOD" if score > detector.threshold else "ID"
-
-
-def msp_score(probs) -> float:
-    """1 - max(class probabilities): larger means less confident."""
-    return float(1.0 - np.max(np.asarray(probs, dtype=np.float64)))

@@ -3,12 +3,14 @@
 A small MLP shared across rows scores each statement vector; the sigmoid of
 the score is that statement's keep probability. Training samples soft gates
 from the binary Concrete relaxation. Because the relaxation needs the
-log-odds of p and p is itself a sigmoid, the gate is computed directly from
-the pre-sigmoid score: z = sigmoid((score + a - b) / nu) with a, b standard
-Gumbel noise. This is the same distribution with no logit round trip.
+log-odds of p and p is itself a sigmoid, relax_gates computes the gate
+directly from the pre-sigmoid score: z = sigmoid((score + a - b) / nu) with
+a, b standard Gumbel noise, so P(z > 0.5) = p for any nu > 0. A plain keep
+probability enters as a constant log-odds score (zero for p = 1/2).
 
 Gates for padded rows are forced to zero after sampling so padding never
-reaches the classifier or the scores.
+reaches the classifier or the scores. Gates and statement blocks are always
+batched: (batch, rows) and (batch, rows, dim).
 """
 from __future__ import annotations
 
@@ -104,26 +106,8 @@ def sample_gumbel(shape, rng: np.random.Generator) -> np.ndarray:
     return gumbel_from_uniform(rng.random(shape))
 
 
-def relax_bernoulli(p, a, b, nu: float) -> np.ndarray:
-    """Soft gate sample given keep probability p and Gumbel noises a, b.
-
-    Plain-array version for analysis; relax_gates is the graph twin.
-    Satisfies P(z > 0.5) = p exactly for any temperature nu > 0.
-    """
-    if nu <= 0:
-        raise GraphError("relaxation temperature must be positive")
-    p = np.asarray(p, dtype=np.float64)
-    x = (np.log(p) - np.log1p(-p) + np.asarray(a) - np.asarray(b)) / nu
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def relax_gates(scores: Tensor, a: np.ndarray, b: np.ndarray, nu: float) -> Tensor:
-    """Graph version of relax_bernoulli on pre-sigmoid scores.
+    """Soft gate samples from pre-sigmoid scores and Gumbel noises a, b.
 
     The score already equals log(p/(1-p)), so the gate is
     sigmoid((score + a - b) / nu) with gradient flowing into the scores.
@@ -153,13 +137,12 @@ def deterministic_mask(p: np.ndarray, mode: str = "expected") -> np.ndarray:
 
 
 def pad_gate(z: Tensor, true_lengths, max_statements: int) -> Tensor:
-    """Zero the gates of padded rows: z_i *= 1[i < true_length]."""
+    """Zero the gates of padded rows of a (batch, rows) block:
+    z[f, i] *= 1[i < true_lengths[f]]."""
     lengths = np.atleast_1d(np.asarray(true_lengths, dtype=np.int64))
     rows = np.arange(max_statements)
     keep = (rows[None, :] < lengths[:, None]).astype(np.float64)
-    if z.data.ndim == 1:
-        keep = keep[0]
-    elif keep.shape != z.data.shape:
+    if keep.shape != z.data.shape:
         raise GraphError("true_lengths do not match the gate block shape")
     if keep.all():
         return z
@@ -167,17 +150,8 @@ def pad_gate(z: Tensor, true_lengths, max_statements: int) -> Tensor:
 
 
 def apply_mask(matrix: Tensor, z: Tensor) -> Tensor:
-    """Scale row i of the statement matrix by gate z_i.
-
-    (rows, dim) with (rows,) gates, or (batch, rows, dim) with
-    (batch, rows) gates.
-    """
-    if matrix.data.ndim == 2 and z.data.ndim == 1:
-        if matrix.data.shape[0] != z.data.shape[0]:
-            raise GraphError("gate length does not match the statement count")
-        return ad.mul(matrix, ad.reshape(z, (z.data.shape[0], 1)))
-    if matrix.data.ndim == 3 and z.data.ndim == 2:
-        if matrix.data.shape[:2] != z.data.shape:
-            raise GraphError("gate block does not match the batch shape")
-        return ad.mul(matrix, ad.reshape(z, (*z.data.shape, 1)))
-    raise GraphError("apply_mask expects (L,d)x(L,) or (B,L,d)x(B,L)")
+    """Scale statement row (f, i) of a (batch, rows, dim) block by gate
+    z[f, i] of the (batch, rows) gate block."""
+    if matrix.data.ndim != 3 or matrix.data.shape[:2] != z.data.shape:
+        raise GraphError("apply_mask expects (B,L,d) statements and (B,L) gates")
+    return ad.mul(matrix, ad.reshape(z, (*z.data.shape, 1)))

@@ -33,12 +33,7 @@ from .metrics import ScoreSet, build_report
 from .model import ModelArtifact
 from .normalize import NormalizeError, Vocabulary, build_vocabulary, encode_tokens, normalize_source
 from .optim import Adam, ParameterStore, clip_store_gradients
-from .scoring import (
-    calibrate_threshold,
-    fit_cluster_statistics,
-    mahalanobis_scores,
-    scoring_representation,
-)
+from .scoring import calibrate_threshold, fit_cluster_statistics, mahalanobis_scores
 from .selector import (
     SelectorParams,
     deterministic_mask,
@@ -141,10 +136,12 @@ def _quantize_store(store: ParameterStore) -> dict:
 
 def masked_representations(params: ModelParams, samples, config: TrainConfig):
     """Deterministic-gate scoring representations plus the classifier's
-    max-softmax complement, batched, no gradients kept."""
+    max-softmax complement, batched, no gradients kept. pooled-d is the mean
+    of a function's real gated rows (zero without statements);
+    concat-diagonal is the whole gated matrix, flattened row-major."""
     n = len(samples)
-    rep_dim = (config.embed_dim if config.scoring_mode == "pooled-d"
-               else config.max_statements * config.embed_dim)
+    pooled = config.scoring_mode == "pooled-d"
+    rep_dim = config.embed_dim if pooled else config.max_statements * config.embed_dim
     reps = np.zeros((n, rep_dim))
     msp = np.zeros(n)
     for start in range(0, n, config.batch_size):
@@ -156,12 +153,14 @@ def masked_representations(params: ModelParams, samples, config: TrainConfig):
         z = z * (np.arange(config.max_statements)[None, :] < lengths[:, None])
         masked = x.data * z[:, :, None]
         b = len(chunk)
-        flat = ad.constant(masked.reshape(b, -1))
-        class_probs = classifier_forward(flat, params.classifier).data
+        flat = masked.reshape(b, -1)
+        class_probs = classifier_forward(ad.constant(flat), params.classifier).data
         msp[start:start + b] = 1.0 - class_probs.max(axis=1)
-        for i in range(b):
-            reps[start + i] = scoring_representation(
-                masked[i], int(lengths[i]), config.scoring_mode)
+        if pooled:
+            reps[start:start + b] = (masked.sum(axis=1)
+                                     / np.maximum(lengths, 1)[:, None])
+        else:
+            reps[start:start + b] = flat
     return reps, msp
 
 

@@ -186,3 +186,49 @@ def nearest_rank(scores, quantile) -> float:
     ordered = sorted(scores)
     rank = math.ceil(quantile * len(ordered))
     return ordered[max(rank, 1) - 1]
+
+
+def encode_statement_reference(ids, embedding, kernel, bias, pad_id=0) -> np.ndarray:
+    """One statement's vector by explicit loops: embed each token (padding
+    tokens embed to zero), zero-pad to the kernel width, slide the kernel,
+    add the bias, ReLU, then take the max over the windows."""
+    k, dim, filters = kernel.shape
+    rows = [np.zeros(dim) if t == pad_id else embedding[t].astype(np.float64)
+            for t in ids]
+    while len(rows) < k:
+        rows.append(np.zeros(dim))
+    best = None
+    for start in range(len(rows) - k + 1):
+        out = bias.astype(np.float64).copy()
+        for j in range(k):
+            for c in range(dim):
+                out += rows[start + j][c] * kernel[j, c]
+        out = np.maximum(out, 0.0)
+        best = out if best is None else np.maximum(best, out)
+    return best
+
+
+def encode_function_reference(statements, embedding, kernel, bias,
+                              max_statements, pad_id=0) -> np.ndarray:
+    """(max_statements, dim) matrix: the first max_statements statement
+    vectors in order, zero rows after them."""
+    out = np.zeros((max_statements, kernel.shape[2]))
+    for i, ids in enumerate(statements[:max_statements]):
+        out[i] = encode_statement_reference(ids, embedding, kernel, bias, pad_id)
+    return out
+
+
+def relaxed_bernoulli_reference(p, a, b, nu) -> np.ndarray:
+    """Binary Concrete sample from a keep probability, one element at a
+    time: 1 / (1 + exp(-(log p - log(1 - p) + a - b) / nu))."""
+    p, a, b = np.broadcast_arrays(np.asarray(p, dtype=np.float64),
+                                  np.asarray(a, dtype=np.float64),
+                                  np.asarray(b, dtype=np.float64))
+    out = np.empty(p.shape)
+    for idx in np.ndindex(p.shape):
+        x = (math.log(p[idx]) - math.log1p(-p[idx]) + a[idx] - b[idx]) / nu
+        if x >= 0:
+            out[idx] = 1.0 / (1.0 + math.exp(-x))
+        else:
+            out[idx] = math.exp(x) / (1.0 + math.exp(x))
+    return out

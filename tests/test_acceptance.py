@@ -24,8 +24,8 @@ from leo.metrics import ScoreSet, aupr, auroc, fpr_at_tpr
 from leo.model import load_model, save_model, serialize_model
 from leo.normalize import normalize_source
 from leo.optim import ParameterStore
-from leo.scoring import fit_cluster_statistics, mahalanobis_score
-from leo.selector import init_selector_params, relax_bernoulli, sample_gumbel
+from leo.scoring import fit_cluster_statistics, mahalanobis_scores
+from leo.selector import init_selector_params, relax_gates, sample_gumbel
 from leo.synth import generate_pair, generate_synthetic
 from leo.train import evaluate, score_records, train
 from leo.losses import minibatch_kmeans
@@ -210,7 +210,9 @@ def test_A2_binary_concrete_threshold(verdict):
         for nu in (0.5, 1.0):
             g1 = sample_gumbel((n,), rng)
             g2 = sample_gumbel((n,), rng)
-            z = relax_bernoulli(np.full(n, p), g1, g2, nu)
+            # the gate's score is the log-odds of its keep probability
+            log_odds = np.full(n, np.log(p) - np.log1p(-p))
+            z = relax_gates(ad.constant(log_odds), g1, g2, nu).data
             gap = abs(float(np.mean(z > 0.5)) - p)
             worst = max(worst, gap)
             assert gap < 0.01, f"p={p}, nu={nu}: |mean-p|={gap:.4f}"
@@ -233,7 +235,7 @@ def test_A3_scoring_and_metric_oracles(verdict):
         labels = minibatch_kmeans(points, k, np.random.default_rng(k)).labels
         stats = fit_cluster_statistics(points, k, np.random.default_rng(k))
         for q in rng.normal(scale=5.0, size=(20, 3)):
-            mine = mahalanobis_score(q, stats)
+            mine = float(mahalanobis_scores(q[None, :], stats)[0])
             ref = dense_mahalanobis(q, points, labels)
             worst_maha = max(worst_maha, abs(mine - ref) / max(abs(ref), 1e-30))
     assert worst_maha < 1e-9

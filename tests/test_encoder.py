@@ -1,18 +1,14 @@
-"""Statement encoder behavior, including the batched/per-function identity."""
+"""Statement encoder behavior, checked against a per-statement oracle."""
 import numpy as np
 import pytest
 
 import leo.autodiff as ad
 from leo.autodiff import GraphError, finite_difference_check
-from leo.encoder import (
-    embed_statement,
-    encode_batch,
-    encode_function,
-    encode_statement,
-    init_encoder_params,
-)
+from leo.encoder import encode_batch, init_encoder_params
 from leo.normalize import PAD_ID
 from leo.optim import ParameterStore
+
+from oracles import encode_function_reference, encode_statement_reference
 
 
 def make_params(vocab=9, dim=4, kernel=3, seed=0, retain=0.8):
@@ -20,6 +16,28 @@ def make_params(vocab=9, dim=4, kernel=3, seed=0, retain=0.8):
     params = init_encoder_params(store, vocab, dim, np.random.default_rng(seed),
                                  kernel_size=kernel, dropout_retain=retain)
     return store, params
+
+
+def identity_params(vocab=9, dim=4, retain=0.8):
+    """Kernel width 1, identity weights, zero bias: a statement's vector is
+    the elementwise max of ReLU over its embedded rows."""
+    store, params = make_params(vocab=vocab, dim=dim, kernel=1, retain=retain)
+    params.conv_kernel.data = np.eye(dim)[None]
+    params.conv_bias.data = np.zeros(dim)
+    return store, params
+
+
+def encode_one(statements, params, max_statements=None):
+    """encode_batch on a batch of one function -> its statement matrix."""
+    out, _ = encode_batch([statements], params,
+                          max_statements or max(len(statements), 1))
+    return out.data[0]
+
+
+def oracle(statements, params, max_statements):
+    return encode_function_reference(
+        statements, params.embedding.data, params.conv_kernel.data,
+        params.conv_bias.data, max_statements, PAD_ID)
 
 
 # ---------------------------------------------------------------------------
@@ -54,54 +72,58 @@ def test_init_rejects_bad_arguments():
 
 
 # ---------------------------------------------------------------------------
-# embed_statement
+# embedding (through a width-1 identity convolution)
 
 
 def test_embed_pad_only_is_zero_matrix():
-    _, params = make_params()
-    out = embed_statement([PAD_ID, PAD_ID], params)
-    assert np.all(out.data == 0.0)
+    _, params = identity_params()
+    params.embedding.data[PAD_ID] = 1.0  # the pad mask, not the row, zeroes it
+    np.testing.assert_array_equal(encode_one([[PAD_ID, PAD_ID]], params),
+                                  np.zeros((1, 4)))
 
 
 def test_embed_single_token_eval_exact_row():
-    _, params = make_params()
-    out = embed_statement([3], params)
-    np.testing.assert_array_equal(out.data[0], params.embedding.data[3])
+    _, params = identity_params()
+    params.embedding.data[3] = np.array([0.5, 1.5, 0.25, 2.0])
+    np.testing.assert_array_equal(encode_one([[3]], params)[0],
+                                  params.embedding.data[3])
 
 
 def test_embed_rejects_empty_and_out_of_range():
     _, params = make_params(vocab=5)
     with pytest.raises(GraphError):
-        embed_statement([], params)
+        encode_batch([[[]]], params, max_statements=2)
     with pytest.raises(GraphError):
-        embed_statement([7], params)
+        encode_batch([[[7]]], params, max_statements=2)
     with pytest.raises(GraphError):
-        embed_statement([2], params, train_flag=True, rng=None)
+        encode_batch([[[2]]], params, max_statements=2, train_flag=True, rng=None)
 
 
 def test_embed_dropout_monte_carlo_mean():
-    _, params = make_params(dim=4, retain=0.8)
-    params.embedding.data[2] = np.array([0.5, -1.0, 2.0, 0.75])
+    _, params = identity_params(dim=4, retain=0.8)
+    params.embedding.data[2] = np.array([0.5, 1.0, 2.0, 0.75])
     rng = np.random.default_rng(42)
-    reference = embed_statement([2], params).data[0]
-    # 200 identical tokens x 500 calls = 1e5 independent mask draws per column
-    ids = [2] * 200
+    reference = encode_one([[2]], params)[0]
+    # 200 one-token statements x 500 calls = 1e5 independent mask draws per column
+    batch = [[[2]] * 200]
     total = np.zeros(4)
     for _ in range(500):
-        total += embed_statement(ids, params, train_flag=True, rng=rng).data.sum(axis=0)
+        out, _ = encode_batch(batch, params, 200, train_flag=True, rng=rng)
+        total += out.data[0].sum(axis=0)
     mean = total / (200 * 500)
     assert np.all(np.abs(mean - reference) <= 0.02 * np.abs(reference))
 
 
 # ---------------------------------------------------------------------------
-# encode_statement
+# convolution, ReLU and max over time
 
 
 def test_encode_all_zero_input_gives_relu_bias():
     _, params = make_params(dim=4)
     params.conv_bias.data = np.array([0.3, -0.2, 0.0, 1.5])
-    out = encode_statement(ad.constant(np.zeros((5, 4))), params)
-    np.testing.assert_allclose(out.data, [0.3, 0.0, 0.0, 1.5], atol=0)
+    params.embedding.data[2] = 0.0
+    out = encode_one([[2, 2, 2, 2, 2]], params)
+    np.testing.assert_allclose(out[0], [0.3, 0.0, 0.0, 1.5], atol=0)
 
 
 def test_encode_one_token_identity_kernel_hand_oracle():
@@ -111,63 +133,63 @@ def test_encode_one_token_identity_kernel_hand_oracle():
     params.conv_bias.data = np.zeros(4)
     row = np.array([0.7, -0.3, 0.0, 2.0])
     params.embedding.data[5] = row
-    out = encode_statement(embed_statement([5], params), params)
+    out = encode_one([[5]], params)
     # single window over [row; 0; 0]: conv = I @ row, then ReLU, then max of one
-    np.testing.assert_allclose(out.data, np.maximum(row, 0.0), atol=0)
+    np.testing.assert_allclose(out[0], np.maximum(row, 0.0), atol=0)
 
 
 def test_encode_duplicated_max_window_unchanged():
     _, params = make_params(dim=3, kernel=2)
     params.conv_kernel.data = np.stack([np.eye(3), np.eye(3)])
     params.conv_bias.data = np.zeros(3)
-    a = np.array([0.9, 0.4, 0.1])
-    b = np.array([0.2, 0.5, 0.8])
-    base = np.vstack([a, b, np.zeros(3), np.zeros(3)])
-    duplicated = np.vstack([base, a, b])
-    o1 = encode_statement(ad.constant(base), params).data
-    o2 = encode_statement(ad.constant(duplicated), params).data
-    np.testing.assert_allclose(o1, a + b, atol=1e-15)
+    params.embedding.data[2] = [0.9, 0.4, 0.1]
+    params.embedding.data[3] = [0.2, 0.5, 0.8]
+    params.embedding.data[4] = 0.0
+    base = [2, 3, 4, 4]
+    o1 = encode_one([base], params)[0]
+    o2 = encode_one([base + [2, 3]], params)[0]
+    np.testing.assert_allclose(o1, params.embedding.data[2] + params.embedding.data[3],
+                               atol=1e-15)
     np.testing.assert_allclose(o2, o1, atol=0)
 
 
 def test_encode_short_statement_matches_manual_zero_pad():
     _, params = make_params(dim=4, kernel=3)
-    emb = embed_statement([4, 6], params)
-    short = encode_statement(emb, params).data
-    padded = np.vstack([emb.data, np.zeros((1, 4))])
-    manual = encode_statement(ad.constant(padded), params).data
+    params.embedding.data[7] = 0.0
+    short = encode_one([[4, 6]], params)[0]
+    manual = encode_one([[4, 6, 7]], params)[0]
     np.testing.assert_allclose(short, manual, atol=0)
 
 
 # ---------------------------------------------------------------------------
-# encode_function
+# one function
 
 
 def test_encode_function_padding_and_truncation():
     _, params = make_params(dim=4)
-    fn = encode_function([[2, 3], [4], [5, 6, 7]], params, max_statements=8)
-    assert fn.matrix.data.shape == (8, 4)
-    assert fn.true_length == 3
-    assert np.all(fn.matrix.data[3:] == 0.0)
-    assert np.any(fn.matrix.data[:3] != 0.0)
+    m = encode_one([[2, 3], [4], [5, 6, 7]], params, max_statements=8)
+    _, lengths = encode_batch([[[2, 3], [4], [5, 6, 7]]], params, 8)
+    assert m.shape == (8, 4) and lengths.tolist() == [3]
+    assert np.all(m[3:] == 0.0)
+    assert np.any(m[:3] != 0.0)
 
-    many = [[2, 3]] * 12
-    fn2 = encode_function(many, params, max_statements=8)
-    assert fn2.true_length == 8 and fn2.matrix.data.shape == (8, 4)
+    out, lengths = encode_batch([[[2, 3]] * 12], params, max_statements=8)
+    assert lengths.tolist() == [8] and out.data.shape == (1, 8, 4)
 
-    empty = encode_function([], params, max_statements=8, label=1)
-    assert empty.true_length == 0
-    assert np.all(empty.matrix.data == 0.0)
-    assert empty.label == 1
+    empty, lengths = encode_batch([[]], params, max_statements=8)
+    assert lengths.tolist() == [0]
+    assert np.all(empty.data == 0.0)
 
 
 def test_encode_function_rows_match_statement_path():
     _, params = make_params(dim=4)
     statements = [[2, 3, 4, 5], [6], [7, 8]]
-    fn = encode_function(statements, params, max_statements=5)
+    m = encode_one(statements, params, max_statements=5)
     for i, s in enumerate(statements):
-        one = encode_statement(embed_statement(s, params), params).data
-        np.testing.assert_allclose(fn.matrix.data[i], one, atol=1e-12, rtol=0)
+        one = encode_statement_reference(s, params.embedding.data,
+                                         params.conv_kernel.data,
+                                         params.conv_bias.data, PAD_ID)
+        np.testing.assert_allclose(m[i], one, atol=1e-12, rtol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +205,14 @@ RAGGED_BATCH = [
 
 
 def test_encode_batch_matches_per_function():
-    _, params = make_params(dim=4)
-    out, lengths = encode_batch(RAGGED_BATCH, params, max_statements=3)
-    assert out.data.shape == (4, 3, 4)
-    np.testing.assert_array_equal(lengths, [3, 0, 3, 1])
-    for i, statements in enumerate(RAGGED_BATCH):
-        fn = encode_function(statements, params, max_statements=3)
-        np.testing.assert_allclose(out.data[i], fn.matrix.data, atol=1e-12, rtol=0)
-        assert fn.true_length == lengths[i]
+    for kernel in (1, 2, 3, 5):
+        _, params = make_params(dim=4, kernel=kernel, seed=kernel)
+        out, lengths = encode_batch(RAGGED_BATCH, params, max_statements=3)
+        assert out.data.shape == (4, 3, 4)
+        np.testing.assert_array_equal(lengths, [3, 0, 3, 1])
+        for i, statements in enumerate(RAGGED_BATCH):
+            np.testing.assert_allclose(out.data[i], oracle(statements, params, 3),
+                                       atol=1e-12, rtol=0)
 
 
 def test_encode_batch_zero_rows_past_true_length():

@@ -13,10 +13,7 @@ from leo.losses import (
     batch_cross_entropy,
     classifier_forward,
     cluster_contrastive_loss,
-    cosine_similarity,
-    cross_entropy,
     data_distribution_loss,
-    flatten_representation,
     init_classifier_params,
     joint_loss,
     minibatch_kmeans,
@@ -31,6 +28,12 @@ from oracles import (
     hand_cosine,
     lloyd_reference,
 )
+
+
+def single_ce(probs, label):
+    """batch_cross_entropy on a batch of one probability pair."""
+    return batch_cross_entropy(ad.constant(np.array([probs], dtype=float)),
+                               [label]).item()
 
 
 def make_classifier(input_dim, hidden=(6, 5), seed=0):
@@ -58,9 +61,9 @@ def test_classifier_single_sample_matches_batch_row():
     rows = np.random.default_rng(2).normal(size=(3, 8))
     batch = classifier_forward(ad.constant(rows), params).data
     for i in range(3):
-        one = classifier_forward(ad.constant(rows[i]), params).data
-        assert one.shape == (2,)
-        np.testing.assert_allclose(one, batch[i], atol=1e-12, rtol=0)
+        one = classifier_forward(ad.constant(rows[i:i + 1]), params).data
+        assert one.shape == (1, 2)
+        np.testing.assert_allclose(one[0], batch[i], atol=1e-12, rtol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -68,26 +71,22 @@ def test_classifier_single_sample_matches_batch_row():
 
 
 def test_cross_entropy_worked_values():
-    assert cross_entropy(ad.constant(np.array([0.25, 0.75])), 1).item() == \
-        pytest.approx(-math.log(0.75), abs=1e-12)
-    assert cross_entropy(ad.constant(np.array([1.0, 0.0])), 0).item() == \
-        pytest.approx(0.0, abs=1e-12)
-    assert cross_entropy(ad.constant(np.array([0.5, 0.5])), 0).item() == \
-        pytest.approx(math.log(2), abs=1e-12)
-    assert cross_entropy(ad.constant(np.array([0.5, 0.5])), 1).item() == \
-        pytest.approx(math.log(2), abs=1e-12)
+    assert single_ce([0.25, 0.75], 1) == pytest.approx(-math.log(0.75), abs=1e-12)
+    assert single_ce([1.0, 0.0], 0) == pytest.approx(0.0, abs=1e-12)
+    assert single_ce([0.5, 0.5], 0) == pytest.approx(math.log(2), abs=1e-12)
+    assert single_ce([0.5, 0.5], 1) == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_cross_entropy_clamps_zero_probability():
-    loss = cross_entropy(ad.constant(np.array([1.0, 0.0])), 1).item()
+    loss = single_ce([1.0, 0.0], 1)
     assert loss == pytest.approx(-math.log(1e-12), rel=1e-9)
 
 
 def test_cross_entropy_rejects_bad_inputs():
     with pytest.raises(GraphError):
-        cross_entropy(ad.constant(np.array([0.5, 0.5])), 2)
+        single_ce([0.5, 0.5], 2)
     with pytest.raises(GraphError):
-        cross_entropy(ad.constant(np.array([0.2, 0.3, 0.5])), 0)
+        single_ce([0.2, 0.3, 0.5], 0)
 
 
 def test_batch_cross_entropy_is_mean_of_singles():
@@ -96,8 +95,7 @@ def test_batch_cross_entropy_is_mean_of_singles():
     probs = raw / raw.sum(axis=1, keepdims=True)
     labels = rng.integers(0, 2, size=6)
     batch = batch_cross_entropy(ad.constant(probs), labels).item()
-    singles = [cross_entropy(ad.constant(probs[i]), int(labels[i])).item()
-               for i in range(6)]
+    singles = [-math.log(probs[i, labels[i]]) for i in range(6)]
     assert batch == pytest.approx(np.mean(singles), abs=1e-12)
     with pytest.raises(GraphError):
         batch_cross_entropy(ad.constant(probs), np.array([0, 1, 2, 0, 1, 0]))
@@ -145,7 +143,7 @@ def test_distribution_loss_all_zero_mask_is_label_symmetric():
     labels = np.array([1, 1, 0])
     got = data_distribution_loss(x, lengths, labels, params, relax_temp=0.5,
                                  rng=None, mask_override=zeros).item()
-    zero_in = classifier_forward(ad.constant(np.zeros(12)), params).data
+    zero_in = classifier_forward(ad.constant(np.zeros((1, 12))), params).data[0]
     per_label = [-math.log(max(zero_in[y], 1e-12)) for y in labels]
     assert got == pytest.approx(np.mean(per_label), abs=1e-12)
 
@@ -285,24 +283,35 @@ def test_kmeans_deterministic_for_seed():
 
 
 def test_flatten_examples():
-    m = ad.constant(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    np.testing.assert_array_equal(flatten_representation(m).data, [1, 2, 3, 4])
-    z = flatten_representation(ad.constant(np.zeros((3, 2))))
-    assert np.all(z.data == 0)
-    gated = ad.constant(np.array([[0.0, 0.0], [3.0, 4.0]]))
-    flat = flatten_representation(gated).data
-    assert np.count_nonzero(flat) == 2
+    rng = np.random.default_rng(14)
+    sel = init_selector_params(ParameterStore(), 2, rng, hidden_sizes=(3,))
+    _, clf = make_classifier(6, hidden=(5,), seed=15)
+    x = np.array([[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
+                  [[0.5, -1.0], [2.0, 0.0], [7.0, 8.0]]])
+    z = np.array([[0.0, 1.0, 0.5], [1.0, 1.0, 0.0]])
+    parts = joint_loss(ad.constant(x), [3, 2], [0, 1], sel, clf, relax_temp=0.5,
+                       temperature=0.5, contrastive_weight=0.0, clusters=1,
+                       rng=None, z_override=z)
+    # the classifier sees each gated (rows, dim) matrix flattened row-major
+    flat = np.array([[0.0, 0.0, 3.0, 4.0, 2.5, 3.0],
+                     [0.5, -1.0, 2.0, 0.0, 0.0, 0.0]])
+    want = classifier_forward(ad.constant(flat), clf).data
+    np.testing.assert_allclose(parts.probabilities.data, want, atol=1e-15, rtol=0)
 
 
 def test_cosine_examples_and_oracle():
-    assert cosine_similarity([1, 0], [1, 0]) == pytest.approx(1.0)
-    assert cosine_similarity([1, 0], [0, 1]) == pytest.approx(0.0)
-    assert cosine_similarity([1, 2], [2, 4]) == pytest.approx(1.0)
-    assert cosine_similarity([0, 0], [1, 2]) == 0.0
+    def cos(u, v):
+        unit = unit_rows(np.array([u, v], dtype=float))
+        return float(unit[0] @ unit[1])
+
+    assert cos([1, 0], [1, 0]) == pytest.approx(1.0)
+    assert cos([1, 0], [0, 1]) == pytest.approx(0.0)
+    assert cos([1, 2], [2, 4]) == pytest.approx(1.0)
+    assert cos([0, 0], [1, 2]) == 0.0
     rng = np.random.default_rng(10)
     for _ in range(20):
         u, v = rng.normal(size=(2, 5))
-        assert cosine_similarity(u, v) == pytest.approx(hand_cosine(u, v), abs=1e-12)
+        assert cos(u, v) == pytest.approx(hand_cosine(u, v), abs=1e-12)
 
 
 def test_unit_rows_keeps_zero_rows():

@@ -1,6 +1,8 @@
 """Detection metrics against brute-force oracles and worked examples."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leo.metrics import (
     EvalReport,
@@ -167,7 +169,9 @@ def test_report_csv_round_trip_byte_identical():
     r = build_report(sset([0.1, 0.7, 0.2], [0.5, 0.9]),
                      fingerprint="d=32;seed=7", dump_path="scores.csv")
     text = render_report(r)
-    assert text.startswith("metric,value\n")
+    assert text == ("metric,value\nfpr_at_tpr95,0.5\nauroc,0.8333333333333334\n"
+                    "aupr,0.8333333333333333\nn_id,3\nn_ood,2\n"
+                    "fingerprint,d=32;seed=7\ndump_path,scores.csv\n")
     again = render_report(parse_report(text))
     assert again == text
 
@@ -180,9 +184,33 @@ def test_report_parse_rejects_missing_header():
 def test_score_dump_round_trip():
     rows = [("fn_001", "id", 0.125, "ID"), ("fn_755", "ood", 3.5, "OOD")]
     text = render_score_dump(rows)
-    assert text.splitlines()[0] == "id,population,score,decision"
+    assert text == ("id,population,score,decision\n"
+                    "fn_001,id,0.125,ID\nfn_755,ood,3.5,OOD\n")
     assert parse_score_dump(text) == rows
     assert render_score_dump(parse_score_dump(text)) == text
+
+
+TRICKY_TEXT = st.text(alphabet=st.sampled_from(list('ab ,"\n\r;\t\u00e9')) | st.characters(),
+                      max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(TRICKY_TEXT, st.sampled_from(["id", "ood"]),
+                          st.floats(allow_nan=False), st.sampled_from(["ID", "OOD"])),
+                max_size=6))
+def test_score_dump_round_trips_any_id(rows):
+    text = render_score_dump(rows)
+    assert parse_score_dump(text) == rows
+    assert render_score_dump(parse_score_dump(text)) == text
+
+
+@settings(max_examples=100, deadline=None)
+@given(TRICKY_TEXT, TRICKY_TEXT)
+def test_report_round_trips_any_text_fields(fingerprint, dump_path):
+    r = build_report(sset([0.1, 0.7], [0.5]), fingerprint=fingerprint,
+                     dump_path=dump_path)
+    again = parse_report(render_report(r))
+    assert (again.fingerprint, again.dump_path) == (fingerprint, dump_path)
 
 
 def test_score_dump_validates_population():
@@ -190,3 +218,5 @@ def test_score_dump_validates_population():
         render_score_dump([("x", "test", 1.0, "ID")])
     with pytest.raises(ValueError):
         parse_score_dump("nope\n")
+    with pytest.raises(ValueError, match="record 2"):
+        parse_score_dump("id,population,score,decision\na,b,id,1.0,ID\n")

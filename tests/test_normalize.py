@@ -10,7 +10,6 @@ from leo.normalize import (
     build_vocabulary,
     encode_tokens,
     normalize_source,
-    split_statements,
 )
 
 
@@ -173,9 +172,9 @@ def test_switch_case_splitting():
 
 
 def test_split_statements_plain_tokens():
-    assert split_statements(["a", "=", "1", ";", "b", "=", "2", ";"]) == [
-        ["a", "=", "1", ";"], ["b", "=", "2", ";"]]
-    assert split_statements([]) == []
+    assert statements_of("a = 1 ; b = 2 ;") == [
+        ["var1", "=", "1", ";"], ["var2", "=", "2", ";"]]
+    assert statements_of("") == []
 
 
 def test_splitting_conserves_tokens():

@@ -1,6 +1,9 @@
 """Configuration, ingestion, the synthetic generator, the model container,
 the training loop contracts, and the CLI."""
+import dataclasses
 import os
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -54,10 +57,42 @@ def tiny_corpus(seed=3, n=60, n_ood=20):
 
 # --- config --------------------------------------------------------------------
 
+EVERY_FIELD = dict(
+    seed=3, max_statements=9, embed_dim=5, vocab_max=77, kernel_size=2,
+    selector_hidden=(7, 8), classifier_hidden=(9,), dropout_retain=0.75,
+    relax_temp=0.7, contrastive_temp=0.25, contrastive_weight=0.0, clusters=4,
+    learning_rate=0.0005, batch_size=12, epochs=3, clip_norm=2.5,
+    val_fraction=0.3, stmt_token_cap=11, kmeans_iters=6,
+    scoring_mode="concat-diagonal", contrastive_variant="supervised-class",
+    gate_mode="hard", ablate_cd=True)
+
+
 def test_config_defaults_and_render_round_trip():
     cfg = TrainConfig(seed=7)
     again = TrainConfig(**parse_config_text(cfg.render()))
     assert again == cfg
+    # every field away from its default, in both text forms
+    assert set(EVERY_FIELD) == {f.name for f in dataclasses.fields(TrainConfig)}
+    full = TrainConfig(**EVERY_FIELD)
+    assert all(getattr(full, k) != getattr(cfg, k) for k in EVERY_FIELD)
+    assert TrainConfig(**parse_config_text(full.render())) == full
+    assert full.render() == (
+        "seed = 3\nmax_statements = 9\nembed_dim = 5\nvocab_max = 77\n"
+        "kernel_size = 2\nselector_hidden = 7,8\nclassifier_hidden = 9\n"
+        "dropout_retain = 0.75\nrelax_temp = 0.7\ncontrastive_temp = 0.25\n"
+        "contrastive_weight = 0.0\nclusters = 4\nlearning_rate = 0.0005\n"
+        "batch_size = 12\nepochs = 3\nclip_norm = 2.5\nval_fraction = 0.3\n"
+        "stmt_token_cap = 11\nkmeans_iters = 6\nscoring_mode = concat-diagonal\n"
+        "contrastive_variant = supervised-class\ngate_mode = hard\n"
+        "ablate_cd = true\n")
+    assert full.fingerprint() == (
+        "seed=3;max_statements=9;embed_dim=5;vocab_max=77;kernel_size=2;"
+        "selector_hidden=7x8;classifier_hidden=9;dropout_retain=0.75;"
+        "relax_temp=0.7;contrastive_temp=0.25;contrastive_weight=0.0;clusters=4;"
+        "learning_rate=0.0005;batch_size=12;epochs=3;clip_norm=2.5;"
+        "val_fraction=0.3;stmt_token_cap=11;kmeans_iters=6;"
+        "scoring_mode=concat-diagonal;contrastive_variant=supervised-class;"
+        "gate_mode=hard;ablate_cd=true")
 
 
 def test_config_file_plus_overrides(tmp_path):
@@ -125,6 +160,15 @@ def test_load_dataset_errors_name_the_line(tmp_path):
         p.write_text(text)
         with pytest.raises(ValueError, match=needle):
             load_dataset(str(p))
+
+
+@pytest.mark.parametrize("label", ["true", "1.0", '"1"'])
+def test_load_dataset_rejects_non_integer_labels(tmp_path, label):
+    p = tmp_path / "labels.jsonl"
+    p.write_text('{"id": "a", "code": "x", "label": 0}\n'
+                 f'{{"id": "b", "code": "y", "label": {label}}}\n')
+    with pytest.raises(ValueError, match="line 2: label must be 0 or 1"):
+        load_dataset(str(p))
 
 
 def test_load_dataset_empty_warns(tmp_path):
@@ -247,6 +291,10 @@ def test_container_round_trip_exact():
     assert serialize_model(back) == blob
 
 
+def _with_crc(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
 def test_container_rejects_corruption(tmp_path):
     art = small_artifact()
     blob = serialize_model(art)
@@ -260,10 +308,42 @@ def test_container_rejects_corruption(tmp_path):
         deserialize_model(bytes(flipped))
     bad_version = bytearray(blob)
     bad_version[4] = 99
-    import zlib, struct
-    body = bytes(bad_version[:-4])
     with pytest.raises(ModelFormatError, match="version"):
-        deserialize_model(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+        deserialize_model(_with_crc(bytes(bad_version[:-4])))
+
+
+def test_container_rejects_stray_and_unknown_sections():
+    blob = serialize_model(small_artifact())
+    body = blob[:-4]
+    with pytest.raises(ModelFormatError, match="unknown section"):
+        deserialize_model(_with_crc(body + b"XTRA" + struct.pack("<I", 0)))
+    with pytest.raises(ModelFormatError, match="duplicate section"):
+        deserialize_model(_with_crc(body + b"LOGD" + struct.pack("<I", 0)))
+    # one extra byte inside VOCB, with its length field grown to match
+    length = struct.unpack("<I", body[12:16])[0]
+    grown = (body[:12] + struct.pack("<I", length + 1) + body[16:16 + length]
+             + b"\x00" + body[16 + length:])
+    with pytest.raises(ModelFormatError, match="trailing bytes"):
+        deserialize_model(_with_crc(grown))
+
+
+def test_container_fuzz_raises_only_model_format_error():
+    train_recs, _, _ = tiny_corpus(n=30, n_ood=10)
+    cfg = TrainConfig(seed=1, max_statements=3, embed_dim=2, vocab_max=40,
+                      selector_hidden=(2,), classifier_hidden=(2,),
+                      batch_size=16, epochs=1, clusters=2)
+    body = serialize_model(train(cfg, train_recs))[:-4]
+    rng = np.random.default_rng(0)
+    rejected = 0
+    for _ in range(300):
+        corrupt = bytearray(body)
+        pos = int(rng.integers(4, len(corrupt)))
+        corrupt[pos] = (corrupt[pos] + int(rng.integers(1, 256))) % 256
+        try:
+            deserialize_model(_with_crc(bytes(corrupt)))
+        except ModelFormatError:
+            rejected += 1
+    assert rejected > 100  # most corruptions hit structure, not float payloads
 
 
 def test_save_load_file(tmp_path):

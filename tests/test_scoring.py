@@ -2,20 +2,38 @@
 import numpy as np
 import pytest
 
-from leo.losses import minibatch_kmeans
+import leo.autodiff as ad
+from leo.config import TrainConfig
+from leo.data import DatasetRecord
+from leo.encoder import encode_batch
+from leo.losses import classifier_forward, minibatch_kmeans
+from leo.model import ModelArtifact
 from leo.scoring import (
-    CalibratedDetector,
     ClusterStatistics,
     calibrate_threshold,
-    decide,
     fit_cluster_statistics,
-    mahalanobis_score,
     mahalanobis_scores,
-    msp_score,
-    scoring_representation,
+)
+from leo.selector import selector_forward
+from leo.train import (
+    PreparedSample,
+    build_training_vocabulary,
+    init_model,
+    masked_representations,
+    model_from_artifact,
+    prepare_samples,
+    score_records,
 )
 
 from oracles import dense_mahalanobis, nearest_rank, sample_mean_cov
+
+SMALL = dict(max_statements=4, embed_dim=3, vocab_max=100, selector_hidden=(4,),
+             classifier_hidden=(5,), batch_size=2, clusters=1)
+
+
+def mahalanobis_score(rep, stats) -> float:
+    """mahalanobis_scores on a batch of one."""
+    return float(mahalanobis_scores(np.asarray(rep)[None, :], stats)[0])
 
 
 def manual_stats(means, inverses, diagonal=False):
@@ -28,34 +46,58 @@ def manual_stats(means, inverses, diagonal=False):
         diagonal_covariance=diagonal)
 
 
-# --- scoring_representation -------------------------------------------------
+# --- scoring representations (masked_representations) ------------------------
+
+FUNCS = [[[2, 3]], [[2, 3], [4, 5, 6], [7]], [], [[8]] * 6, [[3, 4, 5, 6, 7]]]
+
+
+def representations(mode):
+    """Scoring representations of FUNCS from one fixed random model."""
+    cfg = TrainConfig(seed=0, scoring_mode=mode, **SMALL)
+    params = init_model(cfg, 9, np.random.default_rng(5))
+    samples = [PreparedSample(f"s{i}", 0, "", f) for i, f in enumerate(FUNCS)]
+    return masked_representations(params, samples, cfg)[0], params
+
 
 def test_pooled_single_row_is_the_row():
-    m = np.array([[3.0, -1.0, 2.0]])
-    np.testing.assert_array_equal(scoring_representation(m, 1), m[0])
+    pooled, _ = representations("pooled-d")
+    concat, _ = representations("concat-diagonal")
+    np.testing.assert_array_equal(pooled[0], concat[0][:3])
 
 
 def test_pooled_means_only_real_rows():
-    m = np.array([[1.0, 2.0], [3.0, 4.0], [99.0, 99.0]])
-    np.testing.assert_allclose(scoring_representation(m, 2), [2.0, 3.0])
+    pooled, _ = representations("pooled-d")
+    concat, _ = representations("concat-diagonal")
+    for i, f in enumerate(FUNCS):
+        rows = concat[i].reshape(4, 3)[:min(len(f), 4)]
+        if len(rows):
+            np.testing.assert_allclose(pooled[i], rows.mean(axis=0),
+                                       atol=1e-15, rtol=0)
 
 
 def test_pooled_empty_function_is_zero_vector():
-    m = np.zeros((4, 3))
-    np.testing.assert_array_equal(scoring_representation(m, 0), np.zeros(3))
+    pooled, _ = representations("pooled-d")
+    concat, _ = representations("concat-diagonal")
+    np.testing.assert_array_equal(pooled[2], np.zeros(3))
+    np.testing.assert_array_equal(concat[2], np.zeros(12))
 
 
 def test_concat_mode_flattens_row_major():
-    m = np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]])
-    got = scoring_representation(m, 2, mode="concat-diagonal")
-    np.testing.assert_array_equal(got, [1.0, 2.0, 3.0, 4.0, 0.0, 0.0])
+    concat, params = representations("concat-diagonal")
+    x, lengths = encode_batch(FUNCS, params.encoder, 4)
+    gates = selector_forward(x, params.selector).data
+    gates = gates * (np.arange(4)[None, :] < lengths[:, None])
+    gated = x.data * gates[:, :, None]
+    np.testing.assert_array_equal(concat, gated.reshape(len(FUNCS), 12))
+    assert np.all(concat[1].reshape(4, 3)[3:] == 0.0)
 
 
 def test_representation_input_checks():
     with pytest.raises(ValueError):
-        scoring_representation(np.zeros(3), 1)
+        TrainConfig(seed=0, scoring_mode="average")
+    stats = fit_cluster_statistics(np.eye(3), 1, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        scoring_representation(np.zeros((2, 2)), 1, mode="average")
+        mahalanobis_scores(np.zeros(3), stats)
 
 
 # --- fit_cluster_statistics ---------------------------------------------------
@@ -123,7 +165,7 @@ def test_fit_rejects_bad_inputs():
                                mode="full")
 
 
-# --- mahalanobis_score --------------------------------------------------------
+# --- mahalanobis_scores -------------------------------------------------------
 
 def test_score_zero_at_cluster_mean():
     stats = manual_stats([[1.0, 2.0], [5.0, -1.0]],
@@ -278,21 +320,67 @@ def test_threshold_monotone_in_quantile():
     assert ts == sorted(ts)
 
 
-# --- decide / msp_score -------------------------------------------------------
+# --- decisions and max-softmax scores (score_records) ------------------------
+
+CODE = ["int f(int a) { return a + 1; }",
+        "void g(char *p) { if (p) { p[0] = 0; } }",
+        "int h(void) { int x = 2; x = x * 3; return x; }",
+        "int k(int n) { while (n > 0) { n = n - 1; } return n; }"]
+
+
+def small_artifact():
+    """An untrained artifact whose statistics are fit on its own records."""
+    cfg = TrainConfig(seed=0, **SMALL)
+    records = [DatasetRecord(f"r{i}", code, i % 2) for i, code in enumerate(CODE)]
+    vocab = build_training_vocabulary(records, cfg)
+    params = init_model(cfg, vocab.size, np.random.default_rng(3))
+    tensors = {name: t.data.astype(np.float32) for name, t in params.store.items()}
+    artifact = ModelArtifact(vocab, tensors, cfg, stats=None, threshold=0.0)
+    samples = prepare_samples(records, vocab, cfg)
+    reps, _ = masked_representations(model_from_artifact(artifact), samples, cfg)
+    artifact.stats = fit_cluster_statistics(reps, 1, np.random.default_rng(0))
+    return artifact, records
+
 
 def test_decide_boundary_is_in_distribution():
-    det = CalibratedDetector(stats=None, threshold=2.0)
-    assert decide(2.0, det) == "ID"
-    assert decide(2.0 + 1e-12, det) == "OOD"
-    assert decide(0.0, det) == "ID"
-    assert decide(5.0, det) == "OOD"
+    artifact, records = small_artifact()
+    scores, _ = score_records(artifact, records)
+    assert scores[0] > 0.0
+    for threshold, want in ((scores[0], "ID"),
+                            (np.nextafter(scores[0], -np.inf), "OOD"),
+                            (0.0, "OOD"), (scores.max() + 1.0, "ID")):
+        artifact.threshold = float(threshold)
+        _, decisions = score_records(artifact, records)
+        assert decisions[0] == want
+        assert list(decisions) == ["OOD" if s > threshold else "ID" for s in scores]
 
 
 def test_msp_score_examples():
-    assert msp_score([0.9, 0.1]) == pytest.approx(0.1)
-    assert msp_score([0.5, 0.5]) == 0.5
-    assert msp_score([1.0, 0.0]) == 0.0
+    artifact, records = small_artifact()
+    scores, _ = score_records(artifact, records, use_msp=True)
+    params = model_from_artifact(artifact)
+    samples = prepare_samples(records, artifact.vocab, artifact.config)
+    x, lengths = encode_batch([s.statements for s in samples], params.encoder, 4)
+    gates = selector_forward(x, params.selector).data
+    gates = gates * (np.arange(4)[None, :] < lengths[:, None])
+    flat = (x.data * gates[:, :, None]).reshape(len(samples), -1)
+    probs = classifier_forward(ad.constant(flat), params.classifier).data
+    np.testing.assert_allclose(scores, 1.0 - probs.max(axis=1), atol=1e-15, rtol=0)
+
+    artifact.tensors["classifier/head_w"][:] = 0.0
+    artifact.tensors["classifier/head_b"][:] = [0.0, 0.0]
+    scores, _ = score_records(artifact, records, use_msp=True)
+    np.testing.assert_array_equal(scores, np.full(len(records), 0.5))
+    artifact.tensors["classifier/head_b"][:] = [0.0, 40.0]
+    scores, _ = score_records(artifact, records, use_msp=True)
+    np.testing.assert_allclose(scores, 0.0, atol=1e-15)
 
 
 def test_msp_score_orders_by_confidence():
-    assert msp_score([0.99, 0.01]) < msp_score([0.6, 0.4])
+    artifact, records = small_artifact()
+    artifact.tensors["classifier/head_w"][:] = 0.0
+    artifact.tensors["classifier/head_b"][:] = [3.0, 0.0]
+    confident, _ = score_records(artifact, records, use_msp=True)
+    artifact.tensors["classifier/head_b"][:] = [1.0, 0.0]
+    unsure, _ = score_records(artifact, records, use_msp=True)
+    assert np.all(confident < unsure)

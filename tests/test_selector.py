@@ -11,14 +11,28 @@ from leo.selector import (
     gumbel_from_uniform,
     init_selector_params,
     pad_gate,
-    relax_bernoulli,
     relax_gates,
     sample_gumbel,
     selector_forward,
     selector_presigmoid,
 )
 
+from oracles import relaxed_bernoulli_reference
+
 EULER_GAMMA = 0.5772156649015329
+
+
+def logit(p):
+    p = np.asarray(p, dtype=np.float64)
+    return np.log(p) - np.log1p(-p)
+
+
+def relax(p, a, b, nu):
+    """relax_gates on the constant log-odds of keep probabilities p."""
+    scores = np.broadcast_to(logit(p), np.broadcast(p, a, b).shape)
+    a = np.broadcast_to(a, scores.shape)
+    b = np.broadcast_to(b, scores.shape)
+    return relax_gates(ad.constant(np.array(scores)), a, b, nu).data
 
 
 def make_selector(dim=4, hidden=(6, 5, 4), seed=0):
@@ -141,8 +155,8 @@ def test_gumbel_mean_matches_euler_constant():
 
 def test_relax_symmetric_point():
     for nu in (0.1, 0.5, 1.0, 3.0):
-        z = relax_bernoulli(0.5, 0.7, 0.7, nu)
-        assert z == pytest.approx(0.5, abs=1e-12)
+        z = relax(np.array([0.5]), 0.7, 0.7, nu)
+        assert z[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_relax_low_temperature_limit():
@@ -150,7 +164,7 @@ def test_relax_low_temperature_limit():
     p = rng.uniform(0.05, 0.95, size=200)
     a = sample_gumbel(200, rng)
     b = sample_gumbel(200, rng)
-    z = relax_bernoulli(p, a, b, 1e-6)
+    z = relax(p, a, b, 1e-6)
     want = (np.log(p) + a > np.log1p(-p) + b).astype(float)
     np.testing.assert_allclose(z, want, atol=1e-9)
 
@@ -160,7 +174,7 @@ def test_relax_threshold_matches_keep_probability():
     n = 10**5
     a = sample_gumbel(n, rng)
     b = sample_gumbel(n, rng)
-    z = relax_bernoulli(0.7, a, b, 0.5)
+    z = relax(np.full(n, 0.7), a, b, 0.5)
     assert abs((z > 0.5).mean() - 0.7) < 0.01
 
 
@@ -169,31 +183,33 @@ def test_relax_monotone_in_p():
     a, b = 0.3, -0.8
     for nu in (0.5, 1.0):
         p = np.sort(rng.uniform(0.01, 0.99, size=30))
-        z = relax_bernoulli(p, a, b, nu)
+        z = relax(p, a, b, nu)
         assert np.all(np.diff(z) > 0)
 
 
 def test_relax_extreme_inputs_stay_finite():
-    z = relax_bernoulli([1e-9, 1 - 1e-9], [30.0, -30.0], [-30.0, 30.0], 0.5)
+    z = relax(np.array([1e-9, 1 - 1e-9]), np.array([30.0, -30.0]),
+              np.array([-30.0, 30.0]), 0.5)
     assert np.all(np.isfinite(z)) and np.all(z >= 0) and np.all(z <= 1)
 
 
 def test_relax_rejects_bad_temperature():
     with pytest.raises(GraphError):
-        relax_bernoulli(0.5, 0.0, 0.0, 0.0)
+        relax_gates(ad.constant(np.zeros((1, 3))), np.zeros((1, 3)),
+                    np.zeros((1, 3)), 0.0)
     with pytest.raises(GraphError):
         relax_gates(ad.constant(np.zeros(3)), np.zeros(3), np.zeros(3), -1.0)
 
 
 def test_relax_gates_matches_plain_version():
     rng = np.random.default_rng(8)
-    scores = rng.normal(size=7) * 3
-    a = sample_gumbel(7, rng)
-    b = sample_gumbel(7, rng)
-    for nu in (0.5, 1.0):
+    scores = rng.normal(size=(2, 7)) * 3
+    a = sample_gumbel((2, 7), rng)
+    b = sample_gumbel((2, 7), rng)
+    for nu in (0.3, 0.5, 0.7, 1.0):
         graph = relax_gates(ad.constant(scores), a, b, nu).data
         p = 1.0 / (1.0 + np.exp(-scores))
-        plain = relax_bernoulli(p, a, b, nu)
+        plain = relaxed_bernoulli_reference(p, a, b, nu)
         np.testing.assert_allclose(graph, plain, atol=1e-9, rtol=0)
 
 
@@ -217,28 +233,28 @@ def test_deterministic_mask_modes():
 
 
 def test_apply_mask_identity_and_zero():
-    x = ad.constant(np.random.default_rng(9).normal(size=(5, 3)))
-    ones = ad.constant(np.ones(5))
-    zeros = ad.constant(np.zeros(5))
+    x = ad.constant(np.random.default_rng(9).normal(size=(1, 5, 3)))
+    ones = ad.constant(np.ones((1, 5)))
+    zeros = ad.constant(np.zeros((1, 5)))
     np.testing.assert_array_equal(apply_mask(x, ones).data, x.data)
-    np.testing.assert_array_equal(apply_mask(x, zeros).data, np.zeros((5, 3)))
+    np.testing.assert_array_equal(apply_mask(x, zeros).data, np.zeros((1, 5, 3)))
 
 
 def test_apply_mask_pattern_zeroes_named_rows():
-    x = ad.constant(np.arange(15, dtype=float).reshape(5, 3) + 1)
-    z = ad.constant(np.array([0.0, 1.0, 1.0, 0.0, 1.0]))
-    out = apply_mask(x, z).data
+    x = ad.constant(np.arange(15, dtype=float).reshape(1, 5, 3) + 1)
+    z = ad.constant(np.array([[0.0, 1.0, 1.0, 0.0, 1.0]]))
+    out = apply_mask(x, z).data[0]
     assert np.all(out[0] == 0.0) and np.all(out[3] == 0.0)
-    np.testing.assert_array_equal(out[[1, 2, 4]], x.data[[1, 2, 4]])
+    np.testing.assert_array_equal(out[[1, 2, 4]], x.data[0, [1, 2, 4]])
 
 
 def test_apply_mask_commutes_with_permutation():
     rng = np.random.default_rng(10)
-    x = rng.normal(size=(6, 3))
-    z = rng.uniform(size=6)
+    x = rng.normal(size=(1, 6, 3))
+    z = rng.uniform(size=(1, 6))
     perm = rng.permutation(6)
-    direct = apply_mask(ad.constant(x), ad.constant(z)).data[perm]
-    permuted = apply_mask(ad.constant(x[perm]), ad.constant(z[perm])).data
+    direct = apply_mask(ad.constant(x), ad.constant(z)).data[:, perm]
+    permuted = apply_mask(ad.constant(x[:, perm]), ad.constant(z[:, perm])).data
     np.testing.assert_array_equal(direct, permuted)
 
 
@@ -249,7 +265,7 @@ def test_apply_mask_batched_and_errors():
     out = apply_mask(ad.constant(x), ad.constant(z)).data
     np.testing.assert_allclose(out, x * z[:, :, None], atol=0)
     with pytest.raises(GraphError):
-        apply_mask(ad.constant(x[0]), ad.constant(np.ones(5)))
+        apply_mask(ad.constant(x[0]), ad.constant(np.ones(4)))
     with pytest.raises(GraphError):
         apply_mask(ad.constant(x), ad.constant(np.ones((2, 5))))
 
@@ -258,13 +274,15 @@ def test_pad_gate_zeroes_rows_past_length():
     z = ad.constant(np.ones((2, 4)))
     out = pad_gate(z, [2, 4], 4).data
     np.testing.assert_array_equal(out, [[1, 1, 0, 0], [1, 1, 1, 1]])
-    single = pad_gate(ad.constant(np.ones(4)), 3, 4).data
-    np.testing.assert_array_equal(single, [1, 1, 1, 0])
+    single = pad_gate(ad.constant(np.ones((1, 4))), [3], 4).data
+    np.testing.assert_array_equal(single, [[1, 1, 1, 0]])
+    with pytest.raises(GraphError):
+        pad_gate(ad.constant(np.ones(4)), [3], 4)
 
 
 def test_pad_gate_full_length_is_identity_object():
-    z = ad.constant(np.ones(4))
-    assert pad_gate(z, 4, 4) is z
+    z = ad.constant(np.ones((1, 4)))
+    assert pad_gate(z, [4], 4) is z
 
 
 # ---------------------------------------------------------------------------
@@ -292,16 +310,16 @@ def test_finite_difference_through_gated_selector():
 def test_gate_gradient_is_blocked_by_pad():
     store, params = make_selector(dim=3, hidden=(4, 4, 4), seed=15)
     rng = np.random.default_rng(16)
-    x_rows = rng.normal(size=(4, 3))
-    x_rows[2:] = 0.0  # padded rows are zero vectors
+    x_rows = rng.normal(size=(1, 4, 3))
+    x_rows[0, 2:] = 0.0  # padded rows are zero vectors
     x = ad.constant(x_rows)
-    a = sample_gumbel(4, rng)
-    b = sample_gumbel(4, rng)
+    a = sample_gumbel((1, 4), rng)
+    b = sample_gumbel((1, 4), rng)
 
     scores = selector_presigmoid(x, params)
-    z = pad_gate(relax_gates(scores, a, b, 0.5), 2, 4)
+    z = pad_gate(relax_gates(scores, a, b, 0.5), [2], 4)
     loss = ad.reduce_sum(apply_mask(x, z))
     ad.backward(loss)
     # gradient w.r.t. the padded gates is exactly zero, so perturbing the
     # selector head bias moves the loss only through the two live rows
-    assert np.all(z.data[2:] == 0.0)
+    assert np.all(z.data[0, 2:] == 0.0)
