@@ -7,6 +7,7 @@ which sets logging verbosity.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -111,9 +112,8 @@ def _cmd_train(args, force_ablation: bool = False) -> int:
     records = load_dataset(args.data)
     reports = []
     for i in range(args.repeats):
-        run_config = config if i == 0 else load_config(
-            args.config, {**overrides, "seed": config.seed + i})
-        artifact = train(run_config, records)
+        artifact = train(dataclasses.replace(config, seed=config.seed + i),
+                         records)
         if i == 0:
             save_model(artifact, args.model)
             print(f"model saved: {args.model}")

@@ -38,13 +38,6 @@ class EncoderParams:
     def dim(self) -> int:
         return self.embedding.data.shape[1]
 
-    def tensors(self) -> dict[str, Tensor]:
-        return {
-            "encoder/embedding": self.embedding,
-            "encoder/conv_kernel": self.conv_kernel,
-            "encoder/conv_bias": self.conv_bias,
-        }
-
 
 def init_encoder_params(store: ParameterStore, vocab_size: int, embed_dim: int,
                         rng: np.random.Generator, kernel_size: int = 3,

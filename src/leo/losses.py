@@ -6,7 +6,8 @@ relaxed Bernoulli mask that is a constant in the graph, so the selector
 never receives gradient from it. Step two trains everything jointly:
 cross-entropy through sampled selector gates plus a weighted contrastive
 term that pulls vulnerable samples toward the members of their own
-per-batch k-means cluster and away from everything else.
+per-batch k-means cluster and away from everything else. Both steps
+classify through the same gate-masking pass, gated_classifier.
 
 Cluster assignments are recomputed from the current masked representations
 every batch and treated as constants by the gradient.
@@ -19,9 +20,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GraphError, Tensor
-from .optim import ParameterStore, init_mlp_params
+from .optim import MLPParams, ParameterStore, init_mlp_params, mlp_forward
 from .selector import (
-    SelectorParams,
     apply_mask,
     pad_gate,
     relax_gates,
@@ -33,46 +33,38 @@ _PROB_FLOOR = 1e-12
 _NORM_GUARD = 1e-24
 
 
-@dataclass
-class ClassifierParams:
-    """Two hidden layers on the flattened masked matrix, two-way softmax."""
-    layers: list[tuple[Tensor, Tensor]]
-    head: tuple[Tensor, Tensor]
-    dropout_retain: float
-
-    def tensors(self) -> dict[str, Tensor]:
-        out = {}
-        for i, (w, b) in enumerate(self.layers):
-            out[f"classifier/w{i}"] = w
-            out[f"classifier/b{i}"] = b
-        out["classifier/head_w"], out["classifier/head_b"] = self.head
-        return out
-
-
 def init_classifier_params(store: ParameterStore, input_dim: int,
                            rng: np.random.Generator,
                            hidden_sizes=(300, 100),
-                           dropout_retain: float = 0.8) -> ClassifierParams:
-    if not 0.0 < dropout_retain <= 1.0:
-        raise GraphError(f"dropout retain probability {dropout_retain} outside (0, 1]")
-    layers, head = init_mlp_params(store, "classifier", "classifier",
-                                   input_dim, hidden_sizes, 2, rng)
-    return ClassifierParams(layers=layers, head=head, dropout_retain=dropout_retain)
+                           dropout_retain: float = 0.8) -> MLPParams:
+    """MLP on the flattened masked matrix with a two-way head, in the
+    "classifier" group."""
+    return init_mlp_params(store, "classifier", "classifier", input_dim,
+                           hidden_sizes, 2, rng, dropout_retain)
 
 
-def classifier_forward(x: Tensor, params: ClassifierParams,
+def classifier_forward(x: Tensor, params: MLPParams,
                        train_flag: bool = False,
                        rng: np.random.Generator | None = None) -> Tensor:
     """Class probabilities: (n, features) -> (n, 2)."""
-    h = x
-    for w, b in params.layers:
-        h = ad.relu(ad.add(ad.matmul(h, w), b))
-        if train_flag:
-            if rng is None:
-                raise GraphError("train-mode forward needs a dropout rng")
-            h = ad.dropout(h, params.dropout_retain, rng, train=True)
-    w, b = params.head
-    return ad.softmax(ad.add(ad.matmul(h, w), b), axis=-1)
+    return ad.softmax(mlp_forward(x, params, train_flag, rng), axis=-1)
+
+
+def gated_classifier(x: Tensor, z: Tensor, true_lengths, params: MLPParams,
+                     train_flag: bool = False,
+                     dropout_rng: np.random.Generator | None = None):
+    """The gate-masking pass both losses share: zero the gates of padded
+    rows, scale statement row (f, i) of the (batch, rows, dim) block by
+    gate z[f, i], flatten each gated matrix row-major, and classify.
+
+    Returns (padded gates, gated block, class probabilities).
+    """
+    b, rows, dim = x.data.shape
+    z = pad_gate(z, true_lengths, rows)
+    masked = apply_mask(x, z)
+    probs = classifier_forward(ad.reshape(masked, (b, rows * dim)), params,
+                               train_flag, dropout_rng)
+    return z, masked, probs
 
 
 # ---------------------------------------------------------------------------
@@ -103,37 +95,27 @@ def batch_cross_entropy(probs: Tensor, labels) -> Tensor:
 
 
 def data_distribution_loss(x: Tensor, true_lengths, labels,
-                           params: ClassifierParams, *, relax_temp: float,
+                           params: MLPParams, *, relax_temp: float,
                            rng: np.random.Generator | None,
                            train_flag: bool = False,
-                           dropout_rng: np.random.Generator | None = None,
-                           mask_override: np.ndarray | None = None) -> Tensor:
+                           dropout_rng: np.random.Generator | None = None) -> Tensor:
     """Mean cross-entropy of the classifier on randomly masked functions.
 
     Each real statement is kept through a soft coin flip (keep probability
     one half, relaxed at `relax_temp`); padded rows are forced to zero. The
     mask is a graph constant: gradient reaches the classifier and whatever
-    produced x, never the selector. `mask_override` substitutes an explicit
-    (batch, rows) mask for the random draw.
+    produced x, never the selector.
     """
+    if rng is None:
+        raise GraphError("data_distribution_loss needs an rng for its mask")
     b, rows, _ = x.data.shape
-    lengths = np.asarray(true_lengths, dtype=np.int64)
-    if mask_override is None:
-        if rng is None:
-            raise GraphError("data_distribution_loss needs an rng for its mask")
-        noise_a = sample_gumbel((b, rows), rng)
-        noise_b = sample_gumbel((b, rows), rng)
-        # a zero score is the log-odds of keep probability one half
-        r = relax_gates(ad.constant(np.zeros((b, rows))), noise_a, noise_b,
-                        relax_temp).data
-    else:
-        r = np.asarray(mask_override, dtype=np.float64)
-        if r.shape != (b, rows):
-            raise GraphError("mask_override shape must be (batch, rows)")
-    r = r * (np.arange(rows)[None, :] < lengths[:, None])
-    masked = ad.mul(x, ad.constant(r[:, :, None], name="distribution_mask"))
-    flat = ad.reshape(masked, (b, rows * x.data.shape[2]))
-    probs = classifier_forward(flat, params, train_flag, dropout_rng)
+    noise_a = sample_gumbel((b, rows), rng)
+    noise_b = sample_gumbel((b, rows), rng)
+    # a zero score is the log-odds of keep probability one half
+    r = relax_gates(ad.constant(np.zeros((b, rows))), noise_a, noise_b,
+                    relax_temp)
+    _, _, probs = gated_classifier(x, r, true_lengths, params, train_flag,
+                                   dropout_rng)
     return batch_cross_entropy(probs, labels)
 
 
@@ -332,40 +314,30 @@ class JointLossParts:
     assignment: ClusterAssignment | None
 
 
-def joint_loss(x: Tensor, true_lengths, labels, selector: SelectorParams,
-               classifier: ClassifierParams, *, relax_temp: float,
+def joint_loss(x: Tensor, true_lengths, labels, selector: MLPParams,
+               classifier: MLPParams, *, relax_temp: float,
                temperature: float, contrastive_weight: float, clusters: int,
                rng: np.random.Generator | None, variant: str = "cluster",
                kmeans_iters: int = 10, train_flag: bool = False,
                dropout_rng: np.random.Generator | None = None,
-               noise_override=None, z_override: np.ndarray | None = None,
+               noise_override=None,
                assignment_override: ClusterAssignment | None = None) -> JointLossParts:
     """Gated cross-entropy plus the weighted contrastive term.
 
     One gate sample per function per call. `noise_override` fixes the
-    Gumbel pair (for gradient checks), `z_override` replaces the gates with
-    constants (cutting the selector out of the graph), and
-    `assignment_override` freezes the clustering. A zero contrastive_weight
-    skips clustering entirely.
+    Gumbel pair (for gradient checks) and `assignment_override` freezes the
+    clustering. A zero contrastive_weight skips clustering entirely.
     """
-    b, rows, dim = x.data.shape
+    b, rows, _ = x.data.shape
     labels = np.asarray(labels, dtype=np.int64)
     scores = selector_presigmoid(x, selector, train_flag, dropout_rng)
-    if z_override is not None:
-        z = ad.constant(np.asarray(z_override, dtype=np.float64), name="fixed_gates")
-    else:
-        if noise_override is not None:
-            noise_a, noise_b = noise_override
-        else:
-            if rng is None:
-                raise GraphError("joint_loss needs an rng to sample gates")
-            noise_a = sample_gumbel((b, rows), rng)
-            noise_b = sample_gumbel((b, rows), rng)
-        z = relax_gates(scores, noise_a, noise_b, relax_temp)
-    z = pad_gate(z, true_lengths, rows)
-    masked = apply_mask(x, z)
-    flat = ad.reshape(masked, (b, rows * dim))
-    probs = classifier_forward(flat, classifier, train_flag, dropout_rng)
+    if noise_override is None:
+        if rng is None:
+            raise GraphError("joint_loss needs an rng to sample gates")
+        noise_override = (sample_gumbel((b, rows), rng), sample_gumbel((b, rows), rng))
+    z, masked, probs = gated_classifier(
+        x, relax_gates(scores, *noise_override, relax_temp), true_lengths,
+        classifier, train_flag, dropout_rng)
     ce = batch_cross_entropy(probs, labels)
     if contrastive_weight == 0.0:
         return JointLossParts(ce, ce, ad.constant(0.0), z, probs, None)
@@ -374,8 +346,8 @@ def joint_loss(x: Tensor, true_lengths, labels, selector: SelectorParams,
     else:
         if rng is None:
             raise GraphError("joint_loss needs an rng to seed clustering")
-        assignment = assign_clusters(flat.data, labels, clusters, rng,
-                                     variant, kmeans_iters)
+        assignment = assign_clusters(masked.data.reshape(b, -1), labels,
+                                     clusters, rng, variant, kmeans_iters)
     ccl = cluster_contrastive_loss(masked, labels, assignment.cluster_of,
                                    temperature)
     total = ad.add(ce, ad.scale(ccl, contrastive_weight))

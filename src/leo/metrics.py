@@ -137,6 +137,10 @@ def render_report(report: EvalReport) -> str:
 
 def parse_report(text: str) -> EvalReport:
     values = dict(_csv_rows(text, _REPORT_HEADER, "report"))
+    missing = [name for name in ("fpr_at_tpr95", "auroc", "aupr", "n_id", "n_ood")
+               if name not in values]
+    if missing:
+        raise ValueError(f"report is missing metric rows: {', '.join(missing)}")
     return EvalReport(
         fpr_at_tpr95=float(values["fpr_at_tpr95"]),
         auroc=float(values["auroc"]),

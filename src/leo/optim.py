@@ -1,16 +1,19 @@
-"""Named parameter storage, Adam, and global-norm gradient clipping.
+"""Parameter storage, the shared ReLU MLP, Adam, and global-norm clipping.
 
 Parameters are grouped ("encoder", "selector", "classifier") so the two
 training steps can update disjoint subsets. Adam keeps per-parameter moment
 buffers and step counts, which keeps bias correction right for parameters
-that only some steps touch.
+that only some steps touch. The selector and the classifier are both an
+MLPParams run by mlp_forward.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import GraphError, Tensor
 
 
@@ -71,13 +74,22 @@ class ParameterStore:
             p.data = np.asarray(data, dtype=np.float64).copy()
 
 
+@dataclass
+class MLPParams:
+    """A ReLU MLP: hidden (W, b) pairs, an output head, and the dropout
+    retain probability applied after every hidden layer in train mode."""
+    layers: list[tuple[Tensor, Tensor]]
+    head: tuple[Tensor, Tensor]
+    dropout_retain: float
+
+
 def init_mlp_params(store: ParameterStore, prefix: str, group: str,
                     input_dim: int, hidden_sizes, out_dim: int,
-                    rng: np.random.Generator):
-    """Register an MLP's weights: He-normal matrices, zero biases.
-
-    Returns ([(W, b), ...] hidden pairs, (W, b) output head).
-    """
+                    rng: np.random.Generator,
+                    dropout_retain: float = 0.8) -> MLPParams:
+    """Register an MLP's weights: He-normal matrices, zero biases."""
+    if not 0.0 < dropout_retain <= 1.0:
+        raise GraphError(f"dropout retain probability {dropout_retain} outside (0, 1]")
     if input_dim < 1 or out_dim < 1 or any(h < 1 for h in hidden_sizes):
         raise GraphError("layer widths must be positive")
     layers = []
@@ -90,7 +102,21 @@ def init_mlp_params(store: ParameterStore, prefix: str, group: str,
     head_w = rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(fan_in, out_dim))
     head = (store.add(f"{prefix}/head_w", head_w, group),
             store.add(f"{prefix}/head_b", np.zeros(out_dim), group))
-    return layers, head
+    return MLPParams(layers, head, dropout_retain)
+
+
+def mlp_forward(x: Tensor, params: MLPParams, train_flag: bool = False,
+                rng: np.random.Generator | None = None) -> Tensor:
+    """Raw head outputs of an (n, input_dim) block: (n, out_dim)."""
+    h = x
+    for w, b in params.layers:
+        h = ad.relu(ad.add(ad.matmul(h, w), b))
+        if train_flag:
+            if rng is None:
+                raise GraphError("train-mode forward needs a dropout rng")
+            h = ad.dropout(h, params.dropout_retain, rng, train=True)
+    w, b = params.head
+    return ad.add(ad.matmul(h, w), b)
 
 
 class Adam:

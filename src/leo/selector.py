@@ -1,7 +1,7 @@
 """Statement gating: per-row relevance probabilities and relaxed gates.
 
-A small MLP shared across rows scores each statement vector; the sigmoid of
-the score is that statement's keep probability. Training samples soft gates
+A small MLP (optim.MLPParams) shared across rows scores each statement
+vector; the sigmoid of the score is that statement's keep probability. Training samples soft gates
 from the binary Concrete relaxation. Because the relaxation needs the
 log-odds of p and p is itself a sigmoid, relax_gates computes the gate
 directly from the pre-sigmoid score: z = sigmoid((score + a - b) / nu) with
@@ -14,78 +14,37 @@ batched: (batch, rows) and (batch, rows, dim).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GraphError, Tensor
-from .optim import ParameterStore, init_mlp_params
+from .optim import MLPParams, ParameterStore, init_mlp_params, mlp_forward
 
 _UNIFORM_EPS = 1e-12
-
-
-@dataclass
-class SelectorParams:
-    """Row-wise MLP weights: hidden (W, b) pairs plus a scalar head."""
-    layers: list[tuple[Tensor, Tensor]]
-    head: tuple[Tensor, Tensor]
-    dropout_retain: float
-
-    def tensors(self) -> dict[str, Tensor]:
-        out = {}
-        for i, (w, b) in enumerate(self.layers):
-            out[f"selector/w{i}"] = w
-            out[f"selector/b{i}"] = b
-        out["selector/head_w"], out["selector/head_b"] = self.head
-        return out
 
 
 def init_selector_params(store: ParameterStore, input_dim: int,
                          rng: np.random.Generator,
                          hidden_sizes=(100, 100, 100),
-                         dropout_retain: float = 0.8) -> SelectorParams:
-    if not 0.0 < dropout_retain <= 1.0:
-        raise GraphError(f"dropout retain probability {dropout_retain} outside (0, 1]")
-    layers, head = init_mlp_params(store, "selector", "selector", input_dim,
-                                   hidden_sizes, 1, rng)
-    return SelectorParams(layers=layers, head=head, dropout_retain=dropout_retain)
+                         dropout_retain: float = 0.8) -> MLPParams:
+    """Row-wise MLP with a scalar head, in the "selector" group."""
+    return init_mlp_params(store, "selector", "selector", input_dim,
+                           hidden_sizes, 1, rng, dropout_retain)
 
 
-def _mlp_forward(x2d: Tensor, layers, head, dropout_retain: float,
-                 train_flag: bool, rng: np.random.Generator | None) -> Tensor:
-    h = x2d
-    for w, b in layers:
-        h = ad.relu(ad.add(ad.matmul(h, w), b))
-        if train_flag:
-            if rng is None:
-                raise GraphError("train-mode forward needs a dropout rng")
-            h = ad.dropout(h, dropout_retain, rng, train=True)
-    w, b = head
-    return ad.add(ad.matmul(h, w), b)
-
-
-def selector_presigmoid(x: Tensor, params: SelectorParams,
+def selector_presigmoid(x: Tensor, params: MLPParams,
                         train_flag: bool = False,
                         rng: np.random.Generator | None = None) -> Tensor:
-    """Raw per-row scores (the log-odds of the keep probabilities).
-
-    Accepts a (rows, dim) matrix -> (rows,) or a (batch, rows, dim) block
-    -> (batch, rows).
-    """
+    """Raw per-row scores (the log-odds of the keep probabilities) of a
+    (batch, rows, dim) block -> (batch, rows)."""
+    if x.data.ndim != 3:
+        raise GraphError("selector input must be a (batch, rows, dim) block")
     shape = x.data.shape
-    if x.data.ndim == 2:
-        flat = x
-    elif x.data.ndim == 3:
-        flat = ad.reshape(x, (shape[0] * shape[1], shape[2]))
-    else:
-        raise GraphError("selector input must be 2-D or 3-D")
-    out = _mlp_forward(flat, params.layers, params.head, params.dropout_retain,
-                       train_flag, rng)
-    return ad.reshape(out, shape[:-1])
+    flat = ad.reshape(x, (shape[0] * shape[1], shape[2]))
+    return ad.reshape(mlp_forward(flat, params, train_flag, rng), shape[:-1])
 
 
-def selector_forward(x: Tensor, params: SelectorParams,
+def selector_forward(x: Tensor, params: MLPParams,
                      train_flag: bool = False,
                      rng: np.random.Generator | None = None) -> Tensor:
     """Per-statement keep probabilities, strictly inside (0, 1)."""

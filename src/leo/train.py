@@ -23,7 +23,6 @@ from .config import TrainConfig
 from .data import load_dataset, split_dataset
 from .encoder import EncoderParams, encode_batch, init_encoder_params
 from .losses import (
-    ClassifierParams,
     classifier_forward,
     data_distribution_loss,
     init_classifier_params,
@@ -32,12 +31,13 @@ from .losses import (
 from .metrics import ScoreSet, build_report
 from .model import ModelArtifact
 from .normalize import NormalizeError, Vocabulary, build_vocabulary, encode_tokens, normalize_source
-from .optim import Adam, ParameterStore, clip_store_gradients
+from .optim import Adam, MLPParams, ParameterStore, clip_store_gradients
 from .scoring import calibrate_threshold, fit_cluster_statistics, mahalanobis_scores
 from .selector import (
-    SelectorParams,
+    apply_mask,
     deterministic_mask,
     init_selector_params,
+    pad_gate,
     selector_forward,
 )
 
@@ -63,8 +63,16 @@ class PreparedSample:
 class ModelParams:
     store: ParameterStore
     encoder: EncoderParams
-    selector: SelectorParams
-    classifier: ClassifierParams
+    selector: MLPParams
+    classifier: MLPParams
+
+
+def _normalize(record):
+    """normalize_source on a record; a lexing failure names the sample."""
+    try:
+        return normalize_source(record.code)
+    except NormalizeError as exc:
+        raise TrainingError(f"sample '{record.sample_id}': {exc}") from exc
 
 
 def prepare_samples(records, vocab: Vocabulary, config: TrainConfig):
@@ -72,13 +80,9 @@ def prepare_samples(records, vocab: Vocabulary, config: TrainConfig):
     capped at stmt_token_cap tokens per statement."""
     samples = []
     for r in records:
-        try:
-            fn = normalize_source(r.code)
-        except NormalizeError as exc:
-            raise TrainingError(f"sample '{r.sample_id}': {exc}") from exc
         statements = [
             encode_tokens(stmt[:config.stmt_token_cap], vocab)
-            for stmt in fn.statements
+            for stmt in _normalize(r).statements
         ]
         samples.append(PreparedSample(r.sample_id, r.label, r.cwe, statements))
     return samples
@@ -86,13 +90,8 @@ def prepare_samples(records, vocab: Vocabulary, config: TrainConfig):
 
 def build_training_vocabulary(train_records, config: TrainConfig) -> Vocabulary:
     """Vocabulary from the training split only."""
-    normalized = []
-    for r in train_records:
-        try:
-            normalized.append(normalize_source(r.code))
-        except NormalizeError as exc:
-            raise TrainingError(f"sample '{r.sample_id}': {exc}") from exc
-    return build_vocabulary(normalized, config.vocab_max)
+    return build_vocabulary([_normalize(r) for r in train_records],
+                            config.vocab_max)
 
 
 def init_model(config: TrainConfig, vocab_size: int,
@@ -149,9 +148,9 @@ def masked_representations(params: ModelParams, samples, config: TrainConfig):
         x, lengths = encode_batch([s.statements for s in chunk],
                                   params.encoder, config.max_statements)
         probs = selector_forward(x, params.selector).data
-        z = deterministic_mask(probs, config.gate_mode)
-        z = z * (np.arange(config.max_statements)[None, :] < lengths[:, None])
-        masked = x.data * z[:, :, None]
+        z = pad_gate(ad.constant(deterministic_mask(probs, config.gate_mode)),
+                     lengths, config.max_statements)
+        masked = apply_mask(ad.constant(x.data), z).data
         b = len(chunk)
         flat = masked.reshape(b, -1)
         class_probs = classifier_forward(ad.constant(flat), params.classifier).data
@@ -184,6 +183,16 @@ def train(config: TrainConfig, records) -> ModelArtifact:
     params = init_model(config, vocab.size, init_rng)
     adam = Adam(lr=config.learning_rate)
 
+    def update(loss: ad.Tensor, groups, what: str) -> None:
+        """One clipped Adam step on `groups` from a finite scalar loss."""
+        if not np.isfinite(loss.data):
+            raise NumericError(f"{what} is not finite")
+        params.store.zero_grads()
+        backward(loss)
+        params.store.ensure_grads(groups)
+        clip_store_gradients(params.store, groups, config.clip_norm)
+        adam.step(params.store, groups)
+
     weight = 0.0 if config.ablate_cd else config.contrastive_weight
     if weight > 0 and not any(s.label == 1 for s in train_samples):
         warnings.warn("no vulnerable samples in the training split; "
@@ -209,14 +218,7 @@ def train(config: TrainConfig, records) -> ModelArtifact:
                         x1, lengths1, labels, params.classifier,
                         relax_temp=config.relax_temp, rng=dd_rng,
                         train_flag=True, dropout_rng=dropout_rng)
-                    if not np.isfinite(loss1.data):
-                        raise NumericError("distribution loss is not finite")
-                    params.store.zero_grads()
-                    backward(loss1)
-                    params.store.ensure_grads(STEP1_GROUPS)
-                    clip_store_gradients(params.store, STEP1_GROUPS,
-                                         config.clip_norm)
-                    adam.step(params.store, STEP1_GROUPS)
+                    update(loss1, STEP1_GROUPS, "distribution loss")
                     dd_losses.append(float(loss1.data))
 
                 x2, lengths2 = encode_batch(batch, params.encoder,
@@ -230,14 +232,7 @@ def train(config: TrainConfig, records) -> ModelArtifact:
                     rng=joint_rng, variant=config.contrastive_variant,
                     kmeans_iters=config.kmeans_iters, train_flag=True,
                     dropout_rng=dropout_rng)
-                if not np.isfinite(parts.total.data):
-                    raise NumericError("joint loss is not finite")
-                params.store.zero_grads()
-                backward(parts.total)
-                params.store.ensure_grads(STEP2_GROUPS)
-                clip_store_gradients(params.store, STEP2_GROUPS,
-                                     config.clip_norm)
-                adam.step(params.store, STEP2_GROUPS)
+                update(parts.total, STEP2_GROUPS, "joint loss")
             except NumericError as exc:
                 raise TrainingError(
                     f"aborting: epoch {epoch} batch {batch_no}: {exc}") from exc

@@ -14,6 +14,7 @@ from leo.losses import (
     classifier_forward,
     cluster_contrastive_loss,
     data_distribution_loss,
+    gated_classifier,
     init_classifier_params,
     joint_loss,
     minibatch_kmeans,
@@ -34,6 +35,13 @@ def single_ce(probs, label):
     """batch_cross_entropy on a batch of one probability pair."""
     return batch_cross_entropy(ad.constant(np.array([probs], dtype=float)),
                                [label]).item()
+
+
+def masked_ce(x, gates, lengths, labels, params):
+    """Cross-entropy of the shared gate-masking pass under constant gates."""
+    _, _, probs = gated_classifier(x, ad.constant(np.asarray(gates, dtype=float)),
+                                   lengths, params)
+    return batch_cross_entropy(probs, labels).item()
 
 
 def make_classifier(input_dim, hidden=(6, 5), seed=0):
@@ -130,8 +138,7 @@ def dd_setup(seed=6, b=3, rows=4, dim=3):
 def test_distribution_loss_all_ones_mask_is_plain_ce():
     x, lengths, labels, _, params = dd_setup()
     ones = np.ones((3, 4))
-    got = data_distribution_loss(x, lengths, labels, params, relax_temp=0.5,
-                                 rng=None, mask_override=ones).item()
+    got = masked_ce(x, ones, lengths, labels, params)
     flat = ad.reshape(x, (3, 12))
     want = batch_cross_entropy(classifier_forward(flat, params), labels).item()
     assert got == pytest.approx(want, abs=1e-12)
@@ -141,8 +148,7 @@ def test_distribution_loss_all_zero_mask_is_label_symmetric():
     x, lengths, labels, _, params = dd_setup()
     zeros = np.zeros((3, 4))
     labels = np.array([1, 1, 0])
-    got = data_distribution_loss(x, lengths, labels, params, relax_temp=0.5,
-                                 rng=None, mask_override=zeros).item()
+    got = masked_ce(x, zeros, lengths, labels, params)
     zero_in = classifier_forward(ad.constant(np.zeros((1, 12))), params).data[0]
     per_label = [-math.log(max(zero_in[y], 1e-12)) for y in labels]
     assert got == pytest.approx(np.mean(per_label), abs=1e-12)
@@ -154,8 +160,7 @@ def test_distribution_loss_forces_padded_rows_to_zero():
     labels = np.array([0, 1])
     _, params = make_classifier(12, seed=8)
     ones = np.ones((2, 4))
-    got = data_distribution_loss(x, [2, 3], labels, params, relax_temp=0.5,
-                                 rng=None, mask_override=ones).item()
+    got = masked_ce(x, ones, [2, 3], labels, params)
     cleaned = x.data.copy()
     cleaned[0, 2:] = 0.0
     cleaned[1, 3:] = 0.0
@@ -171,9 +176,7 @@ def test_distribution_loss_monte_carlo_matches_exhaustive_masks():
     _, params = make_classifier(9, hidden=(5, 4), seed=10)
 
     def ce_of_mask(mask):
-        return data_distribution_loss(
-            x, [3], labels, params, relax_temp=0.5, rng=None,
-            mask_override=np.array([mask], dtype=float)).item()
+        return masked_ce(x, [mask], [3], labels, params)
 
     exact = exhaustive_mask_expectation(ce_of_mask, 3)
     draw_rng = np.random.default_rng(11)
@@ -205,8 +208,7 @@ def test_distribution_loss_input_checks():
     with pytest.raises(GraphError):
         data_distribution_loss(x, lengths, labels, params, relax_temp=0.5, rng=None)
     with pytest.raises(GraphError):
-        data_distribution_loss(x, lengths, labels, params, relax_temp=0.5,
-                               rng=None, mask_override=np.ones((3, 5)))
+        masked_ce(x, np.ones((3, 5)), lengths, labels, params)
 
 
 # ---------------------------------------------------------------------------
@@ -283,20 +285,17 @@ def test_kmeans_deterministic_for_seed():
 
 
 def test_flatten_examples():
-    rng = np.random.default_rng(14)
-    sel = init_selector_params(ParameterStore(), 2, rng, hidden_sizes=(3,))
     _, clf = make_classifier(6, hidden=(5,), seed=15)
     x = np.array([[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
                   [[0.5, -1.0], [2.0, 0.0], [7.0, 8.0]]])
-    z = np.array([[0.0, 1.0, 0.5], [1.0, 1.0, 0.0]])
-    parts = joint_loss(ad.constant(x), [3, 2], [0, 1], sel, clf, relax_temp=0.5,
-                       temperature=0.5, contrastive_weight=0.0, clusters=1,
-                       rng=None, z_override=z)
+    z = np.array([[0.0, 1.0, 0.5], [1.0, 1.0, 0.9]])  # last gate is padding
+    gates, _, probs = gated_classifier(ad.constant(x), ad.constant(z), [3, 2], clf)
+    np.testing.assert_array_equal(gates.data, [[0.0, 1.0, 0.5], [1.0, 1.0, 0.0]])
     # the classifier sees each gated (rows, dim) matrix flattened row-major
     flat = np.array([[0.0, 0.0, 3.0, 4.0, 2.5, 3.0],
                      [0.5, -1.0, 2.0, 0.0, 0.0, 0.0]])
     want = classifier_forward(ad.constant(flat), clf).data
-    np.testing.assert_allclose(parts.probabilities.data, want, atol=1e-15, rtol=0)
+    np.testing.assert_allclose(probs.data, want, atol=1e-15, rtol=0)
 
 
 def test_cosine_examples_and_oracle():
@@ -487,10 +486,13 @@ def test_joint_loss_weight_zero_is_plain_ce():
 
 def test_joint_loss_forced_gates_is_classification_loss():
     _, sel, clf, x, lengths, labels = joint_setup()
-    ones = np.ones((4, 5))
+    # noise this large saturates every gate at exactly one
+    saturate = (np.full((4, 5), 1e3), np.zeros((4, 5)))
     parts = joint_loss(x, lengths, labels, sel, clf, relax_temp=0.5,
                        temperature=0.5, contrastive_weight=0.0, clusters=3,
-                       rng=None, z_override=ones)
+                       rng=None, noise_override=saturate)
+    for i, n in enumerate(lengths):
+        np.testing.assert_array_equal(parts.gates.data[i], [1.0] * n + [0.0] * (5 - n))
     cleaned = x.data.copy()
     for i, n in enumerate(lengths):
         cleaned[i, n:] = 0.0
@@ -535,12 +537,13 @@ def test_joint_loss_deterministic_given_rng():
 
 
 def test_joint_loss_z_override_blocks_selector_gradient():
+    """Constant gates through the shared pass leave the selector out of the
+    graph of both loss terms."""
     store, sel, clf, x, lengths, labels = joint_setup()
-    parts = joint_loss(x, lengths, labels, sel, clf, relax_temp=0.5,
-                       temperature=0.5, contrastive_weight=0.1, clusters=2,
-                       rng=np.random.default_rng(4),
-                       z_override=np.full((4, 5), 0.7))
-    ad.backward(parts.total)
+    _, masked, probs = gated_classifier(x, ad.constant(np.full((4, 5), 0.7)),
+                                        lengths, clf)
+    ccl = cluster_contrastive_loss(masked, labels, np.array([0, 0, -1, 0]), 0.5)
+    ad.backward(ad.add(batch_cross_entropy(probs, labels), ad.scale(ccl, 0.1)))
     for _, t in store.in_groups(["selector"]):
         assert t.grad is None
     for _, t in store.in_groups(["classifier"]):

@@ -181,6 +181,15 @@ def test_report_parse_rejects_missing_header():
         parse_report("auroc,0.5\n")
 
 
+@pytest.mark.parametrize("missing", ["fpr_at_tpr95", "auroc", "aupr", "n_id", "n_ood"])
+def test_report_parse_names_missing_metric_row(missing):
+    text = render_report(build_report(sset([0.1, 0.7], [0.5])))
+    lines = [ln for ln in text.splitlines(keepends=True)
+             if not ln.startswith(missing + ",")]
+    with pytest.raises(ValueError, match=f"missing metric rows: {missing}$"):
+        parse_report("".join(lines))
+
+
 def test_score_dump_round_trip():
     rows = [("fn_001", "id", 0.125, "ID"), ("fn_755", "ood", 3.5, "OOD")]
     text = render_score_dump(rows)

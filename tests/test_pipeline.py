@@ -528,6 +528,16 @@ def test_representation_dimensions_and_gating():
     assert reps_c.shape == (5, cfg.max_statements * cfg.embed_dim)
 
 
+# --- package root -------------------------------------------------------------
+
+
+def test_package_root_all_names_resolve():
+    import leo
+
+    for name in leo.__all__:
+        assert getattr(leo, name) is not None, name
+
+
 # --- CLI -------------------------------------------------------------------------------
 
 def _write_tiny_config(path):
@@ -600,6 +610,35 @@ def test_cli_error_paths(tmp_path, capsys):
     bad_cfg.write_text("seed = 1\nwhatever = 2\n")
     assert main(["train", "--data", "nope.jsonl", "--model", "m",
                  "--config", str(bad_cfg)]) == 2
+
+
+@pytest.fixture(scope="module")
+def bad_record_setup(tmp_path_factory):
+    """A tiny saved model and an ID file whose second record will not lex."""
+    root = tmp_path_factory.mktemp("bad_record")
+    train_recs, id_test, ood_test = tiny_corpus(n=20, n_ood=6)
+    model_path = str(root / "m.leo")
+    save_model(train(tiny_config(epochs=1), train_recs), model_path)
+    code = "int f(int a) {\n  return a; /* never closed\n}\n"
+    bad = DatasetRecord("bad-fn", code, 0)
+    write_dataset([id_test[0], bad, *id_test[1:4]], str(root / "id.jsonl"))
+    write_dataset(ood_test[:4], str(root / "ood.jsonl"))
+    return root, model_path, code.index("/*")
+
+
+@pytest.mark.parametrize("command", ["score", "eval"])
+def test_cli_bad_record_fails_fast(bad_record_setup, command, capsys, tmp_path):
+    root, model_path, offset = bad_record_setup
+    out = tmp_path / "out.csv"
+    if command == "score":
+        argv = ["score", "--model", model_path, "--data", str(root / "id.jsonl")]
+    else:
+        argv = ["eval", "--model", model_path, "--id-test", str(root / "id.jsonl"),
+                "--ood-test", str(root / "ood.jsonl")]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"sample 'bad-fn': unterminated block comment at byte offset {offset}" in err
+    assert os.listdir(tmp_path) == []
 
 
 def test_cli_repeats_prints_averages(tmp_path, capsys):

@@ -42,8 +42,8 @@ def make_selector(dim=4, hidden=(6, 5, 4), seed=0):
     return store, params
 
 
-def zero_selector(params):
-    for t in params.tensors().values():
+def zero_selector(store):
+    for _, t in store.in_groups(["selector"]):
         t.data = np.zeros_like(t.data)
 
 
@@ -69,11 +69,11 @@ def test_init_rejects_bad_arguments():
 
 
 def test_zero_weights_give_half_probability():
-    _, params = make_selector()
-    zero_selector(params)
-    x = ad.constant(np.random.default_rng(1).normal(size=(5, 4)))
+    store, params = make_selector()
+    zero_selector(store)
+    x = ad.constant(np.random.default_rng(1).normal(size=(1, 5, 4)))
     p = selector_forward(x, params)
-    np.testing.assert_array_equal(p.data, np.full(5, 0.5))
+    np.testing.assert_array_equal(p.data, np.full((1, 5), 0.5))
 
 
 def test_zero_rows_give_half_probability():
@@ -81,14 +81,14 @@ def test_zero_rows_give_half_probability():
     for _, b in params.layers:
         b.data[:] = 0.0
     params.head[1].data[:] = 0.0
-    p = selector_forward(ad.constant(np.zeros((3, 4))), params)
-    np.testing.assert_array_equal(p.data, np.full(3, 0.5))
+    p = selector_forward(ad.constant(np.zeros((1, 3, 4))), params)
+    np.testing.assert_array_equal(p.data, np.full((1, 3), 0.5))
 
 
 def test_probabilities_strictly_inside_unit_interval():
     for seed in range(5):
         _, params = make_selector(seed=seed)
-        x = ad.constant(np.random.default_rng(seed + 50).normal(size=(8, 4)) * 5)
+        x = ad.constant(np.random.default_rng(seed + 50).normal(size=(1, 8, 4)) * 5)
         p = selector_forward(x, params).data
         assert np.all(p > 0.0) and np.all(p < 1.0)
 
@@ -99,21 +99,23 @@ def test_forward_shapes_and_batched_consistency():
     batched = selector_forward(ad.constant(block), params)
     assert batched.data.shape == (3, 5)
     for i in range(3):
-        single = selector_forward(ad.constant(block[i]), params)
-        np.testing.assert_allclose(batched.data[i], single.data, atol=1e-12, rtol=0)
+        single = selector_forward(ad.constant(block[i:i + 1]), params)
+        np.testing.assert_allclose(batched.data[i], single.data[0], atol=1e-12, rtol=0)
+    with pytest.raises(GraphError):
+        selector_forward(ad.constant(block[0]), params)
 
 
 def test_rowwise_weight_sharing():
     _, params = make_selector()
-    rows = np.random.default_rng(3).normal(size=(4, 4))
+    rows = np.random.default_rng(3).normal(size=(1, 4, 4))
     p = selector_forward(ad.constant(rows), params).data
-    swapped = selector_forward(ad.constant(rows[::-1].copy()), params).data
-    np.testing.assert_allclose(swapped, p[::-1], atol=1e-12, rtol=0)
+    swapped = selector_forward(ad.constant(rows[:, ::-1].copy()), params).data
+    np.testing.assert_allclose(swapped, p[:, ::-1], atol=1e-12, rtol=0)
 
 
 def test_train_mode_needs_rng_and_is_seed_deterministic():
     _, params = make_selector()
-    x = ad.constant(np.random.default_rng(4).normal(size=(5, 4)))
+    x = ad.constant(np.random.default_rng(4).normal(size=(1, 5, 4)))
     with pytest.raises(GraphError):
         selector_forward(x, params, train_flag=True)
     a = selector_forward(x, params, train_flag=True, rng=np.random.default_rng(9))
