@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import GraphError, Tensor
 from .normalize import PAD_ID
-from .optim import ParameterStore
+from .optim import ParameterStore, normal
 
 
 @dataclass
@@ -40,9 +40,10 @@ class EncoderParams:
 
 
 def init_encoder_params(store: ParameterStore, vocab_size: int, embed_dim: int,
-                        rng: np.random.Generator, kernel_size: int = 3,
+                        rng: np.random.Generator | None, kernel_size: int = 3,
                         dropout_retain: float = 0.8) -> EncoderParams:
-    """Create encoder parameters and register them under the "encoder" group.
+    """Declare encoder parameters in the "encoder" group. `rng` is only
+    drawn from by a store that draws (None for a stored one).
 
     The padding row of the embedding starts at zero and never receives
     gradient (padding positions are masked out of the graph), so padded
@@ -54,14 +55,19 @@ def init_encoder_params(store: ParameterStore, vocab_size: int, embed_dim: int,
         raise GraphError("embed_dim and kernel_size must be positive")
     if not 0.0 < dropout_retain <= 1.0:
         raise GraphError(f"dropout retain probability {dropout_retain} outside (0, 1]")
-    emb = rng.normal(0.0, 0.1, size=(vocab_size, embed_dim))
-    emb[PAD_ID] = 0.0
-    kern = rng.normal(0.0, np.sqrt(2.0 / (kernel_size * embed_dim)),
-                      size=(kernel_size, embed_dim, embed_dim))
+
+    def embedding_draw(shape):
+        emb = rng.normal(0.0, 0.1, size=shape)
+        emb[PAD_ID] = 0.0
+        return emb
+
     return EncoderParams(
-        embedding=store.add("encoder/embedding", emb, "encoder"),
-        conv_kernel=store.add("encoder/conv_kernel", kern, "encoder"),
-        conv_bias=store.add("encoder/conv_bias", np.zeros(embed_dim), "encoder"),
+        embedding=store.create("encoder/embedding", "encoder",
+                               (vocab_size, embed_dim), embedding_draw),
+        conv_kernel=store.create("encoder/conv_kernel", "encoder",
+                                 (kernel_size, embed_dim, embed_dim),
+                                 normal(rng, np.sqrt(2.0 / (kernel_size * embed_dim)))),
+        conv_bias=store.create("encoder/conv_bias", "encoder", (embed_dim,)),
         kernel_size=kernel_size,
         dropout_retain=dropout_retain,
     )

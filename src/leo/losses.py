@@ -34,7 +34,7 @@ _NORM_GUARD = 1e-24
 
 
 def init_classifier_params(store: ParameterStore, input_dim: int,
-                           rng: np.random.Generator,
+                           rng: np.random.Generator | None,
                            hidden_sizes=(300, 100),
                            dropout_retain: float = 0.8) -> MLPParams:
     """MLP on the flattened masked matrix with a two-way head, in the

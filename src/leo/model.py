@@ -1,4 +1,10 @@
-"""Model artifact persistence.
+"""The model's parameters and their persistence.
+
+init_model declares every parameter (name, group, shape, store order)
+through the encoder / selector / classifier constructors and draws fresh
+values; model_from_artifact walks the same constructors over an artifact's
+stored tensors instead, so the layout is stated once. An artifact whose
+tensors are not exactly the ones its config declares is a ModelFormatError.
 
 Binary container layout ("LEO1" format, version 1):
 
@@ -23,9 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import GraphError
 from .config import TrainConfig, parse_config_text
+from .encoder import EncoderParams, init_encoder_params
+from .losses import init_classifier_params
 from .normalize import Vocabulary
+from .optim import MLPParams, ParameterStore
 from .scoring import ClusterStatistics
+from .selector import init_selector_params
 
 MAGIC = b"LEO1"
 VERSION = 1
@@ -48,6 +59,59 @@ class ModelArtifact:
     quantile: float = 0.95
     log_digest: str = ""
     version: int = VERSION
+
+
+@dataclass
+class ModelParams:
+    store: ParameterStore
+    encoder: EncoderParams
+    selector: MLPParams
+    classifier: MLPParams
+
+
+def _declare_model(store: ParameterStore, config: TrainConfig, vocab_size: int,
+                   rng: np.random.Generator | None) -> ModelParams:
+    encoder = init_encoder_params(store, vocab_size, config.embed_dim, rng,
+                                  kernel_size=config.kernel_size,
+                                  dropout_retain=config.dropout_retain)
+    selector = init_selector_params(store, config.embed_dim, rng,
+                                    hidden_sizes=config.selector_hidden,
+                                    dropout_retain=config.dropout_retain)
+    classifier = init_classifier_params(
+        store, config.max_statements * config.embed_dim, rng,
+        hidden_sizes=config.classifier_hidden,
+        dropout_retain=config.dropout_retain)
+    return ModelParams(store, encoder, selector, classifier)
+
+
+def init_model(config: TrainConfig, vocab_size: int,
+               rng: np.random.Generator) -> ModelParams:
+    """Fresh trainable parameters drawn from rng."""
+    return _declare_model(ParameterStore(), config, vocab_size, rng)
+
+
+def _stored_model(artifact: ModelArtifact, values: dict) -> ModelParams:
+    """Frozen parameters taken from `values` (name -> float64 array) by
+    name; ModelFormatError unless `values` holds exactly the tensors the
+    artifact's config declares, each with its declared shape."""
+    store = ParameterStore(stored=values)
+    try:
+        params = _declare_model(store, artifact.config, artifact.vocab.size, None)
+    except GraphError as exc:
+        raise ModelFormatError(f"tensors do not match the config: {exc}") from exc
+    extra = sorted(set(values) - set(store.names()))
+    if extra:
+        raise ModelFormatError(
+            f"tensors the config does not declare: {', '.join(extra)}")
+    return params
+
+
+def model_from_artifact(artifact: ModelArtifact) -> ModelParams:
+    """Live parameters of an artifact: each stored float32 tensor widened
+    once to float64 (a copy the artifact does not share), frozen, with no
+    random draws."""
+    return _stored_model(artifact, {name: np.array(arr, dtype=np.float64)
+                                    for name, arr in artifact.tensors.items()})
 
 
 def _pack_str(text: str) -> bytes:
@@ -209,7 +273,7 @@ def deserialize_model(blob: bytes) -> ModelArtifact:
         raise ModelFormatError(f"missing sections: {missing}")
     try:
         threshold, quantile = struct.unpack("<dd", sections[b"THRS"])
-        return ModelArtifact(
+        artifact = ModelArtifact(
             vocab=_decode_vocab(sections[b"VOCB"]),
             tensors=_decode_tensors(sections[b"TENS"]),
             config=TrainConfig(**parse_config_text(sections[b"CONF"].decode("utf-8"))),
@@ -223,6 +287,11 @@ def deserialize_model(blob: bytes) -> ModelArtifact:
         raise
     except (ValueError, TypeError, struct.error) as exc:  # UnicodeDecodeError is a ValueError
         raise ModelFormatError(f"malformed section content: {exc}") from exc
+    # model_from_artifact's tensor checks, on zero-stride float64 stand-ins
+    # so that loading widens and copies nothing.
+    _stored_model(artifact, {name: np.broadcast_to(0.0, np.shape(arr))
+                             for name, arr in artifact.tensors.items()})
+    return artifact
 
 
 def save_model(artifact: ModelArtifact, path: str) -> None:

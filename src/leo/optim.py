@@ -9,6 +9,7 @@ MLPParams run by mlp_forward.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,11 +19,20 @@ from .autodiff import GraphError, Tensor
 
 
 class ParameterStore:
-    """Insertion-ordered name -> Tensor map with a group label per tensor."""
+    """Insertion-ordered name -> Tensor map with a group label per tensor.
 
-    def __init__(self):
+    `create` declares a parameter. A plain store draws its initial value and
+    makes it trainable. A store over `stored` values (name -> float64 array,
+    such as an artifact's widened tensors) takes each declared parameter
+    from there by name instead, checked against the declared shape, and
+    freezes it (requires_grad False) so forward passes record no tape; it
+    never draws.
+    """
+
+    def __init__(self, stored: dict | None = None):
         self._params: dict[str, Tensor] = {}
         self._groups: dict[str, str] = {}
+        self._stored = stored
 
     def add(self, name: str, data: np.ndarray, group: str) -> Tensor:
         if name in self._params:
@@ -30,6 +40,23 @@ class ParameterStore:
         t = Tensor(np.asarray(data, dtype=np.float64), requires_grad=True, name=name)
         self._params[name] = t
         self._groups[name] = group
+        return t
+
+    def create(self, name: str, group: str, shape: tuple,
+               draw: Callable[[tuple], np.ndarray] | None = None) -> Tensor:
+        """Declare parameter `name` of `shape`: draw(shape) is its initial
+        value (zeros without a draw), or its stored value."""
+        if self._stored is None:
+            return self.add(name, np.zeros(shape) if draw is None else draw(shape),
+                            group)
+        if name not in self._stored:
+            raise GraphError(f"no stored value for parameter '{name}'")
+        data = self._stored[name]
+        if data.shape != shape:
+            raise GraphError(f"parameter '{name}' is stored with shape "
+                             f"{data.shape}, declared {shape}")
+        t = self.add(name, data, group)
+        t.requires_grad = False
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -66,12 +93,10 @@ class ParameterStore:
         selected = self._params.items() if groups is None else self.in_groups(groups)
         return {n: t.data.copy() for n, t in selected}
 
-    def load_values(self, values: dict[str, np.ndarray]) -> None:
-        for name, data in values.items():
-            p = self._params[name]
-            if p.data.shape != np.asarray(data).shape:
-                raise GraphError(f"shape mismatch loading parameter '{name}'")
-            p.data = np.asarray(data, dtype=np.float64).copy()
+
+def normal(rng: np.random.Generator, std: float) -> Callable[[tuple], np.ndarray]:
+    """A `ParameterStore.create` draw: entries from N(0, std^2)."""
+    return lambda shape: rng.normal(0.0, std, size=shape)
 
 
 @dataclass
@@ -85,9 +110,10 @@ class MLPParams:
 
 def init_mlp_params(store: ParameterStore, prefix: str, group: str,
                     input_dim: int, hidden_sizes, out_dim: int,
-                    rng: np.random.Generator,
+                    rng: np.random.Generator | None,
                     dropout_retain: float = 0.8) -> MLPParams:
-    """Register an MLP's weights: He-normal matrices, zero biases."""
+    """Declare an MLP's weights: He-normal matrices, zero biases. `rng` is
+    only drawn from by a store that draws (None for a stored one)."""
     if not 0.0 < dropout_retain <= 1.0:
         raise GraphError(f"dropout retain probability {dropout_retain} outside (0, 1]")
     if input_dim < 1 or out_dim < 1 or any(h < 1 for h in hidden_sizes):
@@ -95,13 +121,14 @@ def init_mlp_params(store: ParameterStore, prefix: str, group: str,
     layers = []
     fan_in = input_dim
     for i, width in enumerate(hidden_sizes):
-        w = rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(fan_in, width))
-        layers.append((store.add(f"{prefix}/w{i}", w, group),
-                       store.add(f"{prefix}/b{i}", np.zeros(width), group)))
+        layers.append((
+            store.create(f"{prefix}/w{i}", group, (fan_in, width),
+                         normal(rng, math.sqrt(2.0 / fan_in))),
+            store.create(f"{prefix}/b{i}", group, (width,))))
         fan_in = width
-    head_w = rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(fan_in, out_dim))
-    head = (store.add(f"{prefix}/head_w", head_w, group),
-            store.add(f"{prefix}/head_b", np.zeros(out_dim), group))
+    head = (store.create(f"{prefix}/head_w", group, (fan_in, out_dim),
+                         normal(rng, math.sqrt(2.0 / fan_in))),
+            store.create(f"{prefix}/head_b", group, (out_dim,)))
     return MLPParams(layers, head, dropout_retain)
 
 

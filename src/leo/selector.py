@@ -24,7 +24,7 @@ _UNIFORM_EPS = 1e-12
 
 
 def init_selector_params(store: ParameterStore, input_dim: int,
-                         rng: np.random.Generator,
+                         rng: np.random.Generator | None,
                          hidden_sizes=(100, 100, 100),
                          dropout_retain: float = 0.8) -> MLPParams:
     """Row-wise MLP with a scalar head, in the "selector" group."""

@@ -21,25 +21,14 @@ from . import autodiff as ad
 from .autodiff import NumericError, backward
 from .config import TrainConfig
 from .data import load_dataset, split_dataset
-from .encoder import EncoderParams, encode_batch, init_encoder_params
-from .losses import (
-    classifier_forward,
-    data_distribution_loss,
-    init_classifier_params,
-    joint_loss,
-)
+from .encoder import encode_batch
+from .losses import classifier_forward, data_distribution_loss, joint_loss
 from .metrics import ScoreSet, build_report
-from .model import ModelArtifact
+from .model import ModelArtifact, ModelParams, init_model, model_from_artifact
 from .normalize import NormalizeError, Vocabulary, build_vocabulary, encode_tokens, normalize_source
-from .optim import Adam, MLPParams, ParameterStore, clip_store_gradients
+from .optim import Adam, ParameterStore, clip_store_gradients
 from .scoring import calibrate_threshold, fit_cluster_statistics, mahalanobis_scores
-from .selector import (
-    apply_mask,
-    deterministic_mask,
-    init_selector_params,
-    pad_gate,
-    selector_forward,
-)
+from .selector import apply_mask, deterministic_mask, pad_gate, selector_forward
 
 log = logging.getLogger("leo")
 
@@ -57,14 +46,6 @@ class PreparedSample:
     label: int
     cwe: str
     statements: list
-
-
-@dataclass
-class ModelParams:
-    store: ParameterStore
-    encoder: EncoderParams
-    selector: MLPParams
-    classifier: MLPParams
 
 
 def _normalize(record):
@@ -92,33 +73,6 @@ def build_training_vocabulary(train_records, config: TrainConfig) -> Vocabulary:
     """Vocabulary from the training split only."""
     return build_vocabulary([_normalize(r) for r in train_records],
                             config.vocab_max)
-
-
-def init_model(config: TrainConfig, vocab_size: int,
-               rng: np.random.Generator) -> ModelParams:
-    store = ParameterStore()
-    encoder = init_encoder_params(store, vocab_size, config.embed_dim, rng,
-                                  kernel_size=config.kernel_size,
-                                  dropout_retain=config.dropout_retain)
-    selector = init_selector_params(store, config.embed_dim, rng,
-                                    hidden_sizes=config.selector_hidden,
-                                    dropout_retain=config.dropout_retain)
-    classifier = init_classifier_params(
-        store, config.max_statements * config.embed_dim, rng,
-        hidden_sizes=config.classifier_hidden,
-        dropout_retain=config.dropout_retain)
-    return ModelParams(store, encoder, selector, classifier)
-
-
-def model_from_artifact(artifact: ModelArtifact) -> ModelParams:
-    """Rebuild live parameters from a loaded artifact (float32 storage
-    widened back to the working precision)."""
-    params = init_model(artifact.config, artifact.vocab.size,
-                        np.random.default_rng(0))
-    params.store.load_values(
-        {name: np.asarray(arr, dtype=np.float64)
-         for name, arr in artifact.tensors.items()})
-    return params
 
 
 def _quantize_store(store: ParameterStore) -> dict:

@@ -7,7 +7,8 @@ from leo.config import TrainConfig
 from leo.data import DatasetRecord
 from leo.encoder import encode_batch
 from leo.losses import classifier_forward, minibatch_kmeans
-from leo.model import ModelArtifact
+from leo.model import ModelArtifact, ModelFormatError, load_model, save_model
+from leo.optim import ParameterStore
 from leo.scoring import (
     ClusterStatistics,
     calibrate_threshold,
@@ -384,3 +385,84 @@ def test_msp_score_orders_by_confidence():
     artifact.tensors["classifier/head_b"][:] = [1.0, 0.0]
     unsure, _ = score_records(artifact, records, use_msp=True)
     assert np.all(confident < unsure)
+
+
+# --- the model rebuilt from an artifact (model_from_artifact) ------------------
+
+
+def test_rebuilt_store_matches_init_layout():
+    artifact, _ = small_artifact()
+    fresh = init_model(artifact.config, artifact.vocab.size,
+                       np.random.default_rng(3)).store
+    rebuilt = model_from_artifact(artifact).store
+    assert rebuilt.names() == fresh.names()
+    assert ([rebuilt.group_of(n) for n in rebuilt.names()]
+            == [fresh.group_of(n) for n in fresh.names()])
+    for name, t in rebuilt.items():
+        assert not t.requires_grad
+        assert t.data.dtype == np.float64
+        np.testing.assert_array_equal(t.data, artifact.tensors[name].astype(np.float64))
+
+
+def test_rebuilt_model_records_no_tape():
+    artifact, records = small_artifact()
+    params = model_from_artifact(artifact)
+    samples = prepare_samples(records, artifact.vocab, artifact.config)
+    x, _ = encode_batch([s.statements for s in samples], params.encoder, 4)
+    probs = selector_forward(x, params.selector)
+    assert not probs.requires_grad
+    assert probs._parents == () and probs._backward is None
+
+
+def test_artifact_rebuild_draws_nothing(monkeypatch):
+    artifact, records = small_artifact()
+    expected, _ = score_records(artifact, records)
+    create = ParameterStore.create
+
+    def refuse_draws(self, name, group, shape, draw=None):
+        def refuse(shape):
+            raise AssertionError(f"drew initial values for '{name}'")
+        return create(self, name, group, shape, None if draw is None else refuse)
+
+    def refuse_rng(*args, **kwargs):
+        raise AssertionError("made a random generator")
+
+    monkeypatch.setattr(ParameterStore, "create", refuse_draws)
+    monkeypatch.setattr(np.random, "default_rng", refuse_rng)
+    scores, _ = score_records(artifact, records)
+    np.testing.assert_array_equal(scores, expected)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rebuilt_tensors_do_not_share_memory_with_artifact(dtype):
+    artifact, _ = small_artifact()
+    artifact.tensors = {n: a.astype(dtype) for n, a in artifact.tensors.items()}
+    stored = {n: a.copy() for n, a in artifact.tensors.items()}
+    for _, t in model_from_artifact(artifact).store.items():
+        t.data[...] = 7.0
+    for name, arr in artifact.tensors.items():
+        np.testing.assert_array_equal(arr, stored[name])
+    params = model_from_artifact(artifact)
+    for arr in artifact.tensors.values():
+        arr[...] = -1.0
+    for name, t in params.store.items():
+        np.testing.assert_array_equal(t.data, stored[name].astype(np.float64))
+
+
+@pytest.mark.parametrize("case", ["missing", "extra", "wrong-shape"])
+def test_artifact_tensor_mismatch_is_format_error(case, tmp_path):
+    artifact, records = small_artifact()
+    name = "selector/w0"
+    if case == "missing":
+        del artifact.tensors[name]
+    elif case == "extra":
+        name = "selector/w1"      # SMALL declares one hidden selector layer
+        artifact.tensors[name] = np.zeros((4, 4), dtype=np.float32)
+    else:
+        artifact.tensors[name] = artifact.tensors[name][:, :-1].copy()
+    path = str(tmp_path / "model.leo")
+    save_model(artifact, path)
+    with pytest.raises(ModelFormatError, match=name):
+        load_model(path)
+    with pytest.raises(ModelFormatError, match=name):
+        score_records(artifact, records)
