@@ -421,10 +421,10 @@ def conv1d(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     return _make(data, (x, weights, bias), backward, "conv1d")
 
 
-def dropout(x: Tensor, retain: float, rng: np.random.Generator, train: bool) -> Tensor:
-    """Inverted dropout: at train time keep each element with probability
-    `retain` and scale by 1/retain, so eval mode is the identity."""
-    if not train:
+def dropout(x: Tensor, retain: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout: keep each element with probability `retain` and
+    scale by 1/retain. Without an rng (inference) it is the identity."""
+    if rng is None:
         return x
     if not 0.0 < retain <= 1.0:
         raise GraphError(f"dropout retain probability {retain} outside (0, 1]")

@@ -18,9 +18,9 @@ from .config import load_config
 from .data import load_dataset
 from .metrics import render_report, render_score_dump
 from .model import ModelFormatError, load_model, save_model
-from .normalize import NormalizeError, build_vocabulary, normalize_source
+from .normalize import NormalizeError, build_vocabulary
 from .synth import write_corpus
-from .train import TrainingError, evaluate, score_records, train
+from .train import TrainingError, _normalize, evaluate, score_records, train
 
 
 def _config_overrides(args) -> dict:
@@ -36,7 +36,7 @@ def _config_overrides(args) -> dict:
     }
 
 
-def _add_train_flags(p: argparse.ArgumentParser):
+def _add_train_arguments(p: argparse.ArgumentParser):
     p.add_argument("--data", required=True, help="training dataset (JSON lines)")
     p.add_argument("--model", required=True, help="output model path")
     p.add_argument("--config", help="key = value config file")
@@ -57,6 +57,15 @@ def _add_train_flags(p: argparse.ArgumentParser):
                    help="train/evaluate cycles to average (seeds seed..seed+n-1)")
 
 
+def _write_output(text: str, out_path) -> None:
+    """Write text to out_path if one is given, else to stdout."""
+    if out_path:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_synth(args) -> int:
     paths = write_corpus(args.out, args.n, args.n_ood, args.seed)
     for name, path in paths.items():
@@ -68,27 +77,16 @@ def _cmd_normalize(args) -> int:
     records = load_dataset(args.data)
     lines = []
     for r in records:
-        fn = normalize_source(r.code)
+        fn = _normalize(r)
         lines.append(f"{r.sample_id}\t" + " ".join(fn.render().split()))
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_output("\n".join(lines) + ("\n" if lines else ""), args.out)
     return 0
 
 
 def _cmd_vocab(args) -> int:
     records = load_dataset(args.data)
-    vocab = build_vocabulary([normalize_source(r.code) for r in records],
-                             args.max)
-    text = "\n".join(vocab.tokens) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    vocab = build_vocabulary([_normalize(r) for r in records], args.max)
+    _write_output("\n".join(vocab.tokens) + "\n", args.out)
     return 0
 
 
@@ -149,12 +147,7 @@ def _cmd_score(args) -> int:
     scores, decisions = score_records(artifact, records, use_msp=args.msp)
     rows = [(r.sample_id, args.population, float(s), str(d))
             for r, s, d in zip(records, scores, decisions)]
-    text = render_score_dump(rows)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_output(render_score_dump(rows), args.out)
     return 0
 
 
@@ -181,10 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("train", help="train a model")
-    _add_train_flags(p)
+    _add_train_arguments(p)
 
     p = sub.add_parser("ablate", help="train with the ablation forced on")
-    _add_train_flags(p)
+    _add_train_arguments(p)
 
     p = sub.add_parser("eval", help="evaluate a model on ID + OOD test sets")
     p.add_argument("--model", required=True)

@@ -1,10 +1,10 @@
 """Statement encoder: embeddings -> dropout -> 1-D convolution -> max pool.
 
 Each statement's token ids are embedded, padding positions are forced to
-zero, dropout is applied in train mode, and a valid convolution followed by
-ReLU and a max over time yields one fixed-size vector per statement. A
-function becomes a fixed (max_statements x dim) matrix: real statements in
-order, zero rows after them.
+zero, dropout is applied when a dropout rng is given (training), and a
+valid convolution followed by ReLU and a max over time yields one fixed-size
+vector per statement. A function becomes a fixed (max_statements x dim)
+matrix: real statements in order, zero rows after them.
 
 encode_batch runs every real statement in a batch through one shared
 convolution by padding them to a common length and masking the windows the
@@ -97,13 +97,9 @@ def _stack_ids(statements: list[np.ndarray], kernel_size: int):
 
 
 def _encode_stack(ids: np.ndarray, lengths: np.ndarray, params: EncoderParams,
-                  train_flag: bool, rng: np.random.Generator | None) -> Tensor:
+                  rng: np.random.Generator | None) -> Tensor:
     """Shared conv over S padded statements -> (S, dim) statement vectors."""
-    emb = _embed_ids(ids, params)
-    if train_flag:
-        if rng is None:
-            raise GraphError("train-mode encoding needs a dropout rng")
-        emb = ad.dropout(emb, params.dropout_retain, rng, train=True)
+    emb = ad.dropout(_embed_ids(ids, params), params.dropout_retain, rng)
     h = ad.relu(ad.conv1d(emb, params.conv_kernel, params.conv_bias))
     windows = h.data.shape[1]
     valid = np.maximum(lengths - params.kernel_size + 1, 1)
@@ -114,7 +110,6 @@ def _encode_stack(ids: np.ndarray, lengths: np.ndarray, params: EncoderParams,
 
 
 def encode_batch(batch: list[list], params: EncoderParams, max_statements: int,
-                 train_flag: bool = False,
                  rng: np.random.Generator | None = None):
     """Encode a batch of functions (each a list of token id sequences) into
     one (B, max_statements, dim) tensor plus the per-function true lengths.
@@ -122,6 +117,7 @@ def encode_batch(batch: list[list], params: EncoderParams, max_statements: int,
     The first min(count, max_statements) statements of each function are
     encoded in order; rows past a function's true length stay exactly zero.
     All real statements share a single embedding lookup and convolution.
+    Embedding dropout draws from `rng`; without one there is no dropout.
     """
     b = len(batch)
     d = params.dim
@@ -139,7 +135,7 @@ def encode_batch(batch: list[list], params: EncoderParams, max_statements: int,
     if not flat:
         return ad.constant(np.zeros((b, max_statements, d))), true_lengths
     ids, lengths = _stack_ids(flat, params.kernel_size)
-    vectors = _encode_stack(ids, lengths, params, train_flag, rng)
+    vectors = _encode_stack(ids, lengths, params, rng)
     placed = ad.scatter_rows(vectors, np.asarray(batch_idx, dtype=np.int64),
                              np.asarray(row_idx, dtype=np.int64), b, max_statements)
     return placed, true_lengths

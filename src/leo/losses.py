@@ -44,14 +44,12 @@ def init_classifier_params(store: ParameterStore, input_dim: int,
 
 
 def classifier_forward(x: Tensor, params: MLPParams,
-                       train_flag: bool = False,
                        rng: np.random.Generator | None = None) -> Tensor:
     """Class probabilities: (n, features) -> (n, 2)."""
-    return ad.softmax(mlp_forward(x, params, train_flag, rng), axis=-1)
+    return ad.softmax(mlp_forward(x, params, rng), axis=-1)
 
 
 def gated_classifier(x: Tensor, z: Tensor, true_lengths, params: MLPParams,
-                     train_flag: bool = False,
                      dropout_rng: np.random.Generator | None = None):
     """The gate-masking pass both losses share: zero the gates of padded
     rows, scale statement row (f, i) of the (batch, rows, dim) block by
@@ -63,7 +61,7 @@ def gated_classifier(x: Tensor, z: Tensor, true_lengths, params: MLPParams,
     z = pad_gate(z, true_lengths, rows)
     masked = apply_mask(x, z)
     probs = classifier_forward(ad.reshape(masked, (b, rows * dim)), params,
-                               train_flag, dropout_rng)
+                               dropout_rng)
     return z, masked, probs
 
 
@@ -97,7 +95,6 @@ def batch_cross_entropy(probs: Tensor, labels) -> Tensor:
 def data_distribution_loss(x: Tensor, true_lengths, labels,
                            params: MLPParams, *, relax_temp: float,
                            rng: np.random.Generator | None,
-                           train_flag: bool = False,
                            dropout_rng: np.random.Generator | None = None) -> Tensor:
     """Mean cross-entropy of the classifier on randomly masked functions.
 
@@ -114,8 +111,7 @@ def data_distribution_loss(x: Tensor, true_lengths, labels,
     # a zero score is the log-odds of keep probability one half
     r = relax_gates(ad.constant(np.zeros((b, rows))), noise_a, noise_b,
                     relax_temp)
-    _, _, probs = gated_classifier(x, r, true_lengths, params, train_flag,
-                                   dropout_rng)
+    _, _, probs = gated_classifier(x, r, true_lengths, params, dropout_rng)
     return batch_cross_entropy(probs, labels)
 
 
@@ -310,7 +306,6 @@ class JointLossParts:
     cross_entropy: Tensor
     contrastive: Tensor
     gates: Tensor
-    probabilities: Tensor
     assignment: ClusterAssignment | None
 
 
@@ -318,7 +313,7 @@ def joint_loss(x: Tensor, true_lengths, labels, selector: MLPParams,
                classifier: MLPParams, *, relax_temp: float,
                temperature: float, contrastive_weight: float, clusters: int,
                rng: np.random.Generator | None, variant: str = "cluster",
-               kmeans_iters: int = 10, train_flag: bool = False,
+               kmeans_iters: int = 10,
                dropout_rng: np.random.Generator | None = None,
                noise_override=None,
                assignment_override: ClusterAssignment | None = None) -> JointLossParts:
@@ -330,17 +325,17 @@ def joint_loss(x: Tensor, true_lengths, labels, selector: MLPParams,
     """
     b, rows, _ = x.data.shape
     labels = np.asarray(labels, dtype=np.int64)
-    scores = selector_presigmoid(x, selector, train_flag, dropout_rng)
+    scores = selector_presigmoid(x, selector, dropout_rng)
     if noise_override is None:
         if rng is None:
             raise GraphError("joint_loss needs an rng to sample gates")
         noise_override = (sample_gumbel((b, rows), rng), sample_gumbel((b, rows), rng))
     z, masked, probs = gated_classifier(
         x, relax_gates(scores, *noise_override, relax_temp), true_lengths,
-        classifier, train_flag, dropout_rng)
+        classifier, dropout_rng)
     ce = batch_cross_entropy(probs, labels)
     if contrastive_weight == 0.0:
-        return JointLossParts(ce, ce, ad.constant(0.0), z, probs, None)
+        return JointLossParts(ce, ce, ad.constant(0.0), z, None)
     if assignment_override is not None:
         assignment = assignment_override
     else:
@@ -351,4 +346,4 @@ def joint_loss(x: Tensor, true_lengths, labels, selector: MLPParams,
     ccl = cluster_contrastive_loss(masked, labels, assignment.cluster_of,
                                    temperature)
     total = ad.add(ce, ad.scale(ccl, contrastive_weight))
-    return JointLossParts(total, ce, ccl, z, probs, assignment)
+    return JointLossParts(total, ce, ccl, z, assignment)

@@ -137,9 +137,6 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def f64(self) -> float:
-        return struct.unpack("<d", self.take(8))[0]
-
     def string(self) -> str:
         return self.take(self.u32()).decode("utf-8")
 

@@ -62,9 +62,6 @@ class ParameterStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def names(self) -> list[str]:
         return list(self._params)
 
@@ -89,10 +86,6 @@ class ParameterStore:
             if t.grad is None:
                 t.grad = np.zeros_like(t.data)
 
-    def snapshot(self, groups=None) -> dict[str, np.ndarray]:
-        selected = self._params.items() if groups is None else self.in_groups(groups)
-        return {n: t.data.copy() for n, t in selected}
-
 
 def normal(rng: np.random.Generator, std: float) -> Callable[[tuple], np.ndarray]:
     """A `ParameterStore.create` draw: entries from N(0, std^2)."""
@@ -102,7 +95,7 @@ def normal(rng: np.random.Generator, std: float) -> Callable[[tuple], np.ndarray
 @dataclass
 class MLPParams:
     """A ReLU MLP: hidden (W, b) pairs, an output head, and the dropout
-    retain probability applied after every hidden layer in train mode."""
+    retain probability applied after every hidden layer in training."""
     layers: list[tuple[Tensor, Tensor]]
     head: tuple[Tensor, Tensor]
     dropout_retain: float
@@ -132,16 +125,14 @@ def init_mlp_params(store: ParameterStore, prefix: str, group: str,
     return MLPParams(layers, head, dropout_retain)
 
 
-def mlp_forward(x: Tensor, params: MLPParams, train_flag: bool = False,
+def mlp_forward(x: Tensor, params: MLPParams,
                 rng: np.random.Generator | None = None) -> Tensor:
-    """Raw head outputs of an (n, input_dim) block: (n, out_dim)."""
+    """Raw head outputs of an (n, input_dim) block: (n, out_dim). Hidden
+    dropout draws from `rng`; without one there is no dropout."""
     h = x
     for w, b in params.layers:
-        h = ad.relu(ad.add(ad.matmul(h, w), b))
-        if train_flag:
-            if rng is None:
-                raise GraphError("train-mode forward needs a dropout rng")
-            h = ad.dropout(h, params.dropout_retain, rng, train=True)
+        h = ad.dropout(ad.relu(ad.add(ad.matmul(h, w), b)),
+                       params.dropout_retain, rng)
     w, b = params.head
     return ad.add(ad.matmul(h, w), b)
 

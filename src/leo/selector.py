@@ -33,7 +33,6 @@ def init_selector_params(store: ParameterStore, input_dim: int,
 
 
 def selector_presigmoid(x: Tensor, params: MLPParams,
-                        train_flag: bool = False,
                         rng: np.random.Generator | None = None) -> Tensor:
     """Raw per-row scores (the log-odds of the keep probabilities) of a
     (batch, rows, dim) block -> (batch, rows)."""
@@ -41,14 +40,13 @@ def selector_presigmoid(x: Tensor, params: MLPParams,
         raise GraphError("selector input must be a (batch, rows, dim) block")
     shape = x.data.shape
     flat = ad.reshape(x, (shape[0] * shape[1], shape[2]))
-    return ad.reshape(mlp_forward(flat, params, train_flag, rng), shape[:-1])
+    return ad.reshape(mlp_forward(flat, params, rng), shape[:-1])
 
 
 def selector_forward(x: Tensor, params: MLPParams,
-                     train_flag: bool = False,
                      rng: np.random.Generator | None = None) -> Tensor:
     """Per-statement keep probabilities, strictly inside (0, 1)."""
-    return ad.sigmoid(selector_presigmoid(x, params, train_flag, rng))
+    return ad.sigmoid(selector_presigmoid(x, params, rng))
 
 
 # ---------------------------------------------------------------------------

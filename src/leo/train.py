@@ -4,10 +4,13 @@ Each batch takes two updates. The first trains the classifier (and the
 encoder feeding it) on randomly masked functions so it respects the data
 distribution rather than the selector's current choices; the second trains
 the selector, classifier, and encoder jointly on the gated cross-entropy
-plus the weighted cluster-contrastive term. After the final epoch the
-parameters are quantized to their stored 32-bit form, cluster statistics
-are fit on the training split's masked representations, and the decision
-threshold is calibrated on the validation split.
+plus the weighted cluster-contrastive term. Dropout and relaxed gates are
+sampled only here, where a dropout rng is passed; every forward pass without
+one is deterministic. After the final epoch the parameters are rounded to
+their stored float32 form and rebuilt frozen by model_from_artifact, the
+same rebuild scoring uses: cluster statistics are fit on the training
+split's masked representations under that model, and the decision threshold
+is calibrated on the validation split.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ from .losses import classifier_forward, data_distribution_loss, joint_loss
 from .metrics import ScoreSet, build_report
 from .model import ModelArtifact, ModelParams, init_model, model_from_artifact
 from .normalize import NormalizeError, Vocabulary, build_vocabulary, encode_tokens, normalize_source
-from .optim import Adam, ParameterStore, clip_store_gradients
+from .optim import Adam, clip_store_gradients
 from .scoring import calibrate_threshold, fit_cluster_statistics, mahalanobis_scores
 from .selector import apply_mask, deterministic_mask, pad_gate, selector_forward
 
@@ -75,21 +78,9 @@ def build_training_vocabulary(train_records, config: TrainConfig) -> Vocabulary:
                             config.vocab_max)
 
 
-def _quantize_store(store: ParameterStore) -> dict:
-    """Round every parameter to float32 in place; returns the float32
-    tensors for storage. Scoring statistics are fit after this so a loaded
-    model reproduces them exactly."""
-    stored = {}
-    for name, t in store.items():
-        narrow = t.data.astype(np.float32)
-        t.data = narrow.astype(np.float64)
-        stored[name] = narrow
-    return stored
-
-
 def masked_representations(params: ModelParams, samples, config: TrainConfig):
     """Deterministic-gate scoring representations plus the classifier's
-    max-softmax complement, batched, no gradients kept. pooled-d is the mean
+    max-softmax complement, batched, without dropout. pooled-d is the mean
     of a function's real gated rows (zero without statements);
     concat-diagonal is the whole gated matrix, flattened row-major."""
     n = len(samples)
@@ -104,16 +95,16 @@ def masked_representations(params: ModelParams, samples, config: TrainConfig):
         probs = selector_forward(x, params.selector).data
         z = pad_gate(ad.constant(deterministic_mask(probs, config.gate_mode)),
                      lengths, config.max_statements)
-        masked = apply_mask(ad.constant(x.data), z).data
+        masked = apply_mask(x, z)
         b = len(chunk)
-        flat = masked.reshape(b, -1)
-        class_probs = classifier_forward(ad.constant(flat), params.classifier).data
+        flat = ad.reshape(masked, (b, -1))
+        class_probs = classifier_forward(flat, params.classifier).data
         msp[start:start + b] = 1.0 - class_probs.max(axis=1)
         if pooled:
-            reps[start:start + b] = (masked.sum(axis=1)
+            reps[start:start + b] = (masked.data.sum(axis=1)
                                      / np.maximum(lengths, 1)[:, None])
         else:
-            reps[start:start + b] = flat
+            reps[start:start + b] = flat.data
     return reps, msp
 
 
@@ -121,20 +112,15 @@ def _mean(values) -> float:
     return float(np.mean(values)) if values else 0.0
 
 
-def train(config: TrainConfig, records) -> ModelArtifact:
-    """Full training run on in-distribution records; returns the
-    self-contained artifact."""
-    train_recs, val_recs = split_dataset(list(records), config.seed,
-                                         config.val_fraction)
-    vocab = build_training_vocabulary(train_recs, config)
-    train_samples = prepare_samples(train_recs, vocab, config)
-    val_samples = prepare_samples(val_recs, vocab, config)
-
-    streams = np.random.SeedSequence(config.seed).spawn(6)
-    init_rng, order_rng, dd_rng, joint_rng, dropout_rng, stats_rng = (
-        np.random.default_rng(s) for s in streams)
-
-    params = init_model(config, vocab.size, init_rng)
+def _train_parameters(config: TrainConfig, vocab_size: int, train_samples,
+                      rngs) -> tuple[dict, str]:
+    """The two-step epoch loop from freshly drawn parameters. Returns the
+    trained parameters rounded to their stored float32 form and the log
+    digest; the live parameters, the Adam moments and the last graph end
+    with this call. `rngs` are the init, order, distribution-mask,
+    joint-loss and dropout streams."""
+    init_rng, order_rng, dd_rng, joint_rng, dropout_rng = rngs
+    params = init_model(config, vocab_size, init_rng)
     adam = Adam(lr=config.learning_rate)
 
     def update(loss: ad.Tensor, groups, what: str) -> None:
@@ -167,25 +153,24 @@ def train(config: TrainConfig, records) -> ModelArtifact:
                 if not config.ablate_cd:
                     x1, lengths1 = encode_batch(batch, params.encoder,
                                                 config.max_statements,
-                                                train_flag=True, rng=dropout_rng)
+                                                rng=dropout_rng)
                     loss1 = data_distribution_loss(
                         x1, lengths1, labels, params.classifier,
                         relax_temp=config.relax_temp, rng=dd_rng,
-                        train_flag=True, dropout_rng=dropout_rng)
+                        dropout_rng=dropout_rng)
                     update(loss1, STEP1_GROUPS, "distribution loss")
                     dd_losses.append(float(loss1.data))
 
                 x2, lengths2 = encode_batch(batch, params.encoder,
                                             config.max_statements,
-                                            train_flag=True, rng=dropout_rng)
+                                            rng=dropout_rng)
                 parts = joint_loss(
                     x2, lengths2, labels, params.selector, params.classifier,
                     relax_temp=config.relax_temp,
                     temperature=config.contrastive_temp,
                     contrastive_weight=weight, clusters=config.clusters,
                     rng=joint_rng, variant=config.contrastive_variant,
-                    kmeans_iters=config.kmeans_iters, train_flag=True,
-                    dropout_rng=dropout_rng)
+                    kmeans_iters=config.kmeans_iters, dropout_rng=dropout_rng)
                 update(parts.total, STEP2_GROUPS, "joint loss")
             except NumericError as exc:
                 raise TrainingError(
@@ -196,18 +181,35 @@ def train(config: TrainConfig, records) -> ModelArtifact:
             f"{epoch},{_mean(dd_losses)!r},{_mean(ce_losses)!r},{_mean(ccl_losses)!r}")
         log.info("epoch %d: distribution %.4f, gated CE %.4f, contrastive %.4f",
                  epoch, _mean(dd_losses), _mean(ce_losses), _mean(ccl_losses))
+    tensors = {name: t.data.astype(np.float32) for name, t in params.store.items()}
+    return tensors, "\n".join(digest_lines) + "\n"
 
-    stored = _quantize_store(params.store)
+
+def train(config: TrainConfig, records) -> ModelArtifact:
+    """Full training run on in-distribution records; returns the
+    self-contained artifact."""
+    train_recs, val_recs = split_dataset(list(records), config.seed,
+                                         config.val_fraction)
+    vocab = build_training_vocabulary(train_recs, config)
+    train_samples = prepare_samples(train_recs, vocab, config)
+    val_samples = prepare_samples(val_recs, vocab, config)
+
+    *loop_rngs, stats_rng = (np.random.default_rng(s) for s in
+                             np.random.SeedSequence(config.seed).spawn(6))
+    tensors, digest = _train_parameters(config, vocab.size, train_samples,
+                                        loop_rngs)
+    # stats and threshold are fit below on the model scoring will rebuild
+    artifact = ModelArtifact(vocab=vocab, tensors=tensors, config=config,
+                             stats=None, threshold=0.0, log_digest=digest)
+    params = model_from_artifact(artifact)
     train_reps, _ = masked_representations(params, train_samples, config)
-    stats = fit_cluster_statistics(train_reps, config.clusters, stats_rng,
-                                   mode=config.scoring_mode,
-                                   kmeans_iters=config.kmeans_iters)
+    artifact.stats = fit_cluster_statistics(train_reps, config.clusters,
+                                            stats_rng, mode=config.scoring_mode,
+                                            kmeans_iters=config.kmeans_iters)
     val_reps, _ = masked_representations(params, val_samples, config)
-    val_scores = mahalanobis_scores(val_reps, stats)
-    threshold = calibrate_threshold(val_scores)
-    return ModelArtifact(vocab=vocab, tensors=stored, config=config,
-                         stats=stats, threshold=threshold,
-                         log_digest="\n".join(digest_lines) + "\n")
+    artifact.threshold = calibrate_threshold(
+        mahalanobis_scores(val_reps, artifact.stats))
+    return artifact
 
 
 def score_records(artifact: ModelArtifact, records, *, use_msp: bool = False):

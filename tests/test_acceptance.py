@@ -133,7 +133,7 @@ def _primitive_cases(rng):
     dr = _param(rng, (4, 6), name="dr")
     wd = ad.constant(rng.normal(size=(4, 6)))
     cases.append(("dropout_train", {"dr": dr}, lambda: ad.reduce_sum(ad.mul(
-        wd, ad.dropout(dr, 0.8, np.random.default_rng(5), train=True)))))
+        wd, ad.dropout(dr, 0.8, np.random.default_rng(5))))))
 
     s = _param(rng, (3, 4, 2), name="s")
     cases.append(("reductions", {"s": s}, lambda: ad.add(

@@ -174,7 +174,7 @@ def test_fd_dropout_with_fixed_stream():
 
     def build():
         stream = np.random.default_rng(77)  # identical mask every call
-        return ad.reduce_sum(ad.exp(ad.scale(ad.dropout(x, 0.8, stream, train=True), 0.2)))
+        return ad.reduce_sum(ad.exp(ad.scale(ad.dropout(x, 0.8, stream), 0.2)))
 
     report = ad.finite_difference_check(build, {"x": x}, h=1e-5)
     assert report.max_rel_error < 1e-4
@@ -269,22 +269,22 @@ def test_deep_chain_does_not_recurse():
 
 def test_dropout_eval_is_identity():
     x = t(np.random.default_rng(5).normal(size=(3, 3)))
-    out = ad.dropout(x, 0.8, np.random.default_rng(0), train=False)
+    out = ad.dropout(x, 0.8, None)
     assert out is x
 
 
 def test_dropout_train_mean_preserved():
     rng = np.random.default_rng(7)
     x = np.full((100_000, 4), 2.0)
-    out = ad.dropout(t(x, grad=False), 0.8, rng, train=True)
+    out = ad.dropout(t(x, grad=False), 0.8, rng)
     rel = np.abs(out.data.mean(axis=0) - 2.0) / 2.0
     assert np.all(rel < 0.02)
 
 
 def test_dropout_deterministic_given_seed():
     x = t(np.random.default_rng(9).normal(size=(50, 8)))
-    a = ad.dropout(x, 0.8, np.random.default_rng(1234), train=True).data
-    b = ad.dropout(x, 0.8, np.random.default_rng(1234), train=True).data
+    a = ad.dropout(x, 0.8, np.random.default_rng(1234)).data
+    b = ad.dropout(x, 0.8, np.random.default_rng(1234)).data
     assert np.array_equal(a, b)
 
 

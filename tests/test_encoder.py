@@ -95,8 +95,10 @@ def test_embed_rejects_empty_and_out_of_range():
         encode_batch([[[]]], params, max_statements=2)
     with pytest.raises(GraphError):
         encode_batch([[[7]]], params, max_statements=2)
-    with pytest.raises(GraphError):
-        encode_batch([[[2]]], params, max_statements=2, train_flag=True, rng=None)
+    # without a dropout rng there is no dropout (retain is 0.8 here)
+    out, _ = encode_batch([[[2]]], params, max_statements=2, rng=None)
+    np.testing.assert_allclose(out.data[0], oracle([[2]], params, 2),
+                               atol=1e-12, rtol=0)
 
 
 def test_embed_dropout_monte_carlo_mean():
@@ -108,7 +110,7 @@ def test_embed_dropout_monte_carlo_mean():
     batch = [[[2]] * 200]
     total = np.zeros(4)
     for _ in range(500):
-        out, _ = encode_batch(batch, params, 200, train_flag=True, rng=rng)
+        out, _ = encode_batch(batch, params, 200, rng=rng)
         total += out.data[0].sum(axis=0)
     mean = total / (200 * 500)
     assert np.all(np.abs(mean - reference) <= 0.02 * np.abs(reference))
@@ -243,11 +245,11 @@ def test_encode_batch_statement_order_permutes_rows():
 
 def test_encode_batch_train_mode_deterministic_given_seed():
     _, params = make_params(dim=4)
-    a, _ = encode_batch(RAGGED_BATCH, params, max_statements=3, train_flag=True,
+    a, _ = encode_batch(RAGGED_BATCH, params, max_statements=3,
                         rng=np.random.default_rng(7))
-    b, _ = encode_batch(RAGGED_BATCH, params, max_statements=3, train_flag=True,
+    b, _ = encode_batch(RAGGED_BATCH, params, max_statements=3,
                         rng=np.random.default_rng(7))
-    c, _ = encode_batch(RAGGED_BATCH, params, max_statements=3, train_flag=True,
+    c, _ = encode_batch(RAGGED_BATCH, params, max_statements=3,
                         rng=np.random.default_rng(8))
     np.testing.assert_array_equal(a.data, b.data)
     assert not np.array_equal(a.data, c.data)
@@ -292,7 +294,7 @@ def test_finite_difference_through_train_mode_encode():
     coeff = ad.constant(np.random.default_rng(12).normal(size=(2, 3, 3)))
 
     def loss_fn():
-        out, _ = encode_batch(batch, params, max_statements=3, train_flag=True,
+        out, _ = encode_batch(batch, params, max_statements=3,
                               rng=np.random.default_rng(99))
         return ad.reduce_sum(ad.mul(out, coeff))
 

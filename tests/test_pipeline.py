@@ -397,8 +397,12 @@ def test_step1_never_touches_selector_params():
     samples = prepare_samples(train_recs, vocab, cfg)
     params = init_model(cfg, vocab.size, np.random.default_rng(0))
     adam = Adam(lr=cfg.learning_rate)
-    selector_before = params.store.snapshot(["selector"])
-    trained_before = params.store.snapshot(STEP1_GROUPS)
+
+    def values(groups):
+        return {n: t.data.copy() for n, t in params.store.in_groups(groups)}
+
+    selector_before = values(["selector"])
+    trained_before = values(STEP1_GROUPS)
     x, lengths = encode_batch([s.statements for s in samples[:16]],
                               params.encoder, cfg.max_statements)
     loss = data_distribution_loss(
@@ -409,11 +413,11 @@ def test_step1_never_touches_selector_params():
     params.store.ensure_grads(STEP1_GROUPS)
     clip_store_gradients(params.store, STEP1_GROUPS, cfg.clip_norm)
     adam.step(params.store, STEP1_GROUPS)
-    selector_after = params.store.snapshot(["selector"])
+    selector_after = values(["selector"])
     for name in selector_before:
         np.testing.assert_array_equal(selector_before[name],
                                       selector_after[name])
-    trained_after = params.store.snapshot(STEP1_GROUPS)
+    trained_after = values(STEP1_GROUPS)
     moved = [n for n in trained_before
              if not np.array_equal(trained_before[n], trained_after[n])]
     assert any(n.startswith("classifier/") for n in moved)
@@ -528,6 +532,23 @@ def test_representation_dimensions_and_gating():
     assert reps_c.shape == (5, cfg.max_statements * cfg.embed_dim)
 
 
+def test_training_fit_records_no_tape(monkeypatch):
+    """train fits and calibrates on the frozen model scoring rebuilds, so
+    encoding the training and validation splits records no tape."""
+    train_recs, _, _ = tiny_corpus(n=40)
+    seen = []
+    original = train_module.masked_representations
+
+    def spy(params, samples, config):
+        seen.append([t.requires_grad for _, t in params.store.items()])
+        return original(params, samples, config)
+
+    monkeypatch.setattr(train_module, "masked_representations", spy)
+    train(tiny_config(epochs=1), train_recs)
+    assert len(seen) == 2
+    assert all(flags and not any(flags) for flags in seen)
+
+
 # --- package root -------------------------------------------------------------
 
 
@@ -626,15 +647,17 @@ def bad_record_setup(tmp_path_factory):
     return root, model_path, code.index("/*")
 
 
-@pytest.mark.parametrize("command", ["score", "eval"])
+@pytest.mark.parametrize("command", ["score", "eval", "normalize", "vocab"])
 def test_cli_bad_record_fails_fast(bad_record_setup, command, capsys, tmp_path):
     root, model_path, offset = bad_record_setup
     out = tmp_path / "out.csv"
     if command == "score":
         argv = ["score", "--model", model_path, "--data", str(root / "id.jsonl")]
-    else:
+    elif command == "eval":
         argv = ["eval", "--model", model_path, "--id-test", str(root / "id.jsonl"),
                 "--ood-test", str(root / "ood.jsonl")]
+    else:
+        argv = [command, "--data", str(root / "id.jsonl")]
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"sample 'bad-fn': unterminated block comment at byte offset {offset}" in err

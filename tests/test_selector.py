@@ -116,11 +116,17 @@ def test_rowwise_weight_sharing():
 def test_train_mode_needs_rng_and_is_seed_deterministic():
     _, params = make_selector()
     x = ad.constant(np.random.default_rng(4).normal(size=(1, 5, 4)))
-    with pytest.raises(GraphError):
-        selector_forward(x, params, train_flag=True)
-    a = selector_forward(x, params, train_flag=True, rng=np.random.default_rng(9))
-    b = selector_forward(x, params, train_flag=True, rng=np.random.default_rng(9))
+    # without a dropout rng the MLP runs with no dropout
+    h = x.data.reshape(5, 4)
+    for w, b in params.layers:
+        h = np.maximum(h @ w.data + b.data, 0.0)
+    plain = 1.0 / (1.0 + np.exp(-(h @ params.head[0].data + params.head[1].data)))
+    np.testing.assert_allclose(selector_forward(x, params, rng=None).data,
+                               plain.reshape(1, 5), atol=1e-12, rtol=0)
+    a = selector_forward(x, params, rng=np.random.default_rng(9))
+    b = selector_forward(x, params, rng=np.random.default_rng(9))
     np.testing.assert_array_equal(a.data, b.data)
+    assert not np.allclose(a.data, plain.reshape(1, 5))
 
 
 # ---------------------------------------------------------------------------
