@@ -7,6 +7,17 @@ from a scalar loss. Every op checks its output for NaN/Inf and raises
 NumericError naming the offending node, so a diverging run fails loudly
 instead of training on garbage.
 
+`backward` consumes the graph it walks. As soon as an interior node (one
+made by an op) has pushed its gradient to its parents, the node drops its
+`.grad`, its closure and its parents, so interior gradients and the arrays
+the closures captured are freed during the walk; only leaves keep their
+`.grad`. A consumed node keeps its `.data`, but a second `backward` through
+it, from the same loss or from a new one built on top of it, raises
+GraphError naming it. Gradients are owned: a closure returns, per parent,
+a fresh array, which the parent adopts as its `.grad` without a copy, or the
+incoming gradient, a view, or an array it also gave another parent, which
+is copied; later contributions are added into that `.grad` in place.
+
 Design limits, on purpose: CPU only, no broadcasting beyond what the ops
 documented here need, no higher-order gradients, no graph rewriting.
 """
@@ -440,6 +451,11 @@ def dropout(x: Tensor, retain: float, rng: np.random.Generator | None) -> Tensor
 # backward pass
 
 
+def _consumed(g):
+    """The closure of a node that backward has already walked."""
+    raise AssertionError("a consumed node is never called")
+
+
 def _topo_order(root: Tensor) -> list[Tensor]:
     order: list[Tensor] = []
     seen: set[int] = set()
@@ -460,27 +476,48 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate dloss/dx into .grad for every reachable tensor that
-    requires gradients. The loss must be a scalar."""
+    """Accumulate dloss/dx into .grad for every reachable leaf that requires
+    gradients, consuming the graph: each interior node releases its grad,
+    closure and parents once it has pushed its gradient. The loss must be a
+    scalar, and a graph is walked once; reaching a consumed node raises
+    GraphError."""
     if loss.data.size != 1:
         raise GraphError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
         return
+    order = _topo_order(loss)
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(_topo_order(loss)):
-        if node._backward is None or node.grad is None:
+    while order:
+        node = order.pop()
+        push = node._backward
+        if push is None:
+            continue  # a leaf keeps its gradient
+        if push is _consumed:
+            raise GraphError(f"node '{node.name}' was consumed by an earlier backward")
+        g_in, parents = node.grad, node._parents
+        node.grad, node._backward, node._parents = None, _consumed, ()
+        if g_in is None:
             continue
-        grads = node._backward(node.grad)
-        for parent, g in zip(node._parents, grads):
+        handed: list[np.ndarray] = []
+        for parent, g in zip(parents, push(g_in)):
             if g is None or not parent.requires_grad:
                 continue
-            g = np.asarray(g, dtype=np.float64).reshape(parent.data.shape)
+            g = np.asarray(g, dtype=np.float64)
+            # adopt a fresh array; copy the incoming grad, a view, or an
+            # array another parent already holds
+            owned = (g.base is None and g is not g_in
+                     and not any(g is h for h in handed))
+            if g.shape != parent.data.shape:
+                g = g.reshape(parent.data.shape)
             if CHECK_FINITE and not np.all(np.isfinite(g)):
                 raise NumericError(f"non-finite gradient flowing into '{parent.name}'")
-            if parent.grad is None:
-                parent.grad = g.copy() if g.base is not None else g
+            if parent.grad is not None:
+                parent.grad += g
+            elif owned:
+                parent.grad = g
+                handed.append(g)
             else:
-                parent.grad = parent.grad + g
+                parent.grad = g.copy()
 
 
 # ---------------------------------------------------------------------------

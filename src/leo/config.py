@@ -3,7 +3,7 @@ format, and the fingerprint string stamped into evaluation reports.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .scoring import SCORING_MODES
 

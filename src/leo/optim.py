@@ -138,7 +138,8 @@ def mlp_forward(x: Tensor, params: MLPParams,
 
 
 class Adam:
-    """Bias-corrected Adam. Moments and step counts are per parameter name."""
+    """Bias-corrected Adam, updating parameters and moments in place.
+    Moments and step counts are per parameter name."""
 
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
@@ -170,13 +171,23 @@ class Adam:
             v = self._v[name]
             t = self._t[name] + 1
             self._t[name] = t
+            # in place, in the operation order of
+            # p - lr * (m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps), so the
+            # result is bit for bit that formula's
+            step = np.multiply(g, 1.0 - self.beta1)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += step
+            np.multiply(g, 1.0 - self.beta2, out=step)
+            step *= g
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            v += step
+            np.divide(m, 1.0 - self.beta1 ** t, out=step)
+            step *= self.lr
+            denom = np.divide(v, 1.0 - self.beta2 ** t)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step /= denom
+            p.data -= step
 
 
 def clip_gradients(grads: list[np.ndarray], max_norm: float) -> float:

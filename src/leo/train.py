@@ -160,6 +160,7 @@ def _train_parameters(config: TrainConfig, vocab_size: int, train_samples,
                         dropout_rng=dropout_rng)
                     update(loss1, STEP1_GROUPS, "distribution loss")
                     dd_losses.append(float(loss1.data))
+                    del x1, loss1  # step 1's activations end before step 2
 
                 x2, lengths2 = encode_batch(batch, params.encoder,
                                             config.max_statements,

@@ -28,6 +28,14 @@ def adam_reference_trace(grads, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, x0=0.
     return out
 
 
+def adam_reference_step(p, g, m, v, t, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One out-of-place Adam update of arrays; returns the new (p, m, v)."""
+    m = beta1 * m + (1 - beta1) * g
+    v = beta2 * v + (1 - beta2) * g * g
+    p = p - lr * (m / (1 - beta1 ** t)) / (np.sqrt(v / (1 - beta2 ** t)) + eps)
+    return p, m, v
+
+
 def central_difference(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Plain two-point central differences of a scalar function of x."""
     x = x.astype(np.float64).copy()

@@ -1,7 +1,5 @@
 """Differentiation engine: analytic examples, finite-difference agreement,
 optimizer and clipping behavior, determinism."""
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +8,7 @@ from hypothesis import strategies as st
 from leo import autodiff as ad
 from leo.optim import Adam, ParameterStore, clip_gradients
 
-from oracles import adam_reference_trace, central_difference
+from oracles import adam_reference_step, adam_reference_trace, central_difference
 
 
 def t(data, grad=True, name="p"):
@@ -87,6 +85,89 @@ def test_unreachable_parameter_gets_no_gradient():
     loss = ad.reduce_sum(ad.mul(used, used))
     ad.backward(loss)
     assert unused.grad is None  # store.ensure_grads turns this into zeros
+
+
+# ---------------------------------------------------------------------------
+# backward consumes the graph and owns the gradients it hands out
+
+
+def test_backward_releases_interior_nodes_and_keeps_leaf_grads():
+    rng = np.random.default_rng(2)
+    x = t(rng.normal(size=(3, 4)), name="x")
+    w = t(rng.normal(size=(4, 2)), name="w")
+    h = ad.matmul(x, w)
+    r = ad.relu(ad.add(h, ad.constant(0.1)))
+    s = ad.reshape(r, (6,))
+    loss = ad.reduce_sum(ad.mul(s, s))
+    ad.backward(loss)
+    for node in (h, r, s, loss):
+        assert node.grad is None and node._parents == ()
+        assert node.data is not None
+    assert x.grad.shape == (3, 4) and w.grad.shape == (4, 2)
+    assert np.any(w.grad != 0.0)
+
+
+def test_second_backward_on_walked_graph_raises():
+    x = t([1.0, 2.0])
+    loss = ad.reduce_sum(ad.mul(x, x))
+    ad.backward(loss)
+    first = x.grad.copy()
+    with pytest.raises(ad.GraphError, match=loss.name):
+        ad.backward(loss)
+    assert np.array_equal(x.grad, first)
+
+
+def test_backward_through_consumed_interior_node_raises():
+    x = t([0.5, -1.0])
+    h = ad.mul(x, x)
+    ad.backward(ad.reduce_sum(h))
+    first = x.grad.copy()
+    with pytest.raises(ad.GraphError, match=h.name):
+        ad.backward(ad.reduce_sum(ad.exp(h)))
+    assert np.array_equal(x.grad, first)
+
+
+def test_add_of_two_leaves_gives_each_its_own_gradient():
+    rng = np.random.default_rng(4)
+    a = t(rng.normal(size=(3, 2)), name="a")
+    b = t(rng.normal(size=(3, 2)), name="b")
+    coeff = ad.constant(rng.normal(size=(3, 2)) * 10.0)
+    ad.backward(ad.reduce_sum(ad.mul(ad.add(a, b), coeff)))
+    assert a.grad is not b.grad
+    assert np.array_equal(a.grad, coeff.data) and np.array_equal(b.grad, coeff.data)
+    norm = clip_gradients([a.grad, b.grad], 1.0)
+    assert norm > 1.0
+    after = float(np.sqrt(np.sum(a.grad * a.grad) + np.sum(b.grad * b.grad)))
+    assert abs(after - 1.0) < 1e-12
+
+
+def test_one_fresh_gradient_for_two_parents_is_not_shared():
+    a = t([1.0, 2.0], name="a")
+    b = t([3.0, 4.0], name="b")
+
+    def backward(g):
+        shared = g * 2.0  # a fresh array handed to both parents
+        return shared, shared
+
+    ad.backward(ad.reduce_sum(ad._make(2.0 * (a.data + b.data), (a, b), backward, "twice")))
+    assert a.grad is not b.grad
+    assert np.array_equal(a.grad, [2.0, 2.0]) and np.array_equal(b.grad, [2.0, 2.0])
+
+
+def test_fan_out_accumulates_to_central_difference():
+    rng = np.random.default_rng(6)
+    x = ad.constant(rng.normal(size=(4, 3)))
+    w0 = rng.normal(size=(3, 3))
+
+    def build(w):
+        h = ad.tanh(ad.matmul(x, w))  # h feeds three consumers
+        return ad.add(ad.reduce_sum(ad.mul(h, h)),
+                      ad.reduce_mean(ad.exp(ad.add(h, ad.transpose(ad.transpose(h))))))
+
+    w = t(w0.copy(), name="w")
+    ad.backward(build(w))
+    expected = central_difference(lambda v: build(ad.constant(v)).item(), w0)
+    assert np.allclose(w.grad, expected, rtol=1e-7, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +400,24 @@ def test_adam_three_steps_match_reference_trace():
         p.grad = np.array([1.0])
         opt.step(store, ["g"])
         assert abs(p.data[0] - expected[step]) < 1e-12
+
+
+def test_adam_matches_reference_step_exactly():
+    rng = np.random.default_rng(12)
+    shape = (7, 5)
+    store = ParameterStore()
+    p = store.add("w", rng.normal(size=shape), "g")
+    data = p.data
+    ref_p, ref_m, ref_v = p.data.copy(), np.zeros(shape), np.zeros(shape)
+    opt = Adam(lr=3e-3)
+    for step in range(1, 6):
+        g = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3)
+        g[step::4] = 0.0  # all-zero gradient rows
+        p.grad = g
+        opt.step(store, ["g"])
+        ref_p, ref_m, ref_v = adam_reference_step(ref_p, g, ref_m, ref_v, step, lr=3e-3)
+        assert p.data is data
+        assert np.array_equal(p.data, ref_p)
 
 
 def test_adam_untouched_group_stays_put():

@@ -8,7 +8,6 @@ import leo.autodiff as ad
 from leo.autodiff import GraphError, finite_difference_check
 from leo.encoder import encode_batch, init_encoder_params
 from leo.losses import (
-    ClusterAssignment,
     assign_clusters,
     batch_cross_entropy,
     classifier_forward,

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import leo.train as train_module
-from leo import autodiff as ad
 from leo.autodiff import NumericError, backward
 from leo.cli import main
 from leo.config import TrainConfig, load_config, parse_config_text
