@@ -24,7 +24,6 @@ documented here need, no higher-order gradients, no graph rewriting.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -111,16 +110,6 @@ def add(a, b) -> Tensor:
     return _make(data, (a, b), backward, "add")
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data - b.data
-
-    def backward(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
-
-    return _make(data, (a, b), backward, "sub")
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     data = a.data * b.data
@@ -146,13 +135,6 @@ def div(a, b) -> Tensor:
         )
 
     return _make(data, (a, b), backward, "div")
-
-
-def neg(a: Tensor) -> Tensor:
-    def backward(g):
-        return (-g,)
-
-    return _make(-a.data, (a,), backward, "neg")
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -195,15 +177,6 @@ def sqrt(a: Tensor) -> Tensor:
     return _make(data, (a,), backward, "sqrt")
 
 
-def relu(a: Tensor) -> Tensor:
-    data = np.maximum(a.data, 0.0)
-
-    def backward(g):
-        return (g * (a.data > 0.0),)
-
-    return _make(data, (a,), backward, "relu")
-
-
 def sigmoid(a: Tensor) -> Tensor:
     # stable in both tails
     data = np.where(a.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(a.data))),
@@ -213,15 +186,6 @@ def sigmoid(a: Tensor) -> Tensor:
         return (g * data * (1.0 - data),)
 
     return _make(data, (a,), backward, "sigmoid")
-
-
-def tanh(a: Tensor) -> Tensor:
-    data = np.tanh(a.data)
-
-    def backward(g):
-        return (g * (1.0 - data * data),)
-
-    return _make(data, (a,), backward, "tanh")
 
 
 def maximum_const(a: Tensor, floor: float) -> Tensor:
@@ -277,21 +241,6 @@ def reshape(a: Tensor, shape) -> Tensor:
         return (g.reshape(a.data.shape),)
 
     return _make(a.data.reshape(shape), (a,), backward, "reshape")
-
-
-def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        return tuple(
-            np.take(g, range(offsets[i], offsets[i + 1]), axis=axis)
-            for i in range(len(tensors))
-        )
-
-    return _make(data, tuple(tensors), backward, "concat")
 
 
 def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
@@ -352,18 +301,6 @@ def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(g, a.data.shape).copy(),)
 
     return _make(data, (a,), backward, "sum_axis")
-
-
-def mean_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    n = a.data.shape[axis]
-    data = a.data.mean(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g / n, a.data.shape).copy(),)
-
-    return _make(data, (a,), backward, "mean_axis")
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -518,73 +455,3 @@ def backward(loss: Tensor) -> None:
                 handed.append(g)
             else:
                 parent.grad = g.copy()
-
-
-# ---------------------------------------------------------------------------
-# finite-difference checking
-
-
-@dataclass
-class FiniteDifferenceReport:
-    """Per-parameter worst relative error of analytic vs central differences."""
-    max_rel_error: float
-    per_param: dict[str, float] = field(default_factory=dict)
-    flagged: list[tuple[str, int, float]] = field(default_factory=list)  # (name, flat index, err)
-
-    def ok(self, tol: float) -> bool:
-        return self.max_rel_error < tol
-
-
-def finite_difference_check(loss_fn, params: dict[str, Tensor], h: float = 1e-5,
-                            tol: float = 1e-4, sample_threshold: int = 10_000,
-                            sample_coords: int = 64, zero_floor: float = 1e-6,
-                            rng: np.random.Generator | None = None) -> FiniteDifferenceReport:
-    """Compare analytic gradients against central finite differences.
-
-    `loss_fn` must rebuild the graph from scratch (including any noise, from
-    a freshly seeded stream) and return the scalar loss Tensor; it is called
-    once per perturbed coordinate, so it has to be deterministic. Tensors
-    larger than `sample_threshold` elements are checked on `sample_coords`
-    random coordinates (at least 32); smaller tensors are checked fully.
-    Coordinates where both gradients are below `zero_floor` in magnitude
-    count as exact (zero-gradient parameters produce FD noise of order h^2).
-    """
-    if not 1e-6 <= h <= 1e-4:
-        raise GraphError(f"finite-difference step {h} outside [1e-6, 1e-4]")
-    rng = rng or np.random.default_rng(0)
-
-    for p in params.values():
-        p.grad = None
-    loss = loss_fn()
-    backward(loss)
-    analytic = {name: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
-                for name, p in params.items()}
-
-    report = FiniteDifferenceReport(max_rel_error=0.0)
-    for name, p in params.items():
-        flat = p.data.reshape(-1)
-        size = flat.size
-        if size > sample_threshold:
-            count = max(32, min(sample_coords, size))
-            coords = rng.choice(size, size=count, replace=False)
-        else:
-            coords = np.arange(size)
-        worst = 0.0
-        for idx in coords:
-            orig = flat[idx]
-            flat[idx] = orig + h
-            up = loss_fn().item()
-            flat[idx] = orig - h
-            down = loss_fn().item()
-            flat[idx] = orig
-            numeric = (up - down) / (2.0 * h)
-            exact = analytic[name].reshape(-1)[idx]
-            denom = max(abs(exact), abs(numeric))
-            err = 0.0 if denom < zero_floor else abs(exact - numeric) / denom
-            if err > worst:
-                worst = err
-            if err > tol:
-                report.flagged.append((name, int(idx), err))
-        report.per_param[name] = worst
-        report.max_rel_error = max(report.max_rel_error, worst)
-    return report

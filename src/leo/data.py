@@ -16,7 +16,6 @@ class DatasetRecord:
     code: str
     label: int
     cwe: str = ""
-    role: str = ""
 
 
 def load_dataset(path: str) -> list[DatasetRecord]:
@@ -79,9 +78,4 @@ def split_dataset(records, seed: int, val_fraction: float = 0.2):
     perm = np.random.default_rng(seed).permutation(len(ordered))
     shuffled = [ordered[i] for i in perm]
     n_val = max(1, int(len(ordered) * val_fraction))
-    train, val = shuffled[:-n_val], shuffled[-n_val:]
-    for r in train:
-        r.role = "train"
-    for r in val:
-        r.role = "val"
-    return train, val
+    return shuffled[:-n_val], shuffled[-n_val:]

@@ -31,12 +31,15 @@ class EncoderParams:
     embedding: Tensor    # (vocab_size, dim)
     conv_kernel: Tensor  # (kernel_size, dim, dim)
     conv_bias: Tensor    # (dim,)
-    kernel_size: int
     dropout_retain: float
 
     @property
     def dim(self) -> int:
         return self.embedding.data.shape[1]
+
+    @property
+    def kernel_size(self) -> int:
+        return self.conv_kernel.data.shape[0]
 
 
 def init_encoder_params(store: ParameterStore, vocab_size: int, embed_dim: int,
@@ -68,7 +71,6 @@ def init_encoder_params(store: ParameterStore, vocab_size: int, embed_dim: int,
                                  (kernel_size, embed_dim, embed_dim),
                                  normal(rng, np.sqrt(2.0 / (kernel_size * embed_dim)))),
         conv_bias=store.create("encoder/conv_bias", "encoder", (embed_dim,)),
-        kernel_size=kernel_size,
         dropout_retain=dropout_retain,
     )
 
@@ -100,7 +102,7 @@ def _encode_stack(ids: np.ndarray, lengths: np.ndarray, params: EncoderParams,
                   rng: np.random.Generator | None) -> Tensor:
     """Shared conv over S padded statements -> (S, dim) statement vectors."""
     emb = ad.dropout(_embed_ids(ids, params), params.dropout_retain, rng)
-    h = ad.relu(ad.conv1d(emb, params.conv_kernel, params.conv_bias))
+    h = ad.maximum_const(ad.conv1d(emb, params.conv_kernel, params.conv_bias), 0.0)
     windows = h.data.shape[1]
     valid = np.maximum(lengths - params.kernel_size + 1, 1)
     window_ok = (np.arange(windows)[None, :] < valid[:, None]).astype(np.float64)

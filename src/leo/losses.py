@@ -85,7 +85,7 @@ def batch_cross_entropy(probs: Tensor, labels) -> Tensor:
     onehot[np.arange(n), labels] = 1.0
     clamped = ad.minimum_const(ad.maximum_const(probs, _PROB_FLOOR), 1.0)
     picked = ad.sum_axis(ad.mul(clamped, ad.constant(onehot)), axis=1)
-    return ad.reduce_mean(ad.neg(ad.log(picked)))
+    return ad.reduce_mean(ad.scale(ad.log(picked), -1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +221,6 @@ def unit_rows(x: np.ndarray) -> np.ndarray:
 class ClusterAssignment:
     """Cluster index per batch element; -1 marks the non-vulnerable."""
     cluster_of: np.ndarray
-    centroids: np.ndarray
     k_effective: int
 
 
@@ -238,16 +237,15 @@ def assign_clusters(flat_reps: np.ndarray, labels, k: int,
     cluster_of = np.full(labels.shape[0], -1, dtype=np.int64)
     vulnerable = np.flatnonzero(labels == 1)
     if vulnerable.size == 0:
-        return ClusterAssignment(cluster_of, np.zeros((0, flat_reps.shape[1])), 0)
-    normalized = unit_rows(flat_reps[vulnerable])
+        return ClusterAssignment(cluster_of, 0)
     if variant == "supervised-class":
         cluster_of[vulnerable] = 0
-        return ClusterAssignment(cluster_of, normalized.mean(axis=0, keepdims=True), 1)
+        return ClusterAssignment(cluster_of, 1)
     if variant != "cluster":
         raise GraphError(f"unknown contrastive variant '{variant}'")
-    result = minibatch_kmeans(normalized, k, rng, max_iters)
+    result = minibatch_kmeans(unit_rows(flat_reps[vulnerable]), k, rng, max_iters)
     cluster_of[vulnerable] = result.labels
-    return ClusterAssignment(cluster_of, result.centroids, result.k_effective)
+    return ClusterAssignment(cluster_of, result.k_effective)
 
 
 def cluster_contrastive_loss(masked: Tensor, labels, cluster_of: np.ndarray,
@@ -289,7 +287,7 @@ def cluster_contrastive_loss(masked: Tensor, labels, cluster_of: np.ndarray,
     sims = ad.matmul(unit, ad.transpose(unit))
     scaled = ad.scale(sims, 1.0 / temperature)
     # per anchor: -(1/|C|) sum_c sim(i,c)/t + log sum_{a != i} exp(sim(i,a)/t)
-    pull = ad.reduce_sum(ad.mul(ad.constant(peer_weight), ad.neg(scaled)))
+    pull = ad.reduce_sum(ad.mul(ad.constant(peer_weight), ad.scale(scaled, -1.0)))
     off_diag = ad.constant(1.0 - np.eye(n))
     denom = ad.sum_axis(ad.mul(ad.exp(scaled), off_diag), axis=1)
     push = ad.reduce_sum(ad.mul(ad.constant(anchor), ad.log(denom)))
@@ -312,37 +310,30 @@ class JointLossParts:
 def joint_loss(x: Tensor, true_lengths, labels, selector: MLPParams,
                classifier: MLPParams, *, relax_temp: float,
                temperature: float, contrastive_weight: float, clusters: int,
-               rng: np.random.Generator | None, variant: str = "cluster",
+               rng: np.random.Generator, variant: str = "cluster",
                kmeans_iters: int = 10,
-               dropout_rng: np.random.Generator | None = None,
-               noise_override=None,
-               assignment_override: ClusterAssignment | None = None) -> JointLossParts:
+               dropout_rng: np.random.Generator | None = None) -> JointLossParts:
     """Gated cross-entropy plus the weighted contrastive term.
 
-    One gate sample per function per call. `noise_override` fixes the
-    Gumbel pair (for gradient checks) and `assignment_override` freezes the
-    clustering. A zero contrastive_weight skips clustering entirely.
+    One gate sample per function per call: `rng` draws the Gumbel pair and
+    then seeds the per-batch clustering, so a freshly seeded stream gives
+    the same gates and clusters on every call. A zero contrastive_weight
+    skips clustering entirely.
     """
+    if rng is None:
+        raise GraphError("joint_loss needs an rng to sample gates")
     b, rows, _ = x.data.shape
     labels = np.asarray(labels, dtype=np.int64)
     scores = selector_presigmoid(x, selector, dropout_rng)
-    if noise_override is None:
-        if rng is None:
-            raise GraphError("joint_loss needs an rng to sample gates")
-        noise_override = (sample_gumbel((b, rows), rng), sample_gumbel((b, rows), rng))
+    noise = (sample_gumbel((b, rows), rng), sample_gumbel((b, rows), rng))
     z, masked, probs = gated_classifier(
-        x, relax_gates(scores, *noise_override, relax_temp), true_lengths,
+        x, relax_gates(scores, *noise, relax_temp), true_lengths,
         classifier, dropout_rng)
     ce = batch_cross_entropy(probs, labels)
     if contrastive_weight == 0.0:
         return JointLossParts(ce, ce, ad.constant(0.0), z, None)
-    if assignment_override is not None:
-        assignment = assignment_override
-    else:
-        if rng is None:
-            raise GraphError("joint_loss needs an rng to seed clustering")
-        assignment = assign_clusters(masked.data.reshape(b, -1), labels,
-                                     clusters, rng, variant, kmeans_iters)
+    assignment = assign_clusters(masked.data.reshape(b, -1), labels,
+                                 clusters, rng, variant, kmeans_iters)
     ccl = cluster_contrastive_loss(masked, labels, assignment.cluster_of,
                                    temperature)
     total = ad.add(ce, ad.scale(ccl, contrastive_weight))

@@ -27,14 +27,20 @@ class ScoreSet:
             raise ValueError("scores must be finite")
 
 
+def nearest_rank_quantile(values: np.ndarray, quantile: float) -> float:
+    """The ceil(quantile * n)-th smallest of n > 0 values (the smallest when
+    that rank rounds to zero)."""
+    if not 0.0 < quantile < 1.0:
+        raise ValueError("quantile must lie strictly inside (0, 1)")
+    ordered = np.sort(values)
+    rank = int(np.ceil(quantile * ordered.size))
+    return float(ordered[max(rank, 1) - 1])
+
+
 def fpr_at_tpr(scores: ScoreSet, tpr: float = 0.95) -> float:
     """Fraction of OOD scores at or below the nearest-rank tpr-quantile of
     the ID scores (the threshold that keeps tpr of ID samples accepted)."""
-    if not 0.0 < tpr < 1.0:
-        raise ValueError("tpr must lie strictly inside (0, 1)")
-    ordered = np.sort(scores.id_scores)
-    rank = int(np.ceil(tpr * ordered.size))
-    threshold = ordered[max(rank, 1) - 1]
+    threshold = nearest_rank_quantile(scores.id_scores, tpr)
     return float(np.count_nonzero(scores.ood_scores <= threshold)
                  / scores.ood_scores.size)
 

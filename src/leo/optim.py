@@ -131,7 +131,7 @@ def mlp_forward(x: Tensor, params: MLPParams,
     dropout draws from `rng`; without one there is no dropout."""
     h = x
     for w, b in params.layers:
-        h = ad.dropout(ad.relu(ad.add(ad.matmul(h, w), b)),
+        h = ad.dropout(ad.maximum_const(ad.add(ad.matmul(h, w), b), 0.0),
                        params.dropout_retain, rng)
     w, b = params.head
     return ad.add(ad.matmul(h, w), b)

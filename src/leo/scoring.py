@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .losses import minibatch_kmeans
+from .metrics import nearest_rank_quantile
 
 
 @dataclass
@@ -139,10 +140,7 @@ def calibrate_threshold(scores, quantile: float = 0.95) -> float:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise ValueError("cannot calibrate a threshold from zero scores")
-    if not 0.0 < quantile < 1.0:
-        raise ValueError("quantile must lie strictly inside (0, 1)")
+    threshold = nearest_rank_quantile(scores, quantile)
     if scores.size < 20:
         warnings.warn(f"calibrating on only {scores.size} scores")
-    ordered = np.sort(scores)
-    rank = int(np.ceil(quantile * scores.size))
-    return float(ordered[max(rank, 1) - 1])
+    return threshold

@@ -160,14 +160,7 @@ def generate_synthetic(n_per_id_family: int, n_ood: int, seed: int,
     order = rng.permutation(len(pool))
     shuffled = [pool[i] for i in order]
     n_test = max(1, int(len(shuffled) * id_test_fraction))
-    id_test, train = shuffled[:n_test], shuffled[n_test:]
-    for r in train:
-        r.role = "train"
-    for r in id_test:
-        r.role = "test-id"
-    for r in ood:
-        r.role = "test-ood"
-    return train, id_test, ood
+    return shuffled[n_test:], shuffled[:n_test], ood
 
 
 def write_corpus(out_dir: str, n_per_id_family: int, n_ood: int, seed: int):

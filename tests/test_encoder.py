@@ -3,12 +3,16 @@ import numpy as np
 import pytest
 
 import leo.autodiff as ad
-from leo.autodiff import GraphError, finite_difference_check
+from leo.autodiff import GraphError
 from leo.encoder import encode_batch, init_encoder_params
 from leo.normalize import PAD_ID
 from leo.optim import ParameterStore
 
-from oracles import encode_function_reference, encode_statement_reference
+from oracles import (
+    encode_function_reference,
+    encode_statement_reference,
+    finite_difference_check,
+)
 
 
 def make_params(vocab=9, dim=4, kernel=3, seed=0, retain=0.8):

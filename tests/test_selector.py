@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import leo.autodiff as ad
-from leo.autodiff import GraphError, finite_difference_check
+from leo.autodiff import GraphError
 from leo.optim import ParameterStore
 from leo.selector import (
     apply_mask,
@@ -17,7 +17,7 @@ from leo.selector import (
     selector_presigmoid,
 )
 
-from oracles import relaxed_bernoulli_reference
+from oracles import finite_difference_check, relaxed_bernoulli_reference
 
 EULER_GAMMA = 0.5772156649015329
 
