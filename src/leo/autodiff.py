@@ -354,7 +354,9 @@ def conv1d(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     for j in range(k):
         cols[:, :, j * c_in:(j + 1) * c_in] = x.data[:, j:j + t_out, :]
     w2 = weights.data.reshape(k * c_in, f)
-    data = (cols.reshape(n * t_out, k * c_in) @ w2 + bias.data).reshape(n, t_out, f)
+    data = cols.reshape(n * t_out, k * c_in) @ w2
+    data += bias.data  # in place: one output-sized array, not two
+    data = data.reshape(n, t_out, f)
 
     def backward(g):
         g2 = g.reshape(n * t_out, f)

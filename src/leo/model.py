@@ -120,11 +120,13 @@ def _pack_str(text: str) -> bytes:
 
 
 class _Reader:
-    def __init__(self, buf: bytes):
+    """Cursor over a section payload; `take` hands out views, not copies."""
+
+    def __init__(self, buf: memoryview):
         self.buf = buf
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if n < 0 or self.pos + n > len(self.buf):
             raise ModelFormatError("section payload truncated")
         out = self.buf[self.pos:self.pos + n]
@@ -138,7 +140,7 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
     def string(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+        return str(self.take(self.u32()), "utf-8")
 
     def done(self, tag: bytes) -> None:
         if self.pos != len(self.buf):
@@ -153,7 +155,7 @@ def _encode_vocab(vocab: Vocabulary) -> bytes:
     return b"".join(parts)
 
 
-def _decode_vocab(payload: bytes) -> Vocabulary:
+def _decode_vocab(payload: memoryview) -> Vocabulary:
     r = _Reader(payload)
     count = r.u32()
     tokens = tuple(r.string() for _ in range(count))
@@ -172,7 +174,7 @@ def _encode_tensors(tensors: dict) -> bytes:
     return b"".join(parts)
 
 
-def _decode_tensors(payload: bytes) -> dict:
+def _decode_tensors(payload: memoryview) -> dict:
     r = _Reader(payload)
     count = r.u32()
     tensors = {}
@@ -200,7 +202,7 @@ def _encode_stats(stats: ClusterStatistics) -> bytes:
     return b"".join(parts)
 
 
-def _decode_stats(payload: bytes) -> ClusterStatistics:
+def _decode_stats(payload: memoryview) -> ClusterStatistics:
     r = _Reader(payload)
     diagonal = bool(r.u8())
     mode = r.string()
@@ -240,12 +242,15 @@ def deserialize_model(blob: bytes) -> ModelArtifact:
         raise ModelFormatError("file too short to be a model container")
     if blob[:4] != MAGIC:
         raise ModelFormatError(f"bad magic {blob[:4]!r}, expected {MAGIC!r}")
-    stored_crc = struct.unpack("<I", blob[-4:])[0]
-    actual_crc = zlib.crc32(blob[:-4]) & 0xFFFFFFFF
+    # Sections are parsed from views of the blob, so that the only copy a
+    # load makes of the parameter bytes is the tensors it returns.
+    view = memoryview(blob)
+    stored_crc = struct.unpack("<I", view[-4:])[0]
+    actual_crc = zlib.crc32(view[:-4]) & 0xFFFFFFFF
     if stored_crc != actual_crc:
         raise ModelFormatError(
             f"checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}")
-    version = struct.unpack("<I", blob[4:8])[0]
+    version = struct.unpack("<I", view[4:8])[0]
     if version != VERSION:
         raise ModelFormatError(f"unsupported format version {version}")
     sections = {}
@@ -254,16 +259,16 @@ def deserialize_model(blob: bytes) -> ModelArtifact:
     while pos < end:
         if pos + 8 > end:
             raise ModelFormatError("truncated section header")
-        tag = blob[pos:pos + 4]
+        tag = bytes(view[pos:pos + 4])
         if tag not in _SECTION_ORDER:
             raise ModelFormatError(f"unknown section tag {tag!r}")
         if tag in sections:
             raise ModelFormatError(f"duplicate section {tag!r}")
-        length = struct.unpack("<I", blob[pos + 4:pos + 8])[0]
+        length = struct.unpack("<I", view[pos + 4:pos + 8])[0]
         pos += 8
         if pos + length > end:
             raise ModelFormatError(f"section {tag!r} payload truncated")
-        sections[tag] = blob[pos:pos + length]
+        sections[tag] = view[pos:pos + length]
         pos += length
     missing = [t for t in _SECTION_ORDER if t not in sections]
     if missing:
@@ -273,11 +278,11 @@ def deserialize_model(blob: bytes) -> ModelArtifact:
         artifact = ModelArtifact(
             vocab=_decode_vocab(sections[b"VOCB"]),
             tensors=_decode_tensors(sections[b"TENS"]),
-            config=TrainConfig(**parse_config_text(sections[b"CONF"].decode("utf-8"))),
+            config=TrainConfig(**parse_config_text(str(sections[b"CONF"], "utf-8"))),
             stats=_decode_stats(sections[b"CLST"]),
             threshold=threshold,
             quantile=quantile,
-            log_digest=sections[b"LOGD"].decode("utf-8"),
+            log_digest=str(sections[b"LOGD"], "utf-8"),
             version=version,
         )
     except ModelFormatError:
