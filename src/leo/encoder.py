@@ -45,8 +45,8 @@ class EncoderParams:
 def init_encoder_params(store: ParameterStore, vocab_size: int, embed_dim: int,
                         rng: np.random.Generator | None, kernel_size: int = 3,
                         dropout_retain: float = 0.8) -> EncoderParams:
-    """Declare encoder parameters in the "encoder" group. `rng` is only
-    drawn from by a store that draws (None for a stored one).
+    """Declare the encoder/ parameters. `rng` is only drawn from by a store
+    that draws (None for a stored one).
 
     The padding row of the embedding starts at zero and never receives
     gradient (padding positions are masked out of the graph), so padded
@@ -65,12 +65,12 @@ def init_encoder_params(store: ParameterStore, vocab_size: int, embed_dim: int,
         return emb
 
     return EncoderParams(
-        embedding=store.create("encoder/embedding", "encoder",
-                               (vocab_size, embed_dim), embedding_draw),
-        conv_kernel=store.create("encoder/conv_kernel", "encoder",
+        embedding=store.create("encoder/embedding", (vocab_size, embed_dim),
+                               embedding_draw),
+        conv_kernel=store.create("encoder/conv_kernel",
                                  (kernel_size, embed_dim, embed_dim),
                                  normal(rng, np.sqrt(2.0 / (kernel_size * embed_dim)))),
-        conv_bias=store.create("encoder/conv_bias", "encoder", (embed_dim,)),
+        conv_bias=store.create("encoder/conv_bias", (embed_dim,)),
         dropout_retain=dropout_retain,
     )
 

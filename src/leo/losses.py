@@ -37,10 +37,10 @@ def init_classifier_params(store: ParameterStore, input_dim: int,
                            rng: np.random.Generator | None,
                            hidden_sizes=(300, 100),
                            dropout_retain: float = 0.8) -> MLPParams:
-    """MLP on the flattened masked matrix with a two-way head, in the
-    "classifier" group."""
-    return init_mlp_params(store, "classifier", "classifier", input_dim,
-                           hidden_sizes, 2, rng, dropout_retain)
+    """MLP on the flattened masked matrix with a two-way head, named
+    classifier/."""
+    return init_mlp_params(store, "classifier", input_dim, hidden_sizes, 2,
+                           rng, dropout_retain)
 
 
 def classifier_forward(x: Tensor, params: MLPParams,

@@ -1,6 +1,6 @@
 """The model's parameters and their persistence.
 
-init_model declares every parameter (name, group, shape, store order)
+init_model declares every parameter (name, shape, store order)
 through the encoder / selector / classifier constructors and draws fresh
 values; model_from_artifact walks the same constructors over an artifact's
 stored tensors instead, so the layout is stated once. An artifact whose
@@ -18,11 +18,13 @@ CONF (config snapshot as key = value text), CLST (cluster statistics),
 THRS (threshold + quantile), LOGD (training log digest). Parameters are
 stored as little-endian float32; cluster statistics and the threshold are
 float64 because scoring is calibrated after the float32 quantization.
-Unknown or repeated section tags, and bytes left over after a section's
-content, are rejected; every decoding failure raises ModelFormatError.
+Unknown or repeated section tags, bytes left over after a section's
+content, and CLST or THRS contents that CONF's scoring could not have fit
+are rejected; every decoding failure raises ModelFormatError.
 """
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -35,7 +37,7 @@ from .encoder import EncoderParams, init_encoder_params
 from .losses import init_classifier_params
 from .normalize import Vocabulary
 from .optim import MLPParams, ParameterStore
-from .scoring import ClusterStatistics
+from .scoring import ClusterStatistics, representation_dim
 from .selector import init_selector_params
 
 MAGIC = b"LEO1"
@@ -220,6 +222,31 @@ def _decode_stats(payload: memoryview) -> ClusterStatistics:
                              mode=mode)
 
 
+def _check_calibration(artifact: ModelArtifact) -> None:
+    """CLST and THRS must be statistics and a threshold that scoring under
+    the artifact's config could have fit; each mismatch names its field."""
+    config, stats = artifact.config, artifact.stats
+    if stats.mode != config.scoring_mode:
+        raise ModelFormatError(f"CLST mode {stats.mode!r} does not match "
+                               f"scoring_mode {config.scoring_mode!r}")
+    if stats.diagonal_covariance != (config.scoring_mode == "concat-diagonal"):
+        raise ModelFormatError(
+            f"CLST diagonal flag {stats.diagonal_covariance} does not match "
+            f"scoring_mode {config.scoring_mode!r}")
+    if stats.k < 1:
+        raise ModelFormatError("CLST k is 0; scoring needs at least one cluster")
+    if stats.dim != representation_dim(config):
+        raise ModelFormatError(f"CLST dim {stats.dim} is not the config's "
+                               f"representation width {representation_dim(config)}")
+    for name in ("means", "inverses"):
+        if not np.isfinite(getattr(stats, name)).all():
+            raise ModelFormatError(f"CLST {name} are not all finite")
+    if not math.isfinite(artifact.threshold):
+        raise ModelFormatError(f"THRS threshold {artifact.threshold} is not finite")
+    if not 0.0 < artifact.quantile < 1.0:
+        raise ModelFormatError(f"THRS quantile {artifact.quantile} is not inside (0, 1)")
+
+
 def serialize_model(artifact: ModelArtifact) -> bytes:
     sections = {
         b"VOCB": _encode_vocab(artifact.vocab),
@@ -289,6 +316,7 @@ def deserialize_model(blob: bytes) -> ModelArtifact:
         raise
     except (ValueError, TypeError, struct.error) as exc:  # UnicodeDecodeError is a ValueError
         raise ModelFormatError(f"malformed section content: {exc}") from exc
+    _check_calibration(artifact)
     # model_from_artifact's tensor checks, on zero-stride float64 stand-ins
     # so that loading widens and copies nothing.
     _stored_model(artifact, {name: np.broadcast_to(0.0, np.shape(arr))

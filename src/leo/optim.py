@@ -1,10 +1,10 @@
 """Parameter storage, the shared ReLU MLP, Adam, and global-norm clipping.
 
-Parameters are grouped ("encoder", "selector", "classifier") so the two
-training steps can update disjoint subsets. Adam keeps per-parameter moment
-buffers and step counts, which keeps bias correction right for parameters
-that only some steps touch. The selector and the classifier are both an
-MLPParams run by mlp_forward.
+A training step updates exactly the parameters its loss reached: Adam and
+clipping act on the parameters that hold a gradient after backward, in
+store order. Adam keeps per-parameter moment buffers and step counts, which
+keeps bias correction right for parameters that only some steps reach. The
+selector and the classifier are both an MLPParams run by mlp_forward.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from .autodiff import GraphError, Tensor
 
 
 class ParameterStore:
-    """Insertion-ordered name -> Tensor map with a group label per tensor.
+    """Insertion-ordered name -> Tensor map.
 
     `create` declares a parameter. A plain store draws its initial value and
     makes it trainable. A store over `stored` values (name -> float64 array,
@@ -31,31 +31,28 @@ class ParameterStore:
 
     def __init__(self, stored: dict | None = None):
         self._params: dict[str, Tensor] = {}
-        self._groups: dict[str, str] = {}
         self._stored = stored
 
-    def add(self, name: str, data: np.ndarray, group: str) -> Tensor:
+    def add(self, name: str, data: np.ndarray) -> Tensor:
         if name in self._params:
             raise GraphError(f"duplicate parameter name '{name}'")
         t = Tensor(np.asarray(data, dtype=np.float64), requires_grad=True, name=name)
         self._params[name] = t
-        self._groups[name] = group
         return t
 
-    def create(self, name: str, group: str, shape: tuple,
+    def create(self, name: str, shape: tuple,
                draw: Callable[[tuple], np.ndarray] | None = None) -> Tensor:
         """Declare parameter `name` of `shape`: draw(shape) is its initial
         value (zeros without a draw), or its stored value."""
         if self._stored is None:
-            return self.add(name, np.zeros(shape) if draw is None else draw(shape),
-                            group)
+            return self.add(name, np.zeros(shape) if draw is None else draw(shape))
         if name not in self._stored:
             raise GraphError(f"no stored value for parameter '{name}'")
         data = self._stored[name]
         if data.shape != shape:
             raise GraphError(f"parameter '{name}' is stored with shape "
                              f"{data.shape}, declared {shape}")
-        t = self.add(name, data, group)
+        t = self.add(name, data)
         t.requires_grad = False
         return t
 
@@ -65,26 +62,16 @@ class ParameterStore:
     def names(self) -> list[str]:
         return list(self._params)
 
-    def group_of(self, name: str) -> str:
-        return self._groups[name]
-
     def items(self):
         return self._params.items()
 
-    def in_groups(self, groups) -> list[tuple[str, Tensor]]:
-        wanted = set(groups)
-        return [(n, t) for n, t in self._params.items() if self._groups[n] in wanted]
-
-    def zero_grads(self, groups=None) -> None:
-        selected = self._params.items() if groups is None else self.in_groups(groups)
-        for _, t in selected:
+    def zero_grads(self) -> None:
+        for t in self._params.values():
             t.grad = None
 
-    def ensure_grads(self, groups) -> None:
-        """Give zero gradients to selected parameters the loss never reached."""
-        for _, t in self.in_groups(groups):
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
+    def with_grads(self) -> list[tuple[str, Tensor]]:
+        """The parameters the last backward reached, in store order."""
+        return [(n, t) for n, t in self._params.items() if t.grad is not None]
 
 
 def normal(rng: np.random.Generator, std: float) -> Callable[[tuple], np.ndarray]:
@@ -101,8 +88,8 @@ class MLPParams:
     dropout_retain: float
 
 
-def init_mlp_params(store: ParameterStore, prefix: str, group: str,
-                    input_dim: int, hidden_sizes, out_dim: int,
+def init_mlp_params(store: ParameterStore, prefix: str, input_dim: int,
+                    hidden_sizes, out_dim: int,
                     rng: np.random.Generator | None,
                     dropout_retain: float = 0.8) -> MLPParams:
     """Declare an MLP's weights: He-normal matrices, zero biases. `rng` is
@@ -115,13 +102,13 @@ def init_mlp_params(store: ParameterStore, prefix: str, group: str,
     fan_in = input_dim
     for i, width in enumerate(hidden_sizes):
         layers.append((
-            store.create(f"{prefix}/w{i}", group, (fan_in, width),
+            store.create(f"{prefix}/w{i}", (fan_in, width),
                          normal(rng, math.sqrt(2.0 / fan_in))),
-            store.create(f"{prefix}/b{i}", group, (width,))))
+            store.create(f"{prefix}/b{i}", (width,))))
         fan_in = width
-    head = (store.create(f"{prefix}/head_w", group, (fan_in, out_dim),
+    head = (store.create(f"{prefix}/head_w", (fan_in, out_dim),
                          normal(rng, math.sqrt(2.0 / fan_in))),
-            store.create(f"{prefix}/head_b", group, (out_dim,)))
+            store.create(f"{prefix}/head_b", (out_dim,)))
     return MLPParams(layers, head, dropout_retain)
 
 
@@ -147,20 +134,14 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.step_count = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self._t: dict[str, int] = {}
 
-    def step(self, store: ParameterStore, groups) -> None:
-        """Apply one update to every parameter in `groups`. Each selected
-        parameter must have a populated gradient."""
-        selected = store.in_groups(groups)
-        for name, p in selected:
-            if p.grad is None:
-                raise GraphError(f"parameter '{name}' selected for update but has no gradient")
-        self.step_count += 1
-        for name, p in selected:
+    def step(self, store: ParameterStore) -> None:
+        """Apply one update to every parameter that holds a gradient; the
+        others, with their moments and step counts, stay as they are."""
+        for name, p in store.with_grads():
             g = p.grad
             m = self._m.get(name)
             if m is None:
@@ -206,5 +187,5 @@ def clip_gradients(grads: list[np.ndarray], max_norm: float) -> float:
     return norm
 
 
-def clip_store_gradients(store: ParameterStore, groups, max_norm: float) -> float:
-    return clip_gradients([t.grad for _, t in store.in_groups(groups)], max_norm)
+def clip_store_gradients(store: ParameterStore, max_norm: float) -> float:
+    return clip_gradients([t.grad for _, t in store.with_grads()], max_norm)

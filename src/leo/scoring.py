@@ -46,6 +46,15 @@ class ClusterStatistics:
 SCORING_MODES = ("pooled-d", "concat-diagonal")
 
 
+def representation_dim(config) -> int:
+    """Width of a TrainConfig's scoring representation: one statement
+    vector for pooled-d, the flattened gated (max_statements, embed_dim)
+    matrix for concat-diagonal."""
+    if config.scoring_mode == "pooled-d":
+        return config.embed_dim
+    return config.max_statements * config.embed_dim
+
+
 def _invert_spd(cov: np.ndarray, eps: float) -> tuple[np.ndarray, float]:
     """Inverse of cov + eps*I via its triangular factor; on factorization
     failure the shrinkage grows tenfold, at most three times."""

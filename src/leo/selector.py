@@ -27,9 +27,9 @@ def init_selector_params(store: ParameterStore, input_dim: int,
                          rng: np.random.Generator | None,
                          hidden_sizes=(100, 100, 100),
                          dropout_retain: float = 0.8) -> MLPParams:
-    """Row-wise MLP with a scalar head, in the "selector" group."""
-    return init_mlp_params(store, "selector", "selector", input_dim,
-                           hidden_sizes, 1, rng, dropout_retain)
+    """Row-wise MLP with a scalar head, named selector/."""
+    return init_mlp_params(store, "selector", input_dim, hidden_sizes, 1, rng,
+                           dropout_retain)
 
 
 def selector_presigmoid(x: Tensor, params: MLPParams,

@@ -1,16 +1,17 @@
 """The two-step training loop, post-training calibration, and evaluation.
 
-Each batch takes two updates. The first trains the classifier (and the
-encoder feeding it) on randomly masked functions so it respects the data
-distribution rather than the selector's current choices; the second trains
-the selector, classifier, and encoder jointly on the gated cross-entropy
-plus the weighted cluster-contrastive term. Dropout and relaxed gates are
-sampled only here, where a dropout rng is passed; every forward pass without
-one is deterministic. After the final epoch the parameters are rounded to
-their stored float32 form and rebuilt frozen by model_from_artifact, the
-same rebuild scoring uses: cluster statistics are fit on the training
-split's masked representations under that model, and the decision threshold
-is calibrated on the validation split.
+Each batch takes two updates, each on the parameters its loss reaches. The
+first trains the classifier and encoder on randomly masked functions, so it
+respects the data distribution rather than the selector's current choices
+and never reaches the selector; the second trains the selector, classifier,
+and encoder jointly on the gated cross-entropy plus the weighted
+cluster-contrastive term. Dropout and relaxed gates are sampled only here,
+where a dropout rng is passed; every forward pass without one is
+deterministic. After the final epoch the parameters are rounded to their
+stored float32 form and rebuilt frozen by model_from_artifact, the same
+rebuild scoring uses: cluster statistics are fit on the training split's
+masked representations under that model, and the decision threshold is
+calibrated on the validation split.
 """
 from __future__ import annotations
 
@@ -30,13 +31,11 @@ from .metrics import ScoreSet, build_report
 from .model import ModelArtifact, ModelParams, init_model, model_from_artifact
 from .normalize import NormalizeError, Vocabulary, build_vocabulary, encode_tokens, normalize_source
 from .optim import Adam, clip_store_gradients
-from .scoring import calibrate_threshold, fit_cluster_statistics, mahalanobis_scores
+from .scoring import (calibrate_threshold, fit_cluster_statistics,
+                      mahalanobis_scores, representation_dim)
 from .selector import apply_mask, deterministic_mask, pad_gate, selector_forward
 
 log = logging.getLogger("leo")
-
-STEP1_GROUPS = ("classifier", "encoder")
-STEP2_GROUPS = ("selector", "classifier", "encoder")
 
 
 class TrainingError(RuntimeError):
@@ -85,8 +84,7 @@ def masked_representations(params: ModelParams, samples, config: TrainConfig):
     concat-diagonal is the whole gated matrix, flattened row-major."""
     n = len(samples)
     pooled = config.scoring_mode == "pooled-d"
-    rep_dim = config.embed_dim if pooled else config.max_statements * config.embed_dim
-    reps = np.zeros((n, rep_dim))
+    reps = np.zeros((n, representation_dim(config)))
     msp = np.zeros(n)
     for start in range(0, n, config.batch_size):
         chunk = samples[start:start + config.batch_size]
@@ -123,15 +121,15 @@ def _train_parameters(config: TrainConfig, vocab_size: int, train_samples,
     params = init_model(config, vocab_size, init_rng)
     adam = Adam(lr=config.learning_rate)
 
-    def update(loss: ad.Tensor, groups, what: str) -> None:
-        """One clipped Adam step on `groups` from a finite scalar loss."""
+    def update(loss: ad.Tensor, what: str) -> None:
+        """One clipped Adam step, from a finite scalar loss, on the
+        parameters that loss reaches."""
         if not np.isfinite(loss.data):
             raise NumericError(f"{what} is not finite")
         params.store.zero_grads()
         backward(loss)
-        params.store.ensure_grads(groups)
-        clip_store_gradients(params.store, groups, config.clip_norm)
-        adam.step(params.store, groups)
+        clip_store_gradients(params.store, config.clip_norm)
+        adam.step(params.store)
 
     weight = 0.0 if config.ablate_cd else config.contrastive_weight
     if weight > 0 and not any(s.label == 1 for s in train_samples):
@@ -158,7 +156,7 @@ def _train_parameters(config: TrainConfig, vocab_size: int, train_samples,
                         x1, lengths1, labels, params.classifier,
                         relax_temp=config.relax_temp, rng=dd_rng,
                         dropout_rng=dropout_rng)
-                    update(loss1, STEP1_GROUPS, "distribution loss")
+                    update(loss1, "distribution loss")
                     dd_losses.append(float(loss1.data))
                     del x1, loss1  # step 1's activations end before step 2
 
@@ -172,7 +170,7 @@ def _train_parameters(config: TrainConfig, vocab_size: int, train_samples,
                     contrastive_weight=weight, clusters=config.clusters,
                     rng=joint_rng, variant=config.contrastive_variant,
                     kmeans_iters=config.kmeans_iters, dropout_rng=dropout_rng)
-                update(parts.total, STEP2_GROUPS, "joint loss")
+                update(parts.total, "joint loss")
             except NumericError as exc:
                 raise TrainingError(
                     f"aborting: epoch {epoch} batch {batch_no}: {exc}") from exc
@@ -209,7 +207,7 @@ def train(config: TrainConfig, records) -> ModelArtifact:
                                             kmeans_iters=config.kmeans_iters)
     val_reps, _ = masked_representations(params, val_samples, config)
     artifact.threshold = calibrate_threshold(
-        mahalanobis_scores(val_reps, artifact.stats))
+        mahalanobis_scores(val_reps, artifact.stats), artifact.quantile)
     return artifact
 
 

@@ -54,7 +54,7 @@ def test_init_shapes_and_groups():
     assert params.conv_kernel.data.shape == (3, 5, 5)
     assert params.conv_bias.data.shape == (5,)
     assert params.dim == 5
-    names = [n for n, _ in store.in_groups(["encoder"])]
+    names = [n for n in store.names() if n.startswith("encoder/")]
     assert set(names) == {"encoder/embedding", "encoder/conv_kernel",
                           "encoder/conv_bias"}
 

@@ -14,7 +14,7 @@ from leo.cli import main
 from leo.config import TrainConfig, load_config, parse_config_text
 from leo.data import DatasetRecord, load_dataset, split_dataset, write_dataset
 from leo.encoder import encode_batch
-from leo.losses import data_distribution_loss
+from leo.losses import data_distribution_loss, joint_loss
 from leo.metrics import parse_report, parse_score_dump
 from leo.model import (
     ModelFormatError,
@@ -28,7 +28,6 @@ from leo.optim import Adam, clip_store_gradients
 from leo.scoring import calibrate_threshold, mahalanobis_scores
 from leo.synth import generate_family, generate_pair, generate_synthetic, write_corpus
 from leo.train import (
-    STEP1_GROUPS,
     TrainingError,
     build_training_vocabulary,
     evaluate,
@@ -387,6 +386,22 @@ def test_ablation_recorded_and_changes_training():
     assert serialize_model(full) != serialize_model(ablated)
 
 
+def _update(params, adam, loss, clip_norm):
+    """The training loop's update: the calls `_train_parameters` makes."""
+    params.store.zero_grads()
+    backward(loss)
+    clip_store_gradients(params.store, clip_norm)
+    adam.step(params.store)
+
+
+def _values(params):
+    return {n: t.data.copy() for n, t in params.store.items()}
+
+
+def _moved(before, after):
+    return {n for n in before if not np.array_equal(before[n], after[n])}
+
+
 def test_step1_never_touches_selector_params():
     train_recs, _, _ = tiny_corpus(n=40)
     cfg = tiny_config()
@@ -395,30 +410,51 @@ def test_step1_never_touches_selector_params():
     params = init_model(cfg, vocab.size, np.random.default_rng(0))
     adam = Adam(lr=cfg.learning_rate)
 
-    def values(groups):
-        return {n: t.data.copy() for n, t in params.store.in_groups(groups)}
-
-    selector_before = values(["selector"])
-    trained_before = values(STEP1_GROUPS)
+    before = _values(params)
     x, lengths = encode_batch([s.statements for s in samples[:16]],
                               params.encoder, cfg.max_statements)
     loss = data_distribution_loss(
         x, lengths, [s.label for s in samples[:16]], params.classifier,
         relax_temp=cfg.relax_temp, rng=np.random.default_rng(1))
-    params.store.zero_grads()
-    backward(loss)
-    params.store.ensure_grads(STEP1_GROUPS)
-    clip_store_gradients(params.store, STEP1_GROUPS, cfg.clip_norm)
-    adam.step(params.store, STEP1_GROUPS)
-    selector_after = values(["selector"])
-    for name in selector_before:
-        np.testing.assert_array_equal(selector_before[name],
-                                      selector_after[name])
-    trained_after = values(STEP1_GROUPS)
-    moved = [n for n in trained_before
-             if not np.array_equal(trained_before[n], trained_after[n])]
+    _update(params, adam, loss, cfg.clip_norm)
+    moved = _moved(before, _values(params))
+    assert not any(n.startswith("selector/") for n in moved)
     assert any(n.startswith("classifier/") for n in moved)
     assert any(n.startswith("encoder/") for n in moved)
+
+
+def test_statementless_batch_leaves_encoder_and_its_moments_alone():
+    # a batch whose functions have no statements never reaches the encoder,
+    # so its step moves neither the encoder nor its Adam moments, while the
+    # selector and classifier still move on the first step's momentum
+    train_recs, _, _ = tiny_corpus(n=40)
+    cfg = tiny_config()
+    vocab = build_training_vocabulary(train_recs, cfg)
+    samples = prepare_samples(train_recs, vocab, cfg)
+    params = init_model(cfg, vocab.size, np.random.default_rng(0))
+    adam = Adam(lr=cfg.learning_rate)
+
+    def step(batch, labels):
+        x, lengths = encode_batch(batch, params.encoder, cfg.max_statements)
+        parts = joint_loss(
+            x, lengths, np.array(labels), params.selector, params.classifier,
+            relax_temp=cfg.relax_temp, temperature=cfg.contrastive_temp,
+            contrastive_weight=cfg.contrastive_weight, clusters=cfg.clusters,
+            rng=np.random.default_rng(1))
+        _update(params, adam, parts.total, cfg.clip_norm)
+
+    step([s.statements for s in samples[:16]], [s.label for s in samples[:16]])
+    before = _values(params)
+    moments = {n: (adam._m[n].copy(), adam._v[n].copy())
+               for n in before if n.startswith("encoder/")}
+    step([[] for _ in range(4)], [0, 1, 0, 1])
+    moved = _moved(before, _values(params))
+    assert not any(n.startswith("encoder/") for n in moved)
+    for n, (m, v) in moments.items():
+        np.testing.assert_array_equal(adam._m[n], m)
+        np.testing.assert_array_equal(adam._v[n], v)
+    assert any(n.startswith("selector/") for n in moved)
+    assert any(n.startswith("classifier/") for n in moved)
 
 
 def test_vocabulary_ignores_validation_only_tokens():

@@ -7,7 +7,14 @@ from leo.config import TrainConfig
 from leo.data import DatasetRecord
 from leo.encoder import encode_batch
 from leo.losses import classifier_forward, minibatch_kmeans
-from leo.model import ModelArtifact, ModelFormatError, load_model, save_model
+from leo.model import (
+    ModelArtifact,
+    ModelFormatError,
+    deserialize_model,
+    load_model,
+    save_model,
+    serialize_model,
+)
 from leo.optim import ParameterStore
 from leo.scoring import (
     ClusterStatistics,
@@ -396,12 +403,49 @@ def test_rebuilt_store_matches_init_layout():
                        np.random.default_rng(3)).store
     rebuilt = model_from_artifact(artifact).store
     assert rebuilt.names() == fresh.names()
-    assert ([rebuilt.group_of(n) for n in rebuilt.names()]
-            == [fresh.group_of(n) for n in fresh.names()])
     for name, t in rebuilt.items():
         assert not t.requires_grad
         assert t.data.dtype == np.float64
         np.testing.assert_array_equal(t.data, artifact.tensors[name].astype(np.float64))
+
+
+def _corrupt_calibration(artifact, case):
+    stats = artifact.stats
+    if case == "mode":
+        stats.mode = "nonsense"
+    elif case == "diagonal":
+        stats.diagonal_covariance = True
+        stats.inverses = np.diagonal(stats.inverses, axis1=1, axis2=2).copy()
+    elif case == "k":
+        stats.means, stats.inverses = stats.means[:0], stats.inverses[:0]
+        stats.counts, stats.eps_used = stats.counts[:0], stats.eps_used[:0]
+    elif case == "dim":
+        wider = stats.dim + 1
+        stats.means = np.zeros((stats.k, wider))
+        stats.inverses = np.broadcast_to(np.eye(wider), (stats.k, wider, wider))
+    elif case == "means":
+        stats.means[0, 0] = np.nan
+    elif case == "inverses":
+        stats.inverses[0, 0, 0] = np.inf
+    elif case.startswith("threshold"):
+        artifact.threshold = float(case.split("=")[1])
+    else:
+        artifact.quantile = float(case.split("=")[1])
+
+
+@pytest.mark.parametrize("case, field", [
+    ("mode", "CLST mode"), ("diagonal", "CLST diagonal"), ("k", "CLST k"),
+    ("dim", "CLST dim"), ("means", "CLST means"), ("inverses", "CLST inverses"),
+    ("threshold=nan", "THRS threshold"), ("threshold=inf", "THRS threshold"),
+    ("quantile=0", "THRS quantile"), ("quantile=1", "THRS quantile"),
+    ("quantile=nan", "THRS quantile"),
+])
+def test_calibration_disagreeing_with_config_is_format_error(case, field):
+    artifact, _ = small_artifact()
+    deserialize_model(serialize_model(artifact))
+    _corrupt_calibration(artifact, case)
+    with pytest.raises(ModelFormatError, match=field):
+        deserialize_model(serialize_model(artifact))
 
 
 def test_rebuilt_model_records_no_tape():
@@ -419,10 +463,10 @@ def test_artifact_rebuild_draws_nothing(monkeypatch):
     expected, _ = score_records(artifact, records)
     create = ParameterStore.create
 
-    def refuse_draws(self, name, group, shape, draw=None):
+    def refuse_draws(self, name, shape, draw=None):
         def refuse(shape):
             raise AssertionError(f"drew initial values for '{name}'")
-        return create(self, name, group, shape, None if draw is None else refuse)
+        return create(self, name, shape, None if draw is None else refuse)
 
     def refuse_rng(*args, **kwargs):
         raise AssertionError("made a random generator")

@@ -43,8 +43,9 @@ def make_selector(dim=4, hidden=(6, 5, 4), seed=0):
 
 
 def zero_selector(store):
-    for _, t in store.in_groups(["selector"]):
-        t.data = np.zeros_like(t.data)
+    for name, t in store.items():
+        if name.startswith("selector/"):
+            t.data = np.zeros_like(t.data)
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +57,7 @@ def test_init_shapes_and_group():
     shapes = [(w.data.shape, b.data.shape) for w, b in params.layers]
     assert shapes == [((4, 6), (6,)), ((6, 5), (5,)), ((5, 4), (4,))]
     assert params.head[0].data.shape == (4, 1)
-    assert all(store.group_of(n) == "selector" for n in store.names())
+    assert all(n.startswith("selector/") for n in store.names())
 
 
 def test_init_rejects_bad_arguments():
