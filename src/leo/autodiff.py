@@ -224,6 +224,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward, "matmul")
 
 
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for 2-D x and w and a bias row b of w's width, as one
+    node; the bias is added in place, so the output is the only
+    output-sized array."""
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise GraphError(f"affine expects 2-D operands, got {x.data.shape} @ {w.data.shape}")
+    if x.data.shape[1] != w.data.shape[0] or b.data.shape != w.data.shape[1:]:
+        raise GraphError(f"affine shape mismatch: {x.data.shape} @ {w.data.shape} "
+                         f"+ {b.data.shape}")
+    data = x.data @ w.data
+    data += b.data
+
+    def backward(g):
+        return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
+
+    return _make(data, (x, w, b), backward, "affine")
+
+
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise GraphError("transpose expects a 2-D tensor")

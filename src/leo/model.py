@@ -5,6 +5,8 @@ through the encoder / selector / classifier constructors and draws fresh
 values; model_from_artifact walks the same constructors over an artifact's
 stored tensors instead, so the layout is stated once. An artifact whose
 tensors are not exactly the ones its config declares is a ModelFormatError.
+Mahalanobis scoring never reads the classifier, so a rebuild for it leaves
+the classifier/ tensors in their stored float32 form.
 
 Binary container layout ("LEO1" format, version 1):
 
@@ -68,22 +70,26 @@ class ModelParams:
     store: ParameterStore
     encoder: EncoderParams
     selector: MLPParams
-    classifier: MLPParams
+    classifier: MLPParams | None  # None in a model rebuilt without it
 
 
 def _declare_model(store: ParameterStore, config: TrainConfig, vocab_size: int,
-                   rng: np.random.Generator | None) -> ModelParams:
+                   rng: np.random.Generator | None,
+                   classifier: bool = True) -> ModelParams:
+    """Declare the encoder, the selector and, with `classifier`, the
+    classifier, in store order; without it params.classifier is None."""
     encoder = init_encoder_params(store, vocab_size, config.embed_dim, rng,
                                   kernel_size=config.kernel_size,
                                   dropout_retain=config.dropout_retain)
     selector = init_selector_params(store, config.embed_dim, rng,
                                     hidden_sizes=config.selector_hidden,
                                     dropout_retain=config.dropout_retain)
-    classifier = init_classifier_params(
+    if not classifier:
+        return ModelParams(store, encoder, selector, None)
+    return ModelParams(store, encoder, selector, init_classifier_params(
         store, config.max_statements * config.embed_dim, rng,
         hidden_sizes=config.classifier_hidden,
-        dropout_retain=config.dropout_retain)
-    return ModelParams(store, encoder, selector, classifier)
+        dropout_retain=config.dropout_retain))
 
 
 def init_model(config: TrainConfig, vocab_size: int,
@@ -92,28 +98,36 @@ def init_model(config: TrainConfig, vocab_size: int,
     return _declare_model(ParameterStore(), config, vocab_size, rng)
 
 
-def _stored_model(artifact: ModelArtifact, values: dict) -> ModelParams:
-    """Frozen parameters taken from `values` (name -> float64 array) by
-    name; ModelFormatError unless `values` holds exactly the tensors the
-    artifact's config declares, each with its declared shape."""
-    store = ParameterStore(stored=values)
+def _check_tensors(artifact: ModelArtifact) -> None:
+    """ModelFormatError unless the artifact holds exactly the tensors its
+    config declares, each with its declared shape. The declaration runs on
+    zero-stride float64 stand-ins, so the check widens and copies nothing."""
+    store = ParameterStore(stored={name: np.broadcast_to(0.0, np.shape(arr))
+                                   for name, arr in artifact.tensors.items()})
     try:
-        params = _declare_model(store, artifact.config, artifact.vocab.size, None)
+        _declare_model(store, artifact.config, artifact.vocab.size, None)
     except GraphError as exc:
         raise ModelFormatError(f"tensors do not match the config: {exc}") from exc
-    extra = sorted(set(values) - set(store.names()))
+    extra = sorted(set(artifact.tensors) - set(store.names()))
     if extra:
         raise ModelFormatError(
             f"tensors the config does not declare: {', '.join(extra)}")
-    return params
 
 
-def model_from_artifact(artifact: ModelArtifact) -> ModelParams:
-    """Live parameters of an artifact: each stored float32 tensor widened
-    once to float64 (a copy the artifact does not share), frozen, with no
-    random draws."""
-    return _stored_model(artifact, {name: np.array(arr, dtype=np.float64)
-                                    for name, arr in artifact.tensors.items()})
+def model_from_artifact(artifact: ModelArtifact, *,
+                        classifier: bool = True) -> ModelParams:
+    """Live parameters of an artifact, frozen, with no random draws. The
+    full tensor set is checked against the config; each tensor the model
+    is built from is widened once from float32 to float64, a copy the
+    artifact does not share. Without `classifier` the classifier/ tensors
+    are neither widened nor held, and params.classifier is None."""
+    _check_tensors(artifact)
+    store = ParameterStore(stored={
+        name: np.array(arr, dtype=np.float64)
+        for name, arr in artifact.tensors.items()
+        if classifier or not name.startswith("classifier/")})
+    return _declare_model(store, artifact.config, artifact.vocab.size, None,
+                          classifier)
 
 
 def _pack_str(text: str) -> bytes:
@@ -317,10 +331,7 @@ def deserialize_model(blob: bytes) -> ModelArtifact:
     except (ValueError, TypeError, struct.error) as exc:  # UnicodeDecodeError is a ValueError
         raise ModelFormatError(f"malformed section content: {exc}") from exc
     _check_calibration(artifact)
-    # model_from_artifact's tensor checks, on zero-stride float64 stand-ins
-    # so that loading widens and copies nothing.
-    _stored_model(artifact, {name: np.broadcast_to(0.0, np.shape(arr))
-                             for name, arr in artifact.tensors.items()})
+    _check_tensors(artifact)
     return artifact
 
 

@@ -118,10 +118,10 @@ def mlp_forward(x: Tensor, params: MLPParams,
     dropout draws from `rng`; without one there is no dropout."""
     h = x
     for w, b in params.layers:
-        h = ad.dropout(ad.maximum_const(ad.add(ad.matmul(h, w), b), 0.0),
+        h = ad.dropout(ad.maximum_const(ad.affine(h, w, b), 0.0),
                        params.dropout_retain, rng)
     w, b = params.head
-    return ad.add(ad.matmul(h, w), b)
+    return ad.affine(h, w, b)
 
 
 class Adam:

@@ -8,10 +8,11 @@ and encoder jointly on the gated cross-entropy plus the weighted
 cluster-contrastive term. Dropout and relaxed gates are sampled only here,
 where a dropout rng is passed; every forward pass without one is
 deterministic. After the final epoch the parameters are rounded to their
-stored float32 form and rebuilt frozen by model_from_artifact, the same
-rebuild scoring uses: cluster statistics are fit on the training split's
-masked representations under that model, and the decision threshold is
-calibrated on the validation split.
+stored float32 form and rebuilt frozen, without the classifier, by
+model_from_artifact, the same rebuild Mahalanobis scoring uses: cluster
+statistics are fit on the training split's masked representations under
+that model, and the decision threshold is calibrated on the validation
+split.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from .normalize import NormalizeError, Vocabulary, build_vocabulary, encode_toke
 from .optim import Adam, clip_store_gradients
 from .scoring import (calibrate_threshold, fit_cluster_statistics,
                       mahalanobis_scores, representation_dim)
-from .selector import apply_mask, deterministic_mask, pad_gate, selector_forward
+from .selector import deterministic_mask, selector_forward
 
 log = logging.getLogger("leo")
 
@@ -77,33 +78,44 @@ def build_training_vocabulary(train_records, config: TrainConfig) -> Vocabulary:
                             config.vocab_max)
 
 
-def masked_representations(params: ModelParams, samples, config: TrainConfig):
-    """Deterministic-gate scoring representations plus the classifier's
-    max-softmax complement, batched, without dropout. pooled-d is the mean
-    of a function's real gated rows (zero without statements);
-    concat-diagonal is the whole gated matrix, flattened row-major."""
+def masked_representations(params: ModelParams, samples, config: TrainConfig,
+                           *, msp: bool = False):
+    """Deterministic-gate scoring representations, batched, without
+    dropout, and with `msp` the classifier's max-softmax complement (None
+    without). pooled-d is the mean of a function's real gated rows (zero
+    without statements); concat-diagonal is the whole gated matrix,
+    flattened row-major. The selector scores only the real statement rows,
+    as one row block; padded rows keep a zero gate."""
+    if msp and params.classifier is None:
+        raise ValueError("max-softmax scores need the model's classifier; "
+                         "this one was rebuilt without it")
     n = len(samples)
     pooled = config.scoring_mode == "pooled-d"
     reps = np.zeros((n, representation_dim(config)))
-    msp = np.zeros(n)
+    msp_out = np.zeros(n) if msp else None
+    slots = np.arange(config.max_statements)
     for start in range(0, n, config.batch_size):
         chunk = samples[start:start + config.batch_size]
         x, lengths = encode_batch([s.statements for s in chunk],
                                   params.encoder, config.max_statements)
-        probs = selector_forward(x, params.selector).data
-        z = pad_gate(ad.constant(deterministic_mask(probs, config.gate_mode)),
-                     lengths, config.max_statements)
-        masked = apply_mask(x, z)
+        live = slots[None, :] < lengths[:, None]
+        probs = selector_forward(ad.constant(x.data[live][None]),
+                                 params.selector).data[0]
+        z = np.zeros(live.shape)
+        z[live] = deterministic_mask(probs, config.gate_mode)
+        masked = x.data * z[:, :, None]
         b = len(chunk)
-        flat = ad.reshape(masked, (b, -1))
-        class_probs = classifier_forward(flat, params.classifier).data
-        msp[start:start + b] = 1.0 - class_probs.max(axis=1)
+        flat = masked.reshape(b, -1)
+        if msp:
+            class_probs = classifier_forward(ad.constant(flat),
+                                             params.classifier).data
+            msp_out[start:start + b] = 1.0 - class_probs.max(axis=1)
         if pooled:
-            reps[start:start + b] = (masked.data.sum(axis=1)
+            reps[start:start + b] = (masked.sum(axis=1)
                                      / np.maximum(lengths, 1)[:, None])
         else:
-            reps[start:start + b] = flat.data
-    return reps, msp
+            reps[start:start + b] = flat
+    return reps, msp_out
 
 
 def _mean(values) -> float:
@@ -200,7 +212,7 @@ def train(config: TrainConfig, records) -> ModelArtifact:
     # stats and threshold are fit below on the model scoring will rebuild
     artifact = ModelArtifact(vocab=vocab, tensors=tensors, config=config,
                              stats=None, threshold=0.0, log_digest=digest)
-    params = model_from_artifact(artifact)
+    params = model_from_artifact(artifact, classifier=False)
     train_reps, _ = masked_representations(params, train_samples, config)
     artifact.stats = fit_cluster_statistics(train_reps, config.clusters,
                                             stats_rng, mode=config.scoring_mode,
@@ -213,15 +225,18 @@ def train(config: TrainConfig, records) -> ModelArtifact:
 
 def score_records(artifact: ModelArtifact, records, *, use_msp: bool = False):
     """Outlier scores and ID/OOD decisions for a record list. The stored
-    threshold only applies to the Mahalanobis score; max-softmax runs get
-    decisions from their own 0.95 quantile and are meant for metric
-    comparisons, not deployment."""
-    params = model_from_artifact(artifact)
+    threshold only applies to the Mahalanobis score, which never runs or
+    rebuilds the classifier; max-softmax runs get decisions from their own
+    scores' quantile at the artifact's calibration quantile and are meant
+    for metric comparisons, not deployment."""
+    params = model_from_artifact(artifact, classifier=use_msp)
     samples = prepare_samples(records, artifact.vocab, artifact.config)
-    reps, msp = masked_representations(params, samples, artifact.config)
+    reps, msp = masked_representations(params, samples, artifact.config,
+                                       msp=use_msp)
     if use_msp:
         scores = msp
-        threshold = calibrate_threshold(scores) if len(scores) else 0.0
+        threshold = (calibrate_threshold(scores, artifact.quantile)
+                     if len(scores) else 0.0)
     else:
         scores = mahalanobis_scores(reps, artifact.stats)
         threshold = artifact.threshold

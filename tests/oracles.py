@@ -2,10 +2,11 @@
 
 Everything here is deliberately written the dumb, obvious way (explicit
 loops, scalar math) and shares no code with the package, so agreement is
-meaningful. The one helper that drives the package is the finite-difference
-harness, `finite_difference_check`: it runs `leo.autodiff.backward` for the
-analytic side and compares it against central differences of the forward
-pass.
+meaningful. Two helpers drive the package. The finite-difference harness,
+`finite_difference_check`, runs `leo.autodiff.backward` for the analytic
+side and compares it against central differences of the forward pass.
+`full_block_representations` is the scoring pass over every statement slot,
+padding included, against which the live-row pass is checked.
 """
 from __future__ import annotations
 
@@ -14,7 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from leo import autodiff as ad
 from leo.autodiff import GraphError, backward
+from leo.encoder import encode_batch
+from leo.losses import classifier_forward
+from leo.scoring import representation_dim
+from leo.selector import apply_mask, deterministic_mask, pad_gate, selector_forward
 
 
 def adam_reference_trace(grads, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, x0=0.0):
@@ -246,6 +252,34 @@ def relaxed_bernoulli_reference(p, a, b, nu) -> np.ndarray:
         else:
             out[idx] = math.exp(x) / (1.0 + math.exp(x))
     return out
+
+
+def full_block_representations(params, samples, config):
+    """Scoring representations and max-softmax complements the long way:
+    the selector scores all batch x max_statements slots, padded ones
+    included, pad_gate zeroes the padded gates afterwards, and the
+    classifier always runs."""
+    n = len(samples)
+    reps = np.zeros((n, representation_dim(config)))
+    msp = np.zeros(n)
+    for start in range(0, n, config.batch_size):
+        chunk = samples[start:start + config.batch_size]
+        x, lengths = encode_batch([s.statements for s in chunk],
+                                  params.encoder, config.max_statements)
+        probs = selector_forward(x, params.selector).data
+        z = pad_gate(ad.constant(deterministic_mask(probs, config.gate_mode)),
+                     lengths, config.max_statements)
+        masked = apply_mask(x, z)
+        b = len(chunk)
+        flat = ad.reshape(masked, (b, -1))
+        class_probs = classifier_forward(flat, params.classifier).data
+        msp[start:start + b] = 1.0 - class_probs.max(axis=1)
+        if config.scoring_mode == "pooled-d":
+            reps[start:start + b] = (masked.data.sum(axis=1)
+                                     / np.maximum(lengths, 1)[:, None])
+        else:
+            reps[start:start + b] = flat.data
+    return reps, msp
 
 
 @dataclass

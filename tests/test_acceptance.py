@@ -134,6 +134,13 @@ def _primitive_cases(rng):
         ad.reduce_mean(ad.sum_axis(s, axis=1)),
         ad.reduce_sum(ad.sum_axis(s, axis=2, keepdims=True)))))
 
+    ax = _param(rng, (3, 4), name="ax")
+    aw = _param(rng, (4, 2), name="aw")
+    ab = _param(rng, (2,), name="ab")
+    wa = ad.constant(rng.normal(size=(3, 2)))
+    cases.append(("affine", {"ax": ax, "aw": aw, "ab": ab},
+                  lambda: ad.reduce_sum(ad.mul(wa, ad.affine(ax, aw, ab)))))
+
     return cases
 
 

@@ -84,6 +84,31 @@ def test_matmul_shape_mismatch():
         ad.matmul(t(np.ones((2, 3))), t(np.ones((2, 3))))
 
 
+def test_affine_shape_mismatch():
+    x, w = t(np.ones((2, 3))), t(np.ones((3, 4)))
+    with pytest.raises(ad.GraphError):
+        ad.affine(x, t(np.ones((2, 3))), t(np.ones(3)))
+    with pytest.raises(ad.GraphError):
+        ad.affine(x, w, t(np.ones(3)))
+
+
+def test_affine_is_matmul_plus_bias_bit_for_bit():
+    """The fused node computes what matmul followed by add computes, in
+    the forward pass and in every gradient."""
+    rng = np.random.default_rng(13)
+    x0, w0, b0 = rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
+    coeff = ad.constant(rng.normal(size=(5, 3)))
+    results = []
+    for fused in (True, False):
+        x, w, b = t(x0.copy()), t(w0.copy()), t(b0.copy())
+        y = ad.affine(x, w, b) if fused else ad.add(ad.matmul(x, w), b)
+        out = y.data.copy()
+        ad.backward(ad.reduce_sum(ad.mul(y, coeff)))
+        results.append((out, x.grad, w.grad, b.grad))
+    for fused, unfused in zip(*results):
+        np.testing.assert_array_equal(fused, unfused)
+
+
 def test_unreachable_parameter_gets_no_gradient():
     used = t([2.0])
     unused = t([5.0], name="unused")
@@ -222,6 +247,10 @@ def test_fd_each_primitive():
     vals = t(rng.normal(size=(3, 2)), name="vals")
     _fd_case(lambda: ad.reduce_sum(ad.exp(ad.scatter_rows(
         vals, np.array([0, 0, 1]), np.array([1, 3, 0]), 2, 4))), {"vals": vals})
+
+    bias = t(rng.normal(size=(2,)), name="bias")
+    _fd_case(lambda: ad.reduce_sum(ad.exp(ad.affine(a, b, bias))),
+             {"a": a, "b": b, "bias": bias})
 
 
 def test_fd_conv1d_random_input():

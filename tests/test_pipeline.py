@@ -556,10 +556,11 @@ def test_representation_dimensions_and_gating():
     vocab = build_training_vocabulary(train_recs, cfg)
     samples = prepare_samples(train_recs, vocab, cfg)
     params = init_model(cfg, vocab.size, np.random.default_rng(0))
-    reps, msp = masked_representations(params, samples, cfg)
+    reps, msp = masked_representations(params, samples, cfg, msp=True)
     assert reps.shape == (len(samples), cfg.embed_dim)
     assert msp.shape == (len(samples),)
     assert np.all((msp >= 0.0) & (msp <= 0.5))
+    assert np.any(msp > 0.0)
     concat_cfg = tiny_config(scoring_mode="concat-diagonal")
     reps_c, _ = masked_representations(params, samples[:5], concat_cfg)
     assert reps_c.shape == (5, cfg.max_statements * cfg.embed_dim)
@@ -580,6 +581,29 @@ def test_training_fit_records_no_tape(monkeypatch):
     train(tiny_config(epochs=1), train_recs)
     assert len(seen) == 2
     assert all(flags and not any(flags) for flags in seen)
+
+
+def test_training_fit_never_runs_or_widens_the_classifier(monkeypatch):
+    """The cluster fit and the threshold read only the masked statement
+    representations, so they rebuild the model without its classifier."""
+    train_recs, _, _ = tiny_corpus(n=40)
+    rebuilt = []
+    original = train_module.model_from_artifact
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran the classifier")
+
+    def spy(*args, **kwargs):
+        rebuilt.append(original(*args, **kwargs))
+        return rebuilt[-1]
+
+    monkeypatch.setattr(train_module, "classifier_forward", refuse)
+    monkeypatch.setattr(train_module, "model_from_artifact", spy)
+    art = train(tiny_config(epochs=1), train_recs)
+    assert len(rebuilt) == 1 and rebuilt[0].classifier is None
+    names = rebuilt[0].store.names()
+    assert names and not [n for n in names if n.startswith("classifier/")]
+    assert any(n.startswith("classifier/") for n in art.tensors)
 
 
 # --- package root -------------------------------------------------------------

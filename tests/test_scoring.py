@@ -1,8 +1,11 @@
 """Cluster-conditioned Mahalanobis scoring and threshold calibration."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import leo.autodiff as ad
+import leo.train as train_module
 from leo.config import TrainConfig
 from leo.data import DatasetRecord
 from leo.encoder import encode_batch
@@ -23,6 +26,7 @@ from leo.scoring import (
     mahalanobis_scores,
 )
 from leo.selector import selector_forward
+from leo.synth import generate_synthetic
 from leo.train import (
     PreparedSample,
     build_training_vocabulary,
@@ -33,7 +37,8 @@ from leo.train import (
     score_records,
 )
 
-from oracles import dense_mahalanobis, nearest_rank, sample_mean_cov
+from oracles import (dense_mahalanobis, full_block_representations,
+                     nearest_rank, sample_mean_cov)
 
 SMALL = dict(max_statements=4, embed_dim=3, vocab_max=100, selector_hidden=(4,),
              classifier_hidden=(5,), batch_size=2, clusters=1)
@@ -98,6 +103,47 @@ def test_concat_mode_flattens_row_major():
     gated = x.data * gates[:, :, None]
     np.testing.assert_array_equal(concat, gated.reshape(len(FUNCS), 12))
     assert np.all(concat[1].reshape(4, 3)[3:] == 0.0)
+
+
+def samples_of(funcs):
+    return [PreparedSample(f"s{i}", 0, "", f) for i, f in enumerate(funcs)]
+
+
+@pytest.mark.parametrize("scoring_mode", ["pooled-d", "concat-diagonal"])
+@pytest.mark.parametrize("gate_mode", ["expected", "hard"])
+def test_live_row_pass_matches_full_block_oracle(gate_mode, scoring_mode):
+    """Scoring only the real statement rows gives the representations and
+    max-softmax scores of the pass over every slot, with or without the
+    classifier rebuilt."""
+    artifact, _ = small_artifact(gate_mode=gate_mode, scoring_mode=scoring_mode)
+    cfg = artifact.config
+    samples = samples_of(FUNCS + FUNCS[::-1])
+    full = model_from_artifact(artifact)
+    want_reps, want_msp = full_block_representations(full, samples, cfg)
+    reps, msp = masked_representations(full, samples, cfg, msp=True)
+    np.testing.assert_allclose(reps, want_reps, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(msp, want_msp, rtol=1e-12, atol=0)
+    assert np.any(msp > 0)
+    lean = model_from_artifact(artifact, classifier=False)
+    reps, msp = masked_representations(lean, samples, cfg)
+    assert msp is None
+    np.testing.assert_allclose(reps, want_reps, rtol=1e-12, atol=0)
+
+
+def test_selector_scores_live_rows_only(monkeypatch):
+    """FUNCS holds a function without statements and one past
+    max_statements; the selector sees exactly the rows encoded for them."""
+    cfg = TrainConfig(seed=0, **SMALL)
+    params = init_model(cfg, 9, np.random.default_rng(5))
+    seen = []
+
+    def spy(x, params, rng=None):
+        seen.append(x.data.shape[0] * x.data.shape[1])
+        return selector_forward(x, params, rng)
+
+    monkeypatch.setattr(train_module, "selector_forward", spy)
+    masked_representations(params, samples_of(FUNCS), cfg)
+    assert sum(seen) == sum(min(len(f), cfg.max_statements) for f in FUNCS) == 9
 
 
 def test_representation_input_checks():
@@ -336,17 +382,20 @@ CODE = ["int f(int a) { return a + 1; }",
         "int k(int n) { while (n > 0) { n = n - 1; } return n; }"]
 
 
-def small_artifact():
-    """An untrained artifact whose statistics are fit on its own records."""
-    cfg = TrainConfig(seed=0, **SMALL)
-    records = [DatasetRecord(f"r{i}", code, i % 2) for i, code in enumerate(CODE)]
+def small_artifact(records=None, **over):
+    """An untrained artifact whose vocabulary and statistics come from its
+    own records (CODE by default); `over` replaces SMALL config fields."""
+    cfg = TrainConfig(seed=0, **{**SMALL, **over})
+    if records is None:
+        records = [DatasetRecord(f"r{i}", code, i % 2) for i, code in enumerate(CODE)]
     vocab = build_training_vocabulary(records, cfg)
     params = init_model(cfg, vocab.size, np.random.default_rng(3))
     tensors = {name: t.data.astype(np.float32) for name, t in params.store.items()}
     artifact = ModelArtifact(vocab, tensors, cfg, stats=None, threshold=0.0)
     samples = prepare_samples(records, vocab, cfg)
     reps, _ = masked_representations(model_from_artifact(artifact), samples, cfg)
-    artifact.stats = fit_cluster_statistics(reps, 1, np.random.default_rng(0))
+    artifact.stats = fit_cluster_statistics(reps, 1, np.random.default_rng(0),
+                                            mode=cfg.scoring_mode)
     return artifact, records
 
 
@@ -392,6 +441,75 @@ def test_msp_score_orders_by_confidence():
     artifact.tensors["classifier/head_b"][:] = [1.0, 0.0]
     unsure, _ = score_records(artifact, records, use_msp=True)
     assert np.all(confident < unsure)
+
+
+def test_msp_decisions_use_the_artifact_quantile():
+    records, _, _ = generate_synthetic(20, 0, seed=1)
+    artifact, _ = small_artifact(records, max_statements=20)
+    artifact.quantile = 0.5
+    scores, decisions = score_records(artifact, records, use_msp=True)
+    threshold = nearest_rank(scores, 0.5)
+    assert list(decisions) == ["OOD" if s > threshold else "ID" for s in scores]
+    assert abs(list(decisions).count("OOD") - len(records) / 2) <= 1
+
+
+def test_msp_needs_the_classifier():
+    artifact, records = small_artifact()
+    samples = prepare_samples(records, artifact.vocab, artifact.config)
+    lean = model_from_artifact(artifact, classifier=False)
+    assert lean.classifier is None
+    with pytest.raises(ValueError, match="classifier"):
+        masked_representations(lean, samples, artifact.config, msp=True)
+
+
+def test_mahalanobis_scoring_never_runs_or_widens_the_classifier(monkeypatch):
+    """classifier/w0 dominates this model; a float64 copy of it alone would
+    take 5 MB, and the Mahalanobis path's whole allocation peak stays below
+    half of that."""
+    artifact, records = small_artifact(max_statements=200, embed_dim=8,
+                                       classifier_hidden=(400,))
+    expected, _ = score_records(artifact, records)
+    w0_f64_bytes = 8 * artifact.tensors["classifier/w0"].size
+    assert w0_f64_bytes > 5_000_000
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran the classifier")
+
+    rebuilt = []
+
+    def spy(*args, **kwargs):
+        rebuilt.append(model_from_artifact(*args, **kwargs))
+        return rebuilt[-1]
+
+    monkeypatch.setattr(train_module, "classifier_forward", refuse)
+    monkeypatch.setattr(train_module, "model_from_artifact", spy)
+    tracemalloc.start()
+    try:
+        scores, _ = score_records(artifact, records)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(scores, expected)
+    assert peak < w0_f64_bytes / 2
+    assert len(rebuilt) == 1 and rebuilt[0].classifier is None
+    assert not [n for n in rebuilt[0].store.names() if n.startswith("classifier/")]
+
+
+@pytest.mark.parametrize("case", ["missing", "extra", "wrong-shape"])
+def test_classifierless_rebuild_checks_the_classifier_tensors(case):
+    artifact, records = small_artifact()
+    name = "classifier/w0"
+    if case == "missing":
+        del artifact.tensors[name]
+    elif case == "extra":
+        name = "classifier/w1"    # SMALL declares one hidden classifier layer
+        artifact.tensors[name] = np.zeros((5, 5), dtype=np.float32)
+    else:
+        artifact.tensors[name] = artifact.tensors[name][:, :-1].copy()
+    with pytest.raises(ModelFormatError, match=name):
+        model_from_artifact(artifact, classifier=False)
+    with pytest.raises(ModelFormatError, match=name):
+        score_records(artifact, records)
 
 
 # --- the model rebuilt from an artifact (model_from_artifact) ------------------
