@@ -333,70 +333,79 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(data, (a,), backward, "softmax")
 
 
-def max_time(a: Tensor) -> Tensor:
-    """Max over axis 1 of an (n, time, channels) tensor. Gradient goes to the
-    first maximal position per (n, channel)."""
-    if a.data.ndim != 3:
-        raise GraphError("max_time expects an (n, time, channels) tensor")
-    arg = a.data.argmax(axis=1)
-    data = np.take_along_axis(a.data, arg[:, None, :], axis=1)[:, 0, :]
+def segment_max(a: Tensor, starts: np.ndarray) -> Tensor:
+    """Max over runs of consecutive rows of a (rows, channels) tensor: run i
+    is rows starts[i] up to starts[i + 1] (the last one to the end), none
+    empty. Output: (runs, channels). Gradient goes to the first maximal row
+    per (run, channel)."""
+    starts = np.asarray(starts, dtype=np.int64)
+    rows = a.data.shape[0]
+    if starts.size == 0 or starts[0] != 0 or starts[-1] >= rows or np.any(np.diff(starts) < 1):
+        raise GraphError(f"segment_max runs {starts} do not split {rows} rows")
+    data = np.maximum.reduceat(a.data, starts, axis=0)
 
     def backward(g):
+        run = np.repeat(np.arange(len(starts)), np.diff(starts, append=rows))
+        hit = np.where(a.data == data[run], np.arange(rows)[:, None], rows)
         da = np.zeros_like(a.data)
-        np.put_along_axis(da, arg[:, None, :], g[:, None, :], axis=1)
+        np.put_along_axis(da, np.minimum.reduceat(hit, starts, axis=0), g, axis=0)
         return (da,)
 
-    return _make(data, (a,), backward, "max_time")
+    return _make(data, (a,), backward, "segment_max")
 
 
 # ---------------------------------------------------------------------------
 # convolution and dropout
 
 
-def conv1d(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
-    """Valid 1-D convolution over time.
+def conv1d(x: Tensor, weights: Tensor, bias: Tensor, starts: np.ndarray) -> Tensor:
+    """1-D convolution over chosen windows of one token stream.
 
-    x: (n, time, in_channels), weights: (kernel, in_channels, filters),
-    bias: (filters,). Output: (n, time - kernel + 1, filters). Callers pad
-    short inputs up to the kernel width beforehand.
+    x: (positions, in_channels), weights: (kernel, in_channels, filters),
+    bias: (filters,), starts: (W,) window starts; window w covers
+    x[starts[w] : starts[w] + kernel]. Output: (W, filters). Positions no
+    window covers get no output and no gradient. A dense batch of n length-t
+    sequences is x reshaped to (n * t, in_channels) with starts i * t + j.
     """
-    n, t, c_in = x.data.shape
+    p, c_in = x.data.shape
     k, c_in2, f = weights.data.shape
     if c_in != c_in2:
         raise GraphError(f"conv1d channel mismatch: input {c_in} vs kernel {c_in2}")
-    if t < k:
-        raise GraphError(f"conv1d input length {t} shorter than kernel {k}")
-    t_out = t - k + 1
+    starts = np.asarray(starts, dtype=np.int64)
+    if starts.size and (starts.min() < 0 or starts.max() + k > p):
+        raise GraphError(f"conv1d window outside the {p} input positions")
 
-    cols = np.empty((n, t_out, k * c_in))
+    cols = np.empty((len(starts), k * c_in))
     for j in range(k):
-        cols[:, :, j * c_in:(j + 1) * c_in] = x.data[:, j:j + t_out, :]
+        cols[:, j * c_in:(j + 1) * c_in] = x.data[starts + j]
     w2 = weights.data.reshape(k * c_in, f)
-    data = cols.reshape(n * t_out, k * c_in) @ w2
+    data = cols @ w2
     data += bias.data  # in place: one output-sized array, not two
-    data = data.reshape(n, t_out, f)
 
     def backward(g):
-        g2 = g.reshape(n * t_out, f)
-        dw = (cols.reshape(n * t_out, k * c_in).T @ g2).reshape(k, c_in, f)
-        db = g2.sum(axis=0)
-        dcols = (g2 @ w2.T).reshape(n, t_out, k * c_in)
+        dw = (cols.T @ g).reshape(k, c_in, f)
+        dcols = g @ w2.T
         dx = np.zeros_like(x.data)
-        for j in range(k):
-            dx[:, j:j + t_out, :] += dcols[:, :, j * c_in:(j + 1) * c_in]
-        return dx, dw, db
+        for j in range(k):  # for a fixed tap the indices are unique
+            dx[starts + j] += dcols[:, j * c_in:(j + 1) * c_in]
+        return dx, dw, g.sum(axis=0)
 
     return _make(data, (x, weights, bias), backward, "conv1d")
 
 
-def dropout(x: Tensor, retain: float, rng: np.random.Generator | None) -> Tensor:
+def dropout(x: Tensor, retain: float, rng: np.random.Generator | None,
+            padded: tuple | None = None) -> Tensor:
     """Inverted dropout: keep each element with probability `retain` and
-    scale by 1/retain. Without an rng (inference) it is the identity."""
+    scale by 1/retain. Without an rng (inference) it is the identity. With
+    `padded` = (shape, index) the uniforms are drawn at a padded shape and x
+    takes those at `index`, so a packed layout draws the stream its padded
+    form would."""
     if rng is None:
         return x
     if not 0.0 < retain <= 1.0:
         raise GraphError(f"dropout retain probability {retain} outside (0, 1]")
-    mask = (rng.random(x.data.shape) < retain) / retain
+    u = rng.random(x.data.shape) if padded is None else rng.random(padded[0])[padded[1]]
+    mask = (u < retain) / retain
 
     def backward(g):
         return (g * mask,)

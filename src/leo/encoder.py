@@ -6,12 +6,16 @@ valid convolution followed by ReLU and a max over time yields one fixed-size
 vector per statement. A function becomes a fixed (max_statements x dim)
 matrix: real statements in order, zero rows after them.
 
-encode_batch runs every real statement in a batch through one shared
-convolution by padding them to a common length and masking the windows the
-padding invented. Each statement still gets exactly the vector a lone
-convolution over it would give (a statement shorter than the kernel is
-zero-padded to one window): ReLU output is nonnegative, so zeroed extra
-windows never win the max.
+encode_batch lays every real statement of a batch end to end in one token
+stream, each over max(L, k) positions (a statement shorter than the kernel
+is zero-padded to one window), and runs one shared convolution over only
+the windows that lie inside a statement. A statement's windows are
+consecutive rows of the conv output, so one segment max over those rows
+pools the ReLU'd windows per statement, and each statement gets exactly
+the vector a lone convolution over it would give. Training
+dropout draws its mask at the padded (statements x longest x dim) shape and
+keeps the packed positions, so the random stream, and with it the trained
+parameters, do not depend on the packing.
 """
 from __future__ import annotations
 
@@ -86,29 +90,28 @@ def _embed_ids(id_matrix: np.ndarray, params: EncoderParams) -> Tensor:
     return ad.mul(emb, ad.constant(mask, name="pad_mask"))
 
 
-def _stack_ids(statements: list[np.ndarray], kernel_size: int):
-    """Pad id sequences to one (S, T) matrix plus their true lengths."""
+def _encode_packed(statements: list[np.ndarray], params: EncoderParams,
+                   rng: np.random.Generator | None) -> Tensor:
+    """S statements laid end to end, each over max(L, k) positions, through
+    one conv over their valid windows -> (S, dim) statement vectors."""
     lengths = np.array([len(s) for s in statements], dtype=np.int64)
     if lengths.min() < 1:
         raise GraphError("cannot encode an empty statement")
-    t_max = max(kernel_size, int(lengths.max()))
-    ids = np.full((len(statements), t_max), PAD_ID, dtype=np.int64)
-    for i, s in enumerate(statements):
-        ids[i, : len(s)] = s
-    return ids, lengths
-
-
-def _encode_stack(ids: np.ndarray, lengths: np.ndarray, params: EncoderParams,
-                  rng: np.random.Generator | None) -> Tensor:
-    """Shared conv over S padded statements -> (S, dim) statement vectors."""
-    emb = ad.dropout(_embed_ids(ids, params), params.dropout_retain, rng)
-    h = ad.maximum_const(ad.conv1d(emb, params.conv_kernel, params.conv_bias), 0.0)
-    windows = h.data.shape[1]
-    valid = np.maximum(lengths - params.kernel_size + 1, 1)
-    window_ok = (np.arange(windows)[None, :] < valid[:, None]).astype(np.float64)
-    if not window_ok.all():
-        h = ad.mul(h, ad.constant(window_ok[:, :, None], name="window_mask"))
-    return ad.max_time(h)
+    k = params.kernel_size
+    spans = np.maximum(lengths, k)
+    n, t_max = len(spans), int(spans.max())
+    stmt = np.repeat(np.arange(n), spans)
+    pos = np.arange(spans.sum()) - np.repeat(np.cumsum(spans) - spans, spans)
+    ids = np.full(len(stmt), PAD_ID, dtype=np.int64)
+    ids[pos < lengths[stmt]] = np.concatenate(statements)
+    emb = ad.dropout(_embed_ids(ids, params), params.dropout_retain, rng,
+                     padded=((n, t_max, params.dim), (stmt, pos)))
+    # a window starts at each position with k - 1 more of its statement after it
+    starts = np.flatnonzero(pos + k <= spans[stmt])
+    h = ad.maximum_const(ad.conv1d(emb, params.conv_kernel, params.conv_bias,
+                                   starts), 0.0)
+    # each statement's windows are consecutive rows of h, the first at pos 0
+    return ad.segment_max(h, np.flatnonzero(pos[starts] == 0))
 
 
 def encode_batch(batch: list[list], params: EncoderParams, max_statements: int,
@@ -136,8 +139,7 @@ def encode_batch(batch: list[list], params: EncoderParams, max_statements: int,
             row_idx.append(j)
     if not flat:
         return ad.constant(np.zeros((b, max_statements, d))), true_lengths
-    ids, lengths = _stack_ids(flat, params.kernel_size)
-    vectors = _encode_stack(ids, lengths, params, rng)
+    vectors = _encode_packed(flat, params, rng)
     placed = ad.scatter_rows(vectors, np.asarray(batch_idx, dtype=np.int64),
                              np.asarray(row_idx, dtype=np.int64), b, max_statements)
     return placed, true_lengths

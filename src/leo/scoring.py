@@ -139,7 +139,7 @@ def mahalanobis_scores(reps: np.ndarray, stats: ClusterStatistics) -> np.ndarray
         if stats.diagonal_covariance:
             per_cluster[c] = (diff * diff * stats.inverses[c]).sum(axis=1)
         else:
-            per_cluster[c] = np.einsum("ni,ij,nj->n", diff, stats.inverses[c], diff)
+            per_cluster[c] = ((diff @ stats.inverses[c]) * diff).sum(axis=1)
     return per_cluster.min(axis=0)
 
 

@@ -133,15 +133,16 @@ def _train_parameters(config: TrainConfig, vocab_size: int, train_samples,
     params = init_model(config, vocab_size, init_rng)
     adam = Adam(lr=config.learning_rate)
 
-    def update(loss: ad.Tensor, what: str) -> None:
+    def update(loss: ad.Tensor, what: str) -> float:
         """One clipped Adam step, from a finite scalar loss, on the
-        parameters that loss reaches."""
+        parameters that loss reaches; returns the pre-clip gradient norm."""
         if not np.isfinite(loss.data):
             raise NumericError(f"{what} is not finite")
         params.store.zero_grads()
         backward(loss)
-        clip_store_gradients(params.store, config.clip_norm)
+        norm = clip_store_gradients(params.store, config.clip_norm)
         adam.step(params.store)
+        return norm
 
     weight = 0.0 if config.ablate_cd else config.contrastive_weight
     if weight > 0 and not any(s.label == 1 for s in train_samples):
@@ -154,7 +155,7 @@ def _train_parameters(config: TrainConfig, vocab_size: int, train_samples,
     digest_lines = ["epoch,distribution_loss,gated_ce,contrastive"]
     for epoch in range(config.epochs):
         order = order_rng.permutation(n)
-        dd_losses, ce_losses, ccl_losses = [], [], []
+        dd_losses, ce_losses, ccl_losses, norms1, norms2 = [], [], [], [], []
         for batch_no, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start:start + config.batch_size]
             batch = [train_samples[i].statements for i in idx]
@@ -168,7 +169,7 @@ def _train_parameters(config: TrainConfig, vocab_size: int, train_samples,
                         x1, lengths1, labels, params.classifier,
                         relax_temp=config.relax_temp, rng=dd_rng,
                         dropout_rng=dropout_rng)
-                    update(loss1, "distribution loss")
+                    norms1.append(update(loss1, "distribution loss"))
                     dd_losses.append(float(loss1.data))
                     del x1, loss1  # step 1's activations end before step 2
 
@@ -182,7 +183,7 @@ def _train_parameters(config: TrainConfig, vocab_size: int, train_samples,
                     contrastive_weight=weight, clusters=config.clusters,
                     rng=joint_rng, variant=config.contrastive_variant,
                     kmeans_iters=config.kmeans_iters, dropout_rng=dropout_rng)
-                update(parts.total, "joint loss")
+                norms2.append(update(parts.total, "joint loss"))
             except NumericError as exc:
                 raise TrainingError(
                     f"aborting: epoch {epoch} batch {batch_no}: {exc}") from exc
@@ -190,8 +191,10 @@ def _train_parameters(config: TrainConfig, vocab_size: int, train_samples,
             ccl_losses.append(float(parts.contrastive.data))
         digest_lines.append(
             f"{epoch},{_mean(dd_losses)!r},{_mean(ce_losses)!r},{_mean(ccl_losses)!r}")
-        log.info("epoch %d: distribution %.4f, gated CE %.4f, contrastive %.4f",
-                 epoch, _mean(dd_losses), _mean(ce_losses), _mean(ccl_losses))
+        log.info("epoch %d: distribution %.4f, gated CE %.4f, contrastive %.4f, "
+                 "mean pre-clip gradient norm step 1 %.4f, step 2 %.4f",
+                 epoch, _mean(dd_losses), _mean(ce_losses), _mean(ccl_losses),
+                 _mean(norms1), _mean(norms2))
     tensors = {name: t.data.astype(np.float32) for name, t in params.store.items()}
     return tensors, "\n".join(digest_lines) + "\n"
 

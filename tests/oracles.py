@@ -238,6 +238,39 @@ def encode_function_reference(statements, embedding, kernel, bias,
     return out
 
 
+def padded_encode_reference(batch, embedding, kernel, bias, max_statements,
+                            retain=1.0, rng=None, pad_id=0) -> np.ndarray:
+    """encode_batch the padded way: every kept statement of the batch padded
+    to the longest one (at least the kernel width) in one (S, T, dim) block,
+    padding embedded as zero, dropout drawn from `rng` at that block's shape
+    (none without one), then per statement the max of ReLU(conv) over the
+    windows that start inside it (one window if it is shorter than the
+    kernel). Returns the (B, max_statements, filters) block."""
+    k, dim, filters = kernel.shape
+    out = np.zeros((len(batch), max_statements, filters))
+    kept = [(i, j, list(ids)) for i, statements in enumerate(batch)
+            for j, ids in enumerate(statements[:max_statements])]
+    if not kept:
+        return out
+    t = max(k, max(len(ids) for _, _, ids in kept))
+    block = np.zeros((len(kept), t, dim))
+    for row, (_, _, ids) in enumerate(kept):
+        for pos, token in enumerate(ids):
+            if token != pad_id:
+                block[row, pos] = embedding[token]
+    if rng is not None:
+        block = block * ((rng.random(block.shape) < retain) / retain)
+    for row, (i, j, ids) in enumerate(kept):
+        best = np.zeros(filters)
+        for start in range(max(len(ids) - k + 1, 1)):
+            conv = bias.astype(np.float64).copy()
+            for tap in range(k):
+                conv += block[row, start + tap] @ kernel[tap]
+            best = np.maximum(best, conv)
+        out[i, j] = best
+    return out
+
+
 def relaxed_bernoulli_reference(p, a, b, nu) -> np.ndarray:
     """Binary Concrete sample from a keep probability, one element at a
     time: 1 / (1 + exp(-(log p - log(1 - p) + a - b) / nu))."""

@@ -116,13 +116,16 @@ def _primitive_cases(rng):
     kern = _param(rng, (3, 3, 4), name="kern")
     bias = _param(rng, (4,), name="bias")
     wc = ad.constant(rng.normal(size=(2, 4, 4)))
+    # the dense conv over both sequences: x laid end to end, starts i * 6 + j
+    starts = (np.arange(2)[:, None] * 6 + np.arange(4)[None, :]).reshape(-1)
     cases.append(("conv1d", {"x": x, "kern": kern, "bias": bias},
-                  lambda: ad.reduce_sum(ad.mul(wc, ad.conv1d(x, kern, bias)))))
+                  lambda: ad.reduce_sum(ad.mul(wc, ad.reshape(ad.conv1d(
+                      ad.reshape(x, (12, 3)), kern, bias, starts), (2, 4, 4))))))
 
-    mt = _param(rng, (3, 5, 4), name="mt")
+    mt = _param(rng, (15, 4), name="mt")
     wm = ad.constant(rng.normal(size=(3, 4)))
-    cases.append(("max_time", {"mt": mt}, lambda: ad.reduce_sum(
-        ad.mul(wm, ad.max_time(mt)))))
+    cases.append(("segment_max", {"mt": mt}, lambda: ad.reduce_sum(
+        ad.mul(wm, ad.segment_max(mt, np.array([0, 5, 10]))))))
 
     dr = _param(rng, (4, 6), name="dr")
     wd = ad.constant(rng.normal(size=(4, 6)))

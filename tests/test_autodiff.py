@@ -43,8 +43,20 @@ def test_softmax_rows_sum_to_one_and_positive():
 
 
 def test_maxpool_full_window():
-    out = ad.max_time(t(np.array([[[1.0], [5.0], [2.0]]])))
+    out = ad.segment_max(t(np.array([[1.0], [5.0], [2.0]])), np.array([0]))
     assert out.data.reshape(()) == 5.0
+
+
+def test_segment_max_pools_runs_and_routes_ties_to_the_first_row():
+    vals = t(np.array([[1.0, 4.0], [3.0, 4.0], [2.0, -1.0], [0.0, 0.0], [5.0, 0.0]]))
+    out = ad.segment_max(vals, np.array([0, 2, 3]))
+    assert np.array_equal(out.data, [[3.0, 4.0], [2.0, -1.0], [5.0, 0.0]])
+    coeff = ad.constant(np.arange(1.0, 7.0).reshape(3, 2))
+    ad.backward(ad.reduce_sum(ad.mul(out, coeff)))
+    assert np.array_equal(vals.grad, [[0, 2], [1, 0], [3, 4], [0, 6], [5, 0]])
+    for bad in ([], [1, 3], [0, 0, 3], [0, 3, 2], [0, 5]):
+        with pytest.raises(ad.GraphError):
+            ad.segment_max(vals, np.array(bad, dtype=np.int64))
 
 
 def test_square_gradient():
@@ -253,6 +265,12 @@ def test_fd_each_primitive():
              {"a": a, "b": b, "bias": bias})
 
 
+def dense_starts(n, t, k):
+    """Window starts of a dense conv over n length-t sequences laid end to
+    end: i * t + j for every valid offset j."""
+    return (np.arange(n)[:, None] * t + np.arange(t - k + 1)[None, :]).reshape(-1)
+
+
 def test_fd_conv1d_random_input():
     rng = np.random.default_rng(23)
     x = t(rng.normal(size=(1, 5, 3)), name="x")
@@ -260,7 +278,8 @@ def test_fd_conv1d_random_input():
     b = t(rng.normal(size=(4,)), name="b")
 
     def build():
-        return ad.reduce_sum(ad.mul(ad.conv1d(x, w, b),
+        out = ad.conv1d(ad.reshape(x, (5, 3)), w, b, dense_starts(1, 5, 3))
+        return ad.reduce_sum(ad.mul(ad.reshape(out, (1, 3, 4)),
                                     ad.constant(coeff)))
 
     coeff = rng.normal(size=(1, 3, 4))
@@ -275,10 +294,52 @@ def test_fd_conv_relu_maxpool_chain():
     b = t(rng.normal(size=(4,)) * 0.1, name="b")
 
     def build():
-        return ad.reduce_sum(ad.max_time(ad.maximum_const(ad.conv1d(x, w, b), 0.0)))
+        out = ad.conv1d(ad.reshape(x, (12, 3)), w, b, dense_starts(2, 6, 3))
+        return ad.reduce_sum(ad.segment_max(ad.maximum_const(out, 0.0),
+                                            np.array([0, 4])))
 
     report = finite_difference_check(build, {"x": x, "w": w, "b": b}, h=1e-5)
     assert report.max_rel_error < 1e-4
+
+
+def test_fd_packed_conv_with_uncovered_and_short_statements():
+    """Three statements of lengths 4, 1 and 6 packed as the encoder packs
+    them (kernel 3: the one-token statement is zero-filled to one window),
+    with position 7 between the last two covered by no window."""
+    rng = np.random.default_rng(41)
+    x = t(rng.normal(size=(14, 3)), name="x")
+    w = t(rng.normal(size=(3, 3, 4)) * 0.4, name="w")
+    b = t(rng.normal(size=(4,)) * 0.1, name="b")
+    fill = np.ones((14, 1))
+    fill[[5, 6]] = 0.0
+    starts = np.array([0, 1, 4, 8, 9, 10, 11])
+    first_window = np.array([0, 2, 3])  # rows of h where each statement starts
+    coeff = ad.constant(rng.normal(size=(3, 4)))
+
+    def build():
+        h = ad.maximum_const(ad.conv1d(ad.mul(x, ad.constant(fill)), w, b,
+                                       starts), 0.0)
+        pooled = ad.segment_max(h, first_window)
+        return ad.reduce_sum(ad.mul(pooled, coeff))
+
+    report = finite_difference_check(build, {"x": x, "w": w, "b": b}, h=1e-5)
+    assert report.max_rel_error < 1e-4
+    x.grad = None
+    ad.backward(build())
+    assert np.all(x.grad[[5, 6, 7]] == 0.0)
+    assert np.any(x.grad[:5] != 0.0) and np.any(x.grad[8:] != 0.0)
+
+
+def test_conv1d_rejects_windows_outside_the_input():
+    x = t(np.ones((5, 2)))
+    w = t(np.ones((3, 2, 2)))
+    b = t(np.zeros(2))
+    assert ad.conv1d(x, w, b, np.array([0, 2])).data.shape == (2, 2)
+    for bad in ([3], [-1]):
+        with pytest.raises(ad.GraphError):
+            ad.conv1d(x, w, b, np.array(bad))
+    with pytest.raises(ad.GraphError):
+        ad.conv1d(x, t(np.ones((3, 4, 2))), b, np.array([0]))
 
 
 def test_fd_dropout_with_fixed_stream():

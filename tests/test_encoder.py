@@ -4,6 +4,7 @@ import pytest
 
 import leo.autodiff as ad
 from leo.autodiff import GraphError
+from leo.config import TrainConfig
 from leo.encoder import encode_batch, init_encoder_params
 from leo.normalize import PAD_ID
 from leo.optim import ParameterStore
@@ -12,6 +13,7 @@ from oracles import (
     encode_function_reference,
     encode_statement_reference,
     finite_difference_check,
+    padded_encode_reference,
 )
 
 
@@ -257,6 +259,61 @@ def test_encode_batch_train_mode_deterministic_given_seed():
                         rng=np.random.default_rng(8))
     np.testing.assert_array_equal(a.data, b.data)
     assert not np.array_equal(a.data, c.data)
+
+
+def test_encode_batch_convolves_only_valid_windows(monkeypatch):
+    """One conv1d call whose output has one row per valid window:
+    sum of max(L - k + 1, 1) over the kept statements."""
+    windows = []
+    real_conv = ad.conv1d
+
+    def spy(*args):
+        out = real_conv(*args)
+        windows.append(int(np.prod(out.data.shape[:-1])))
+        return out
+
+    monkeypatch.setattr(ad, "conv1d", spy)
+    for kernel in (1, 2, 3, 5):
+        _, params = make_params(dim=4, kernel=kernel, seed=kernel)
+        windows.clear()
+        encode_batch(RAGGED_BATCH, params, max_statements=3)
+        kept = [s for fn in RAGGED_BATCH for s in fn[:3]]
+        assert windows == [sum(max(len(s) - kernel + 1, 1) for s in kept)]
+
+
+def test_encode_batch_matches_padded_reference_and_rng_stream():
+    """Train mode: the packed encoder equals the padded block path, whose
+    dropout mask is drawn at the (statements x longest x dim) shape, and
+    leaves the dropout rng where that path leaves it."""
+    rng = np.random.default_rng(3)
+    batch = [[list(rng.integers(1, 9, size=rng.integers(1, 9)))
+              for _ in range(rng.integers(0, 6))] for _ in range(6)]
+    for kernel in (1, 3, 5):
+        _, params = make_params(dim=4, kernel=kernel, seed=kernel)
+        for seed in (None, 11):
+            ours = None if seed is None else np.random.default_rng(seed)
+            theirs = None if seed is None else np.random.default_rng(seed)
+            out, _ = encode_batch(batch, params, 4, rng=ours)
+            want = padded_encode_reference(
+                batch, params.embedding.data, params.conv_kernel.data,
+                params.conv_bias.data, 4, params.dropout_retain, theirs, PAD_ID)
+            np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=0)
+            if seed is not None:
+                assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_encode_batch_short_exact_and_capped_statements_in_one_batch():
+    """Lengths 1, k - 1, k, k + 1 and the token cap side by side."""
+    _, params = make_params(vocab=12, dim=4, kernel=3, seed=9)
+    cap = TrainConfig(seed=0).stmt_token_cap
+    rng = np.random.default_rng(5)
+    statements = [list(rng.integers(1, 12, size=n)) for n in (1, 2, 3, 4, cap)]
+    m = encode_one(statements, params)
+    for i, s in enumerate(statements):
+        one = encode_statement_reference(s, params.embedding.data,
+                                         params.conv_kernel.data,
+                                         params.conv_bias.data, PAD_ID)
+        np.testing.assert_allclose(m[i], one, rtol=1e-12, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Configuration, ingestion, the synthetic generator, the model container,
 the training loop contracts, and the CLI."""
 import dataclasses
+import logging
 import os
 import struct
 import zlib
@@ -384,6 +385,30 @@ def test_ablation_recorded_and_changes_training():
     digest = ablated.log_digest.strip().splitlines()
     assert all(line.split(",")[1] == "0.0" for line in digest[1:])
     assert serialize_model(full) != serialize_model(ablated)
+
+
+def test_epoch_log_reports_mean_pre_clip_norms(caplog, monkeypatch):
+    """Each epoch's log line ends with each step's mean pre-clip gradient
+    norm, the norms clip_store_gradients returned; the digest keeps its
+    four loss columns."""
+    norms = []
+    real_clip = train_module.clip_store_gradients
+
+    def spy(store, max_norm):
+        norms.append(real_clip(store, max_norm))
+        return norms[-1]
+
+    monkeypatch.setattr(train_module, "clip_store_gradients", spy)
+    with caplog.at_level(logging.INFO, logger="leo"):
+        art = train(tiny_config(epochs=1), tiny_corpus(n=40)[0])
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("epoch ")]
+    step1, step2 = norms[0::2], norms[1::2]  # each batch: step 1, then step 2
+    assert len(lines) == 1 and len(step1) == len(step2) > 1
+    assert lines[0].endswith(f"step 1 {np.mean(step1):.4f}, "
+                             f"step 2 {np.mean(step2):.4f}")
+    assert art.log_digest.splitlines()[0] == \
+        "epoch,distribution_loss,gated_ce,contrastive"
 
 
 def _update(params, adam, loss, clip_norm):
