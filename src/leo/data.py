@@ -19,12 +19,19 @@ class DatasetRecord:
 
 
 def load_dataset(path: str) -> list[DatasetRecord]:
-    """Read one JSON object per line. `code` and `label` are required;
-    a missing `id` is assigned from the line number. Ids must be unique."""
+    """Read one UTF-8 JSON object per line. `code` (a string) and `label`
+    are required; a missing `id` is assigned from the line number. Ids must
+    be unique. A bad line raises ValueError naming the path and the line."""
     records = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    # undecodable bytes become lone surrogates, found per line below
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ValueError(f"{path} line {lineno}: not valid UTF-8 "
+                                 f"at character {exc.start + 1}") from None
             if not line.strip():
                 continue
             try:
@@ -37,6 +44,9 @@ def load_dataset(path: str) -> list[DatasetRecord]:
                 raise ValueError(f"{path} line {lineno}: missing 'code'")
             if "label" not in obj:
                 raise ValueError(f"{path} line {lineno}: missing 'label'")
+            if not isinstance(obj["code"], str):
+                raise ValueError(f"{path} line {lineno}: code must be a string, "
+                                 f"got {obj['code']!r}")
             label = obj["label"]
             # JSON true and 1.0 compare equal to 1; only a real integer counts
             if type(label) is not int or label not in (0, 1):
@@ -48,7 +58,7 @@ def load_dataset(path: str) -> list[DatasetRecord]:
             seen.add(sample_id)
             records.append(DatasetRecord(
                 sample_id=sample_id,
-                code=str(obj["code"]),
+                code=obj["code"],
                 label=label,
                 cwe=str(obj.get("cwe", "")),
             ))

@@ -3,8 +3,9 @@
 Each statement's token ids are embedded, padding positions are forced to
 zero, dropout is applied when a dropout rng is given (training), and a
 valid convolution followed by ReLU and a max over time yields one fixed-size
-vector per statement. A function becomes a fixed (max_statements x dim)
-matrix: real statements in order, zero rows after them.
+vector per statement. For training a function becomes a fixed
+(max_statements x dim) matrix: real statements in order, zero rows after
+them. The scoring pass takes the packed (statements x dim) rows instead.
 
 encode_batch lays every real statement of a batch end to end in one token
 stream, each over max(L, k) positions (a statement shorter than the kernel
@@ -20,6 +21,7 @@ parameters, do not depend on the packing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -90,10 +92,11 @@ def _embed_ids(id_matrix: np.ndarray, params: EncoderParams) -> Tensor:
     return ad.mul(emb, ad.constant(mask, name="pad_mask"))
 
 
-def _encode_packed(statements: list[np.ndarray], params: EncoderParams,
+def _encode_packed(statements: list, params: EncoderParams,
                    rng: np.random.Generator | None) -> Tensor:
-    """S statements laid end to end, each over max(L, k) positions, through
-    one conv over their valid windows -> (S, dim) statement vectors."""
+    """S statements (token id sequences) laid end to end, each over
+    max(L, k) positions, through one conv over their valid windows ->
+    (S, dim) statement vectors."""
     lengths = np.array([len(s) for s in statements], dtype=np.int64)
     if lengths.min() < 1:
         raise GraphError("cannot encode an empty statement")
@@ -103,7 +106,8 @@ def _encode_packed(statements: list[np.ndarray], params: EncoderParams,
     stmt = np.repeat(np.arange(n), spans)
     pos = np.arange(spans.sum()) - np.repeat(np.cumsum(spans) - spans, spans)
     ids = np.full(len(stmt), PAD_ID, dtype=np.int64)
-    ids[pos < lengths[stmt]] = np.concatenate(statements)
+    ids[pos < lengths[stmt]] = np.fromiter(chain.from_iterable(statements),
+                                           dtype=np.int64, count=int(lengths.sum()))
     emb = ad.dropout(_embed_ids(ids, params), params.dropout_retain, rng,
                      padded=((n, t_max, params.dim), (stmt, pos)))
     # a window starts at each position with k - 1 more of its statement after it
@@ -115,31 +119,30 @@ def _encode_packed(statements: list[np.ndarray], params: EncoderParams,
 
 
 def encode_batch(batch: list[list], params: EncoderParams, max_statements: int,
-                 rng: np.random.Generator | None = None):
-    """Encode a batch of functions (each a list of token id sequences) into
-    one (B, max_statements, dim) tensor plus the per-function true lengths.
+                 rng: np.random.Generator | None = None, *, packed: bool = False):
+    """Encode a batch of functions (each a list of token id sequences) and
+    return the statement vectors plus the per-function true lengths.
 
     The first min(count, max_statements) statements of each function are
-    encoded in order; rows past a function's true length stay exactly zero.
-    All real statements share a single embedding lookup and convolution.
-    Embedding dropout draws from `rng`; without one there is no dropout.
+    encoded in order. By default the vectors come as one (B, max_statements,
+    dim) block whose rows past a function's true length stay exactly zero.
+    With `packed` they come as the (S, dim) rows of the S kept statements,
+    function after function, and no block is built: function f owns rows
+    sum(lengths[:f]) to sum(lengths[:f + 1]). All kept statements share a
+    single embedding lookup and convolution. Embedding dropout draws from
+    `rng`; without one there is no dropout.
     """
-    b = len(batch)
-    d = params.dim
-    flat: list[np.ndarray] = []
-    batch_idx: list[int] = []
-    row_idx: list[int] = []
-    true_lengths = np.zeros(b, dtype=np.int64)
-    for i, statements in enumerate(batch):
-        kept = statements[:max_statements]
-        true_lengths[i] = len(kept)
-        for j, s in enumerate(kept):
-            flat.append(np.asarray(s, dtype=np.int64))
-            batch_idx.append(i)
-            row_idx.append(j)
+    kept = [statements[:max_statements] for statements in batch]
+    true_lengths = np.array([len(k) for k in kept], dtype=np.int64)
+    flat = [s for k in kept for s in k]
     if not flat:
-        return ad.constant(np.zeros((b, max_statements, d))), true_lengths
+        shape = (0, params.dim) if packed else (len(batch), max_statements, params.dim)
+        return ad.constant(np.zeros(shape)), true_lengths
     vectors = _encode_packed(flat, params, rng)
-    placed = ad.scatter_rows(vectors, np.asarray(batch_idx, dtype=np.int64),
-                             np.asarray(row_idx, dtype=np.int64), b, max_statements)
+    if packed:
+        return vectors, true_lengths
+    batch_idx = np.repeat(np.arange(len(batch)), true_lengths)
+    row_idx = np.arange(len(flat)) - np.repeat(np.cumsum(true_lengths) - true_lengths,
+                                               true_lengths)
+    placed = ad.scatter_rows(vectors, batch_idx, row_idx, len(batch), max_statements)
     return placed, true_lengths

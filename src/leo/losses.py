@@ -123,18 +123,12 @@ def data_distribution_loss(x: Tensor, true_lengths, labels,
 class KMeansResult:
     labels: np.ndarray        # (n,) cluster index per point
     centroids: np.ndarray     # (k_effective, dim)
-    inertia: float
-    inertia_history: list[float]
     k_effective: int
 
 
 def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     return d2.argmin(axis=1)
-
-
-def _inertia(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
-    return float(((points - centroids[labels]) ** 2).sum())
 
 
 def _seed_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -187,20 +181,17 @@ def minibatch_kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
     n = len(points)
     if n == 0:
         return KMeansResult(np.zeros(0, dtype=np.int64),
-                            np.zeros((0, points.shape[1])), 0.0, [], 0)
+                            np.zeros((0, points.shape[1])), 0)
     k_eff = min(k, n)
     centroids = _seed_centroids(points, k_eff, rng)
     labels = _refill_empty(points, centroids, _nearest(points, centroids), k_eff)
-    history = [_inertia(points, centroids, labels)]
     for _ in range(max_iters):
         centroids = np.stack([points[labels == c].mean(axis=0) for c in range(k_eff)])
         new_labels = _refill_empty(points, centroids, _nearest(points, centroids), k_eff)
-        history.append(_inertia(points, centroids, new_labels))
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-    return KMeansResult(labels.astype(np.int64), centroids, history[-1],
-                        history, k_eff)
+    return KMeansResult(labels.astype(np.int64), centroids, k_eff)
 
 
 # ---------------------------------------------------------------------------

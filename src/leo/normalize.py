@@ -1,11 +1,16 @@
 """Turn raw C/C++ function text into normalized statement token sequences.
 
-No AST and no preprocessor: a hand-written lexer strips comments and
-literals, user-defined identifiers are renamed to var1, var2, ... and
-func1, func2, ... in first-appearance order (an identifier is a function
-when its next token is an opening parenthesis), and a heuristic splitter
-cuts the token stream into statements. String and character literals, and
-include targets, all collapse to the single token "str".
+No AST and no preprocessor. User-defined identifiers are renamed to var1,
+var2, ... and func1, func2, ... in first-appearance order (an identifier is
+a function when its next token is an opening parenthesis). String and
+character literals, and include targets, all collapse to the single token
+"str".
+
+normalize_source makes three passes over plain tuples. One finditer scan
+drops non-token bytes, whitespace and comments, raises on an unterminated
+comment or literal, collapses literals and records each token's line. One
+pass folds include targets and renames identifiers. A heuristic splitter
+then cuts the token stream into statements.
 
 The output is deterministic, ASCII-only, and stable under re-normalization
 of its own rendering.
@@ -17,7 +22,11 @@ from dataclasses import dataclass, field
 
 
 class NormalizeError(ValueError):
-    """Lexical failure (unterminated comment/string), with a byte offset."""
+    """Lexical failure (unterminated comment or literal) with an offset.
+
+    The offset indexes the text after non-ASCII characters are stripped and
+    CRLF line ends and line splices are folded, not the raw input: "é/*"
+    reports offset 0."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} at byte offset {offset}")
@@ -82,35 +91,40 @@ _OPERATORS = [
     "~", "?", ":", ".", "#",
 ]
 
+# One match per token. The prefix skips horizontal whitespace and // comments
+# atomically (a lookahead capture re-matched by backreference), so a token
+# never starts inside a comment; \Z lets whitespace or a comment end the
+# text. A byte that starts no token (a stray backslash, @, $, `) matches
+# nothing and is skipped by finditer. Alternatives that share a first
+# character keep their priority: a complete comment or literal before its
+# lone opener (which is then unterminated) and before the "/" operator, a
+# number before ".", and longer operators before shorter ones.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<NEWLINE>\n)
-  | (?P<WS>[^\S\n]+)
-  | (?P<COMMENT_SINGLE>//[^\n]*)
-  | (?P<COMMENT_MULTI>/\*.*?\*/)
-  | (?P<COMMENT_OPEN>/\*)
-  | (?P<STRING>"(?:\\.|[^"\\\n])*")
-  | (?P<STRING_OPEN>")
-  | (?P<CHAR>'(?:\\.|[^'\\\n])*')
-  | (?P<CHAR_OPEN>')
-  | (?P<NUMBER>
-        0[xX][0-9a-fA-F]+[uUlL]*
-      | (?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?[uUlLfF]*
+    (?=((?:[^\S\n]+|//[^\n]*)*))\1
+    (?:
+        (?P<IDENT>[A-Za-z_]\w*)
+      | (?P<NEWLINE>\n)
+      | (?P<COMMENT>/\*.*?\*/)
+      | (?P<LITERAL>"(?:\\.|[^"\\\n])*"|'(?:\\.|[^'\\\n])*')
+      | (?P<OPEN>/\*|"|')
+      | (?P<OTHER>
+            [(){}\[\],;]
+          | 0[xX][0-9a-fA-F]+[uUlL]*
+          | (?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?[uUlLfF]*
+          | """ + "|".join(re.escape(op) for op in _OPERATORS) + r"""
+        )
+      | \Z
     )
-  | (?P<IDENT>[A-Za-z_]\w*)
-  | (?P<OP>""" + "|".join(re.escape(op) for op in _OPERATORS) + r""")
-  | (?P<PUNCT>[(){}\[\],;])
     """,
     re.VERBOSE | re.DOTALL,
 )
 
-
-@dataclass
-class _Lexeme:
-    kind: str
-    text: str
-    line: int
-    first_on_line: bool
+_UNTERMINATED = {
+    "/*": "unterminated block comment",
+    '"': "unterminated string literal",
+    "'": "unterminated character literal",
+}
 
 
 @dataclass
@@ -125,95 +139,63 @@ class NormalizedFunction:
         return "\n".join(" ".join(stmt) for stmt in self.statements)
 
 
-def _strip_non_ascii(text: str) -> str:
-    return text.encode("ascii", errors="ignore").decode("ascii")
-
-
-def _lex(text: str) -> list[_Lexeme]:
-    out: list[_Lexeme] = []
-    pos = 0
+def _lex(text: str) -> list[tuple[str, bool, int, bool]]:
+    """(text, is identifier, line, first on its line) per token, with
+    string and character literals already collapsed to "str"."""
+    tokens = []
     line = 1
-    line_has_token = False
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            # unknown byte (stray backslash etc.): drop it
-            pos += 1
-            continue
+    first = True
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group()
-        if kind == "COMMENT_OPEN":
-            raise NormalizeError("unterminated block comment", pos)
-        if kind == "STRING_OPEN":
-            raise NormalizeError("unterminated string literal", pos)
-        if kind == "CHAR_OPEN":
-            raise NormalizeError("unterminated character literal", pos)
-        if kind == "NEWLINE":
+        if kind == "IDENT" or kind == "OTHER":
+            tokens.append((m[kind], kind == "IDENT", line, first))
+            first = False
+        elif kind == "NEWLINE":
             line += 1
-            line_has_token = False
-        elif kind in ("WS",):
-            pass
-        elif kind == "COMMENT_SINGLE":
-            pass
-        elif kind == "COMMENT_MULTI":
-            line += value.count("\n")
-        else:
-            out.append(_Lexeme(kind, value, line, not line_has_token))
-            line_has_token = True
-        pos = m.end()
-    return out
+            first = True
+        elif kind == "LITERAL":
+            tokens.append(("str", False, line, first))
+            first = False
+        elif kind == "COMMENT":
+            line += m[kind].count("\n")
+        elif kind == "OPEN":
+            raise NormalizeError(_UNTERMINATED[m[kind]], m.start(kind))
+    return tokens
 
 
-def _collapse_include_target(lexemes: list[_Lexeme]) -> list[_Lexeme]:
-    """Fold the <...> target of an include directive into one "str" lexeme,
-    mirroring the literal-collapse rule for quoted targets."""
-    out: list[_Lexeme] = []
-    i = 0
-    while i < len(lexemes):
-        lx = lexemes[i]
-        out.append(lx)
-        is_include = (
-            lx.kind == "IDENT" and lx.text == "include"
-            and out[-2:-1] and out[-2].text == "#"
-        )
-        if is_include and i + 1 < len(lexemes) and lexemes[i + 1].text == "<":
-            j = i + 1
-            while j < len(lexemes) and lexemes[j].text != ">" and lexemes[j].line == lx.line:
-                j += 1
-            if j < len(lexemes) and lexemes[j].text == ">":
-                out.append(_Lexeme("STRING", '"collapsed"', lx.line, False))
-                i = j + 1
-                continue
-        i += 1
-    return out
-
-
-def _rename_identifiers(lexemes: list[_Lexeme]) -> tuple[list[_Lexeme], dict[str, str]]:
+def _rename(tokens) -> tuple[list[tuple[str, int, bool]], dict[str, str]]:
+    """Rename user identifiers and fold the <...> target of an include
+    directive into one "str" token, mirroring the quoted-target rule.
+    Returns (text, line, first on its line) per token and the rename map."""
+    out = []
     rename: dict[str, str] = {}
-    var_count = 0
-    func_count = 0
-    out: list[_Lexeme] = []
-    for i, lx in enumerate(lexemes):
-        if lx.kind != "IDENT" or lx.text in ALLOWLIST:
-            out.append(lx)
-            continue
-        name = rename.get(lx.text)
-        if name is None:
-            followed_by_paren = i + 1 < len(lexemes) and lexemes[i + 1].text == "("
-            if followed_by_paren:
-                func_count += 1
-                name = f"func{func_count}"
-            else:
-                var_count += 1
-                name = f"var{var_count}"
-            rename[lx.text] = name
-        out.append(_Lexeme(lx.kind, name, lx.line, lx.first_on_line))
+    counts = {"var": 0, "func": 0}
+    prev = None
+    i, n = 0, len(tokens)
+    while i < n:
+        text, ident, line, first = tokens[i]
+        i += 1
+        if ident and text not in ALLOWLIST:
+            name = rename.get(text)
+            if name is None:
+                kind = "func" if i < n and tokens[i][0] == "(" else "var"
+                counts[kind] += 1
+                name = rename[text] = f"{kind}{counts[kind]}"
+            text = name
+        elif text == "include" and prev == "#" and i < n and tokens[i][0] == "<":
+            j = i
+            while j < n and tokens[j][0] != ">" and tokens[j][2] == line:
+                j += 1
+            if j < n and tokens[j][0] == ">":
+                out.append((text, line, first))
+                text, first, i = "str", False, j + 1
+        out.append((text, line, first))
+        prev = text
     return out, rename
 
 
-def _split(lexemes: list[_Lexeme]) -> list[list[str]]:
-    """Cut a lexeme stream into statements.
+def _split(tokens) -> list[list[str]]:
+    """Cut a (text, line, first on its line) token stream into statements.
 
     Boundaries: after ';' at paren depth 0; before and after '{' / '}' at
     paren depth 0 (each brace is its own statement); after the ')' that
@@ -223,71 +205,55 @@ def _split(lexemes: list[_Lexeme]) -> list[list[str]]:
     statements: list[list[str]] = []
     current: list[str] = []
     depth = 0
-    control_depth: int | None = None  # paren depth where a control header opened
-    pp_line: int | None = None
-
-    def flush():
-        nonlocal control_depth
-        if current:
-            statements.append(current.copy())
-            current.clear()
-        control_depth = None
-
-    i = 0
-    n = len(lexemes)
+    control = False  # a control header opened at paren depth 0
+    pp_line = None
+    i, n = 0, len(tokens)
     while i < n:
-        lx = lexemes[i]
-        text = lx.text
-
+        text, line, first = tokens[i]
+        i += 1
         if pp_line is not None:
-            if lx.line != pp_line:
-                flush()
-                pp_line = None
-            else:
+            if line == pp_line:
                 current.append(text)
-                i += 1
                 continue
-
-        if pp_line is None and text == "#" and lx.first_on_line:
-            flush()
-            pp_line = lx.line
-            current.append(text)
-            i += 1
-            continue
-
-        if text in ("(", "["):
+            statements.append(current)  # the directive, from its "#"
+            current = []
+            pp_line = None
+        if text == "#" and first:
+            if current:
+                statements.append(current)
+            current = [text]
+            control = False
+            pp_line = line
+        elif text == "(" or text == "[":
             depth += 1
             current.append(text)
-            i += 1
-            continue
-        if text in (")", "]"):
-            depth = max(0, depth - 1)
+        elif text == ")" or text == "]":
+            if depth:
+                depth -= 1
             current.append(text)
-            if text == ")" and depth == 0 and control_depth == 0:
-                nxt = lexemes[i + 1].text if i + 1 < n else None
-                if nxt == ";":
+            if text == ")" and not depth and control:
+                if i < n and tokens[i][0] == ";":
                     current.append(";")
                     i += 1
-                flush()
-            i += 1
-            continue
-
-        if depth == 0 and text in ("{", "}"):
-            flush()
+                statements.append(current)
+                current = []
+                control = False
+        elif not depth and (text == "{" or text == "}"):
+            if current:
+                statements.append(current)
+                current = []
+            control = False
             statements.append([text])
-            i += 1
-            continue
-
-        if text in CONTROL_KEYWORDS and (not current or current == ["else"]):
-            control_depth = 0
-        current.append(text)
-
-        if text == ";" and depth == 0:
-            flush()
-        i += 1
-
-    if pp_line is not None or current:
-        flush()
+        else:
+            if text in CONTROL_KEYWORDS and (not current or current == ["else"]):
+                control = True
+            current.append(text)
+            if text == ";" and not depth:
+                statements.append(current)
+                current = []
+                control = False
+    if current:
+        statements.append(current)
     return statements
 
 
@@ -295,17 +261,10 @@ def normalize_source(source_text: str) -> NormalizedFunction:
     """Normalize one function body: strip comments, blank lines and
     non-ASCII bytes, collapse literals to "str", rename user identifiers,
     and split into statements."""
-    text = _strip_non_ascii(source_text)
+    text = source_text.encode("ascii", errors="ignore").decode("ascii")
     text = text.replace("\r\n", "\n").replace("\\\n", " ")
-    lexemes = _lex(text)
-    lexemes = _collapse_include_target(lexemes)
-    for lx in lexemes:
-        if lx.kind in ("STRING", "CHAR"):
-            lx.kind = "STRING"
-            lx.text = "str"
-    lexemes, rename_map = _rename_identifiers(lexemes)
-    statements = _split(lexemes)
-    return NormalizedFunction(statements=statements, rename_map=rename_map)
+    tokens, rename_map = _rename(_lex(text))
+    return NormalizedFunction(statements=_split(tokens), rename_map=rename_map)
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +290,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.tokens)
 
-    def id_of(self, token: str) -> int:
-        return self._index.get(token, UNK_ID)
-
     def __contains__(self, token: str) -> bool:
         return token in self._index
 
@@ -353,4 +309,5 @@ def build_vocabulary(corpus: list[NormalizedFunction], max_size: int) -> Vocabul
 
 def encode_tokens(tokens: list[str], vocab: Vocabulary) -> list[int]:
     """Map tokens to ids; unseen tokens become the unknown id, never padding."""
-    return [vocab.id_of(t) for t in tokens]
+    index = vocab._index
+    return [index.get(t, UNK_ID) for t in tokens]

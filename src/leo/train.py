@@ -84,8 +84,10 @@ def masked_representations(params: ModelParams, samples, config: TrainConfig,
     dropout, and with `msp` the classifier's max-softmax complement (None
     without). pooled-d is the mean of a function's real gated rows (zero
     without statements); concat-diagonal is the whole gated matrix,
-    flattened row-major. The selector scores only the real statement rows,
-    as one row block; padded rows keep a zero gate."""
+    flattened row-major. The encoder returns only the real statement rows;
+    the selector gates them as one row block, and the pooled mean sums each
+    function's own rows. Only concat-diagonal and `msp` place the gated
+    rows into the (batch, max_statements, dim) block they read."""
     if msp and params.classifier is None:
         raise ValueError("max-softmax scores need the model's classifier; "
                          "this one was rebuilt without it")
@@ -97,24 +99,30 @@ def masked_representations(params: ModelParams, samples, config: TrainConfig,
     for start in range(0, n, config.batch_size):
         chunk = samples[start:start + config.batch_size]
         x, lengths = encode_batch([s.statements for s in chunk],
-                                  params.encoder, config.max_statements)
-        live = slots[None, :] < lengths[:, None]
-        probs = selector_forward(ad.constant(x.data[live][None]),
+                                  params.encoder, config.max_statements,
+                                  packed=True)
+        probs = selector_forward(ad.constant(x.data[None]),
                                  params.selector).data[0]
-        z = np.zeros(live.shape)
-        z[live] = deterministic_mask(probs, config.gate_mode)
-        masked = x.data * z[:, :, None]
+        masked = x.data * deterministic_mask(probs, config.gate_mode)[:, None]
         b = len(chunk)
-        flat = masked.reshape(b, -1)
-        if msp:
-            class_probs = classifier_forward(ad.constant(flat),
-                                             params.classifier).data
-            msp_out[start:start + b] = 1.0 - class_probs.max(axis=1)
         if pooled:
-            reps[start:start + b] = (masked.sum(axis=1)
-                                     / np.maximum(lengths, 1)[:, None])
-        else:
-            reps[start:start + b] = flat
+            # a slice sum per function adds in the block sum's order (an
+            # np.add.reduceat over the rows does not, and moves the last bits)
+            end = 0
+            for i, length in enumerate(lengths.tolist()):
+                if length:
+                    reps[start + i] = masked[end:end + length].sum(axis=0) / length
+                    end += length
+        if msp or not pooled:
+            block = np.zeros((b, config.max_statements, masked.shape[1]))
+            block[slots[None, :] < lengths[:, None]] = masked
+            flat = block.reshape(b, -1)
+            if not pooled:
+                reps[start:start + b] = flat
+            if msp:
+                class_probs = classifier_forward(ad.constant(flat),
+                                                 params.classifier).data
+                msp_out[start:start + b] = 1.0 - class_probs.max(axis=1)
     return reps, msp_out
 
 

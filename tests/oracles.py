@@ -2,14 +2,18 @@
 
 Everything here is deliberately written the dumb, obvious way (explicit
 loops, scalar math) and shares no code with the package, so agreement is
-meaningful. Two helpers drive the package. The finite-difference harness,
+meaningful. Some helpers drive the package. The finite-difference harness,
 `finite_difference_check`, runs `leo.autodiff.backward` for the analytic
 side and compares it against central differences of the forward pass.
 `full_block_representations` is the scoring pass over every statement slot,
 padding included, against which the live-row pass is checked.
+`kmeans_inertia_history` re-runs `minibatch_kmeans` with 0, 1, ... Lloyd
+rounds to recover the inertia after each round, which the package does not
+keep.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -18,7 +22,7 @@ import numpy as np
 from leo import autodiff as ad
 from leo.autodiff import GraphError, backward
 from leo.encoder import encode_batch
-from leo.losses import classifier_forward
+from leo.losses import classifier_forward, minibatch_kmeans
 from leo.scoring import representation_dim
 from leo.selector import apply_mask, deterministic_mask, pad_gate, selector_forward
 
@@ -157,6 +161,22 @@ def lloyd_reference(points: np.ndarray, centroids: np.ndarray, iters: int = 100)
                 centroids[k] = members.mean(axis=0)
     inertia = sum(((points[i] - centroids[labels[i]]) ** 2).sum() for i in range(len(points)))
     return labels, centroids, float(inertia)
+
+
+def kmeans_inertia(points: np.ndarray, result) -> float:
+    """Sum of squared distances from each point to its assigned centroid."""
+    return float(((points - result.centroids[result.labels]) ** 2).sum())
+
+
+def kmeans_inertia_history(points: np.ndarray, k: int,
+                           rng: np.random.Generator, max_iters: int) -> list[float]:
+    """The inertia after seeding and after each of up to max_iters Lloyd
+    rounds: minibatch_kmeans re-run from copies of `rng` (left unconsumed)
+    with 0, 1, ..., max_iters rounds. A run that converged early repeats
+    its final value."""
+    return [kmeans_inertia(points, minibatch_kmeans(points, k, copy.deepcopy(rng),
+                                                    max_iters=t))
+            for t in range(max_iters + 1)]
 
 
 def dense_mahalanobis(x: np.ndarray, points: np.ndarray, labels: np.ndarray,

@@ -239,6 +239,22 @@ def test_encode_batch_empty_inputs():
     np.testing.assert_array_equal(lengths2, [0, 0])
 
 
+def test_encode_batch_packed_rows_are_the_live_rows_of_the_block():
+    _, params = make_params(dim=4)
+    batch = RAGGED_BATCH + [[[2, 3]] * 5]
+    block, lengths = encode_batch(batch, params, max_statements=3)
+    rows, packed_lengths = encode_batch(batch, params, max_statements=3,
+                                        packed=True)
+    np.testing.assert_array_equal(packed_lengths, [3, 0, 3, 1, 3])
+    np.testing.assert_array_equal(packed_lengths, lengths)
+    live = np.arange(3)[None, :] < lengths[:, None]
+    np.testing.assert_array_equal(rows.data, block.data[live])
+    for batch in ([], [[], []]):
+        empty, none = encode_batch(batch, params, max_statements=3, packed=True)
+        assert empty.data.shape == (0, 4)
+        np.testing.assert_array_equal(none, [0] * len(batch))
+
+
 def test_encode_batch_statement_order_permutes_rows():
     _, params = make_params(dim=4)
     s1, s2, s3 = [2, 3], [4, 5, 6], [7]

@@ -1,4 +1,7 @@
 """Lexer, renaming, statement splitting, and vocabulary behavior."""
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from leo.normalize import (
     encode_tokens,
     normalize_source,
 )
+from leo.synth import generate_pair, generate_synthetic
 
 
 def statements_of(src):
@@ -93,6 +97,13 @@ def test_unterminated_char_reports_offset():
     with pytest.raises(NormalizeError) as err:
         normalize_source("char c = 'a\n;")
     assert err.value.offset == 9
+
+
+def test_error_offset_indexes_the_folded_ascii_text():
+    for src, offset in (("é/*", 0), ("a\r\nb /*", 4), ("a \\\nb /*", 5)):
+        with pytest.raises(NormalizeError) as err:
+            normalize_source(src)
+        assert err.value.offset == offset
 
 
 def test_include_target_collapses():
@@ -271,7 +282,7 @@ def test_fuzz_invariants(seed):
 def test_vocabulary_frequency_order():
     vocab = build_vocabulary(corpus_of([["a", "a", "b"]]), max_size=4)
     assert vocab.tokens == ("<pad>", "<unk>", "a", "b")
-    assert vocab.id_of("a") == 2 and vocab.id_of("b") == 3
+    assert encode_tokens(["a", "b"], vocab) == [2, 3]
 
 
 def test_vocabulary_capacity_overflow_to_unk():
@@ -282,7 +293,7 @@ def test_vocabulary_capacity_overflow_to_unk():
 
 def test_vocabulary_tie_breaks_lexicographic():
     vocab = build_vocabulary(corpus_of([["b", "a"]]), max_size=4)
-    assert vocab.id_of("a") == 2 and vocab.id_of("b") == 3
+    assert encode_tokens(["a", "b"], vocab) == [2, 3]
 
 
 def test_encode_examples():
@@ -307,4 +318,146 @@ def test_vocabulary_deterministic():
 def test_vocabulary_counts_across_functions():
     fns = corpus_of([["a"]], [["b", "b"]])
     vocab = build_vocabulary(fns, max_size=4)
-    assert vocab.id_of("b") == 2 and vocab.id_of("a") == 3
+    assert encode_tokens(["b", "a"], vocab) == [2, 3]
+
+
+# ---------------------------------------------------------------------------
+# frozen output. The digest below was taken on the earlier five-pass lexer;
+# any change to statements, rename maps, error messages or error offsets on
+# this corpus changes it.
+
+UNIT_EXAMPLES = EXAMPLES + [
+    "char c = 'x';",
+    "int a = 1;\n\n/* multi\nline */\nint b = 2;\n",
+    "int total = helper(total, weights);",
+    "int alpha = beta(gamma, alpha);",
+    "int aéb = 1; ☃",
+    "int a = \\\n 1;",
+    "int a; /* oops",
+    'puts("oops);',
+    "char c = 'a\n;",
+    "#include <stdio.h>",
+    '#include "local.h"',
+    "#define MAX 10\nint a = MAX;",
+    "x = 0xFF + 1.5e3 + 10UL;",
+    "a=1;b=2;",
+    "while (n--) ;",
+    "else if (x) y = 1;",
+    "int work(int a, int b) {\nreturn a + b;\n}",
+    "for (i = 0; i < n; i++) { s += i; }",
+    "x = f(g(a, h(b)), c);",
+    "switch (k) { case 1: x = 2; break; default: break; }",
+    "a = 1 ; b = 2 ;",
+    "",
+    "   \n \n",
+    "// only a comment",
+    "int f(int n){if(n<0){return 0;}return n*2;}",
+]
+
+# Edge cases of the include collapse, the preprocessor-line rule, control
+# headers and stray bytes.
+EDGE_CASES = [
+    "#include <stdio.h",
+    "#include <a.h>\n#include \"b.h\"\nint x;",
+    "#include\n<a.h>",
+    "  # include <sys/types.h> // why\nx;",
+    "x # include <a>",
+    "#define F(x) ((x) + 1)\nF(2);",
+    "#define LONG a \\\n b\nint c;",
+    "#if defined(X)\nint a;\n#endif",
+    "a = b; # define Q 1\nq;",
+    "#\n#\n",
+    "if (a) ; else if (b) { c; } else d;",
+    "for (;;) {}",
+    "))) ((( ]]] [[[ ;",
+    "}{ } {",
+    "a[i] = {1, 2}; b(c)[d] = e;",
+    "do { x++; } while (x < 3);",
+    "if (f(a)) return g(b);",
+    "x = a ? b : c; y = 'q'; z = \"w\";",
+    "s = \"esc \\\" quote\"; t = '\\'';",
+    "p->q.r = *s++; u = v >>= 2; w <<= 3; ...;",
+    "x = y // tail",
+    "x = y /* tail */",
+    "x = y\t \t",
+    "x = \\ y @ z $ w ` v;",
+    "\\",
+    "@",
+    "x\r\ny\r\n",
+    "x = 1;\\\r\ny = 2;",
+    "a = .5 + 5. + 1e9 + 0x1fUL + 07 + 1.2E-3f;",
+    "std::vector<int> v; v.push_back(1);",
+    "class A : public B { virtual void f() override; };",
+    "x=\"unterminated\ny\";",
+    "'",
+    '"',
+    "/*",
+    "x /* a */ y /* b",
+    "é/*",
+    "x = 'é';",
+]
+
+_STRAY = ("\\", "@", "$", "`", "\\\n", "/*", "*/", '"', "'", "é", "//",
+          "\n", " ", "#", "<", ">", "(", ")", "{", "}", ";")
+
+
+def _edit_fuzzed(rng, bases, n):
+    """n texts, each a base with one to three random edits: stray bytes,
+    line splices, comment and literal openers, deletions, CRLF line ends,
+    truncation, and a // comment at the very end."""
+    out = []
+    for _ in range(n):
+        text = bases[int(rng.integers(len(bases)))]
+        for _ in range(int(rng.integers(1, 4))):
+            kind = int(rng.integers(0, 6))
+            pos = int(rng.integers(0, len(text) + 1))
+            if kind <= 1:
+                text = text[:pos] + _STRAY[int(rng.integers(len(_STRAY)))] + text[pos:]
+            elif kind == 2:
+                text = text[:pos] + text[pos + int(rng.integers(1, 4)):]
+            elif kind == 3:
+                text = text.replace("\n", "\r\n")
+            elif kind == 4:
+                text = text[:pos]
+            else:
+                text = text + "// trailing note"
+        out.append(text)
+    return out
+
+
+def _digest_corpus():
+    synthetic = []
+    for seed in range(6):
+        for part in generate_synthetic(12, 12, seed):
+            synthetic.extend(r.code for r in part)
+    rng = np.random.default_rng(88)  # A8's fuzz set, with its decorations
+    a8 = []
+    while len(a8) < 500:
+        benign, vulnerable, _ = generate_pair(("A", "B", "C")[len(a8) % 3], rng)
+        a8.extend([benign, vulnerable])
+    decorations = ["// táctica comment\n", "/* блок */\n", "\t \n", "// ok\n"]
+    a8 = [decorations[i % 4] + code for i, code in enumerate(a8[:500])]
+    local = [_random_function(np.random.default_rng(s)) for s in range(40)]
+    bases = synthetic[:200] + UNIT_EXAMPLES + EDGE_CASES + local
+    fuzzed = _edit_fuzzed(np.random.default_rng(2024), bases, 2000)
+    return synthetic + a8 + UNIT_EXAMPLES + EDGE_CASES + local + fuzzed
+
+
+def _outcome(text):
+    try:
+        fn = normalize_source(text)
+    except NormalizeError as exc:
+        return ["error", str(exc), exc.offset]
+    return ["ok", fn.statements, list(fn.rename_map.items())]
+
+
+FROZEN_DIGEST = "3b9c2891ae60215901f689ec14c2b0a9d4a39b4194984663435a2f76dcd79492"
+
+
+def test_normalizer_digest_frozen():
+    corpus = _digest_corpus()
+    outcomes = [_outcome(text) for text in corpus]
+    errors = sum(o[0] == "error" for o in outcomes)
+    assert 200 < errors < len(corpus) // 2  # both paths are exercised
+    blob = json.dumps(outcomes, ensure_ascii=True).encode("ascii")
+    assert hashlib.sha256(blob).hexdigest() == FROZEN_DIGEST

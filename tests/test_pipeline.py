@@ -170,6 +170,23 @@ def test_load_dataset_rejects_non_integer_labels(tmp_path, label):
         load_dataset(str(p))
 
 
+def test_load_dataset_rejects_invalid_utf8(tmp_path):
+    p = tmp_path / "bytes.jsonl"
+    p.write_bytes(b'{"id": "a", "code": "x", "label": 0}\n'
+                  b'{"id": "b", "code": "\xff\xfe", "label": 0}\n')
+    with pytest.raises(ValueError, match=r"bytes\.jsonl line 2: not valid UTF-8"):
+        load_dataset(str(p))
+
+
+@pytest.mark.parametrize("code", ["null", "7", '["x"]'])
+def test_load_dataset_rejects_non_string_code(tmp_path, code):
+    p = tmp_path / "code.jsonl"
+    p.write_text('{"id": "a", "code": "x", "label": 0}\n\n'
+                 f'{{"id": "b", "code": {code}, "label": 0}}\n')
+    with pytest.raises(ValueError, match=r"code\.jsonl line 3: code must be a string"):
+        load_dataset(str(p))
+
+
 def test_load_dataset_empty_warns(tmp_path):
     p = tmp_path / "empty.jsonl"
     p.write_text("")
@@ -546,6 +563,47 @@ def test_self_vs_self_auroc_is_half(tmp_path):
     assert len(rows) == 2 * len(id_test)
 
 
+def test_normalize_and_encode_call_contract(monkeypatch):
+    """bench/tracing.py wraps normalize_source and encode_batch where
+    leo.train looks them up, reads max_statements from the third argument
+    and the true lengths from result[1], and derives its repeat and padding
+    ratios from one call per record and one encoder call per batch."""
+    normalized, encoded = [], []
+    real_normalize = train_module.normalize_source
+    real_encode = train_module.encode_batch
+
+    def count_normalize(text):
+        normalized.append(text)
+        return real_normalize(text)
+
+    def count_encode(*args, **kwargs):
+        result = real_encode(*args, **kwargs)
+        max_statements = args[2] if len(args) > 2 else kwargs["max_statements"]
+        encoded.append((args[0], max_statements, result[1]))
+        return result
+
+    monkeypatch.setattr(train_module, "normalize_source", count_normalize)
+    monkeypatch.setattr(train_module, "encode_batch", count_encode)
+    cfg = tiny_config(epochs=1)
+    train_recs, id_test, ood_test = tiny_corpus(n=20, n_ood=6)
+    artifact = train(cfg, train_recs)
+    fit_split, val_split = split_dataset(list(train_recs), cfg.seed, cfg.val_fraction)
+    assert len(normalized) == 2 * len(fit_split) + len(val_split)
+
+    records = id_test + ood_test + train_recs[:20]
+    normalized.clear()
+    encoded.clear()
+    score_records(artifact, records)
+    assert normalized == [r.code for r in records]
+    assert len(encoded) == -(-len(records) // cfg.batch_size) == 3
+    assert sum(len(batch) for batch, _, _ in encoded) == len(records)
+    want = [min(len(real_normalize(r.code).statements), cfg.max_statements)
+            for r in records]
+    got = [n for _, m, lengths in encoded for n in lengths.tolist()]
+    assert all(m == cfg.max_statements for _, m, _ in encoded)
+    assert got == want
+
+
 def test_prepare_samples_names_bad_sample():
     cfg = tiny_config()
     records = [DatasetRecord(f"ok{i}", "int f() { return 1; }", 0) for i in range(5)]
@@ -743,6 +801,20 @@ def test_cli_bad_record_fails_fast(bad_record_setup, command, capsys, tmp_path):
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"sample 'bad-fn': unterminated block comment at byte offset {offset}" in err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("line", [b'{"id": "b", "code": "\xff\xfe", "label": 0}',
+                                  b'{"id": "b", "code": null, "label": 0}'],
+                         ids=["invalid-utf8", "null-code"])
+def test_cli_score_names_the_bad_line(bad_record_setup, line, capsys, tmp_path):
+    root, model_path, _ = bad_record_setup
+    data = root / "undecodable.jsonl"
+    data.write_bytes(b'{"id": "a", "code": "int x;", "label": 0}\n' + line + b"\n")
+    out = tmp_path / "out.csv"
+    argv = ["score", "--model", model_path, "--data", str(data), "--out", str(out)]
+    assert main(argv) == 2
+    assert f"error: {data} line 2: " in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
 
 

@@ -114,10 +114,10 @@ def samples_of(funcs):
 def test_live_row_pass_matches_full_block_oracle(gate_mode, scoring_mode):
     """Scoring only the real statement rows gives the representations and
     max-softmax scores of the pass over every slot, with or without the
-    classifier rebuilt."""
+    classifier rebuilt; the last batch has no statements at all."""
     artifact, _ = small_artifact(gate_mode=gate_mode, scoring_mode=scoring_mode)
     cfg = artifact.config
-    samples = samples_of(FUNCS + FUNCS[::-1])
+    samples = samples_of(FUNCS + FUNCS[::-1] + [[], []])
     full = model_from_artifact(artifact)
     want_reps, want_msp = full_block_representations(full, samples, cfg)
     reps, msp = masked_representations(full, samples, cfg, msp=True)
