@@ -38,6 +38,16 @@ class GraphError(ValueError):
 
 _node_ids = itertools.count()
 
+# affine's live-width backward takes a narrower product than the full one.
+# A BLAS such as OpenBLAS sums some places of a product in another order
+# than the same places of a wider one: its last rows or columns, and every
+# place of a product of few rows, which go to other kernels. So the narrow
+# product reaches _LIVE_MARGIN to 2 * _LIVE_MARGIN - 1 zero columns past
+# the live ones, and a product of fewer than _LIVE_MIN_ROWS rows runs full
+# width; the live columns then get the full product's bits.
+_LIVE_MARGIN = 64
+_LIVE_MIN_ROWS = 32
+
 # Finiteness checking can be disabled for throughput experiments; the
 # training loop leaves it on.
 CHECK_FINITE = True
@@ -224,20 +234,37 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward, "matmul")
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def affine(x: Tensor, w: Tensor, b: Tensor, *, live: int | None = None) -> Tensor:
     """x @ w + b for 2-D x and w and a bias row b of w's width, as one
     node; the bias is added in place, so the output is the only
-    output-sized array."""
+    output-sized array.
+
+    `live` says the columns of x from `live` on are structural zeros whose
+    gradient nothing reads. Backward then takes dw only for the first rows
+    and dx only for the first columns, a margin past `live` (see
+    _LIVE_MARGIN), and leaves the rest of both zero. The forward product
+    stays full width.
+    """
     if x.data.ndim != 2 or w.data.ndim != 2:
         raise GraphError(f"affine expects 2-D operands, got {x.data.shape} @ {w.data.shape}")
     if x.data.shape[1] != w.data.shape[0] or b.data.shape != w.data.shape[1:]:
         raise GraphError(f"affine shape mismatch: {x.data.shape} @ {w.data.shape} "
                          f"+ {b.data.shape}")
+    if live is not None and not 0 <= live <= x.data.shape[1]:
+        raise GraphError(f"affine live width {live} outside the {x.data.shape[1]} columns")
     data = x.data @ w.data
     data += b.data
 
     def backward(g):
-        return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
+        n, k = x.data.shape
+        cut = k if live is None else min((live // _LIVE_MARGIN + 2) * _LIVE_MARGIN, k)
+        if cut == k or n < _LIVE_MIN_ROWS:
+            return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
+        # np.zeros, not zeros_like: the pages that stay zero are never written
+        dx, dw = np.zeros(x.data.shape), np.zeros(w.data.shape)
+        dx[:, :cut] = g @ w.data[:cut].T
+        dw[:cut] = x.data[:, :cut].T @ g
+        return dx, dw, g.sum(axis=0)
 
     return _make(data, (x, w, b), backward, "affine")
 

@@ -44,24 +44,30 @@ def init_classifier_params(store: ParameterStore, input_dim: int,
 
 
 def classifier_forward(x: Tensor, params: MLPParams,
-                       rng: np.random.Generator | None = None) -> Tensor:
-    """Class probabilities: (n, features) -> (n, 2)."""
-    return ad.softmax(mlp_forward(x, params, rng), axis=-1)
+                       rng: np.random.Generator | None = None, *,
+                       live: int | None = None) -> Tensor:
+    """Class probabilities: (n, features) -> (n, 2). The features from
+    `live` on, if given, are structural zeros (see ad.affine)."""
+    return ad.softmax(mlp_forward(x, params, rng, live=live), axis=-1)
 
 
 def gated_classifier(x: Tensor, z: Tensor, true_lengths, params: MLPParams,
                      dropout_rng: np.random.Generator | None = None):
     """The gate-masking pass both losses share: zero the gates of padded
     rows, scale statement row (f, i) of the (batch, rows, dim) block by
-    gate z[f, i], flatten each gated matrix row-major, and classify.
+    gate z[f, i], flatten each gated matrix row-major, and classify. The
+    flattened features past the batch's longest function are zero rows
+    under zero gates, so the classifier's first layer takes no gradient
+    for them.
 
     Returns (padded gates, gated block, class probabilities).
     """
     b, rows, dim = x.data.shape
     z = pad_gate(z, true_lengths, rows)
     masked = apply_mask(x, z)
+    longest = int(np.max(true_lengths, initial=0))
     probs = classifier_forward(ad.reshape(masked, (b, rows * dim)), params,
-                               dropout_rng)
+                               dropout_rng, live=longest * dim)
     return z, masked, probs
 
 
@@ -127,7 +133,10 @@ class KMeansResult:
 
 
 def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    # one centroid at a time: no (points, centroids, dim) temporary
+    d2 = np.empty((len(points), len(centroids)))
+    for j, c in enumerate(centroids):
+        d2[:, j] = ((points - c) ** 2).sum(axis=1)
     return d2.argmin(axis=1)
 
 

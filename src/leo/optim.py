@@ -113,20 +113,28 @@ def init_mlp_params(store: ParameterStore, prefix: str, input_dim: int,
 
 
 def mlp_forward(x: Tensor, params: MLPParams,
-                rng: np.random.Generator | None = None) -> Tensor:
+                rng: np.random.Generator | None = None, *,
+                live: int | None = None) -> Tensor:
     """Raw head outputs of an (n, input_dim) block: (n, out_dim). Hidden
-    dropout draws from `rng`; without one there is no dropout."""
+    dropout draws from `rng`; without one there is no dropout. `live` is
+    the first layer's live input width (see ad.affine)."""
     h = x
     for w, b in params.layers:
-        h = ad.dropout(ad.maximum_const(ad.affine(h, w, b), 0.0),
+        h = ad.dropout(ad.maximum_const(ad.affine(h, w, b, live=live), 0.0),
                        params.dropout_retain, rng)
+        live = None
     w, b = params.head
-    return ad.affine(h, w, b)
+    return ad.affine(h, w, b, live=live)
 
 
 class Adam:
     """Bias-corrected Adam, updating parameters and moments in place.
-    Moments and step counts are per parameter name."""
+    Moments and step counts are per parameter name.
+
+    Each parameter is updated only up to its reach: one past the last row
+    (along axis 0) that any step so far has given a nonzero gradient. The
+    rows past it have had zero gradients and so zero moments, and their
+    update would be exactly 0; their moments are never touched."""
 
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
@@ -137,21 +145,27 @@ class Adam:
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self._t: dict[str, int] = {}
+        self._reach: dict[str, int] = {}
 
     def step(self, store: ParameterStore) -> None:
         """Apply one update to every parameter that holds a gradient; the
         others, with their moments and step counts, stay as they are."""
         for name, p in store.with_grads():
-            g = p.grad
-            m = self._m.get(name)
-            if m is None:
-                m = np.zeros_like(p.data)
-                self._m[name] = m
-                self._v[name] = np.zeros_like(p.data)
-                self._t[name] = 0
-            v = self._v[name]
+            if name not in self._m:
+                # np.zeros, not zeros_like: rows past the reach stay untouched
+                self._m[name] = np.zeros(p.data.shape)
+                self._v[name] = np.zeros(p.data.shape)
+                self._t[name] = self._reach[name] = 0
             t = self._t[name] + 1
             self._t[name] = t
+            reach = self._reach[name]
+            tail = p.grad[reach:]
+            # the tail's rows with a nonzero gradient
+            hit = np.flatnonzero(tail.any(axis=tuple(range(1, tail.ndim))))
+            if hit.size:
+                reach += int(hit[-1]) + 1
+                self._reach[name] = reach
+            g, m, v = p.grad[:reach], self._m[name][:reach], self._v[name][:reach]
             # in place, in the operation order of
             # p - lr * (m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps), so the
             # result is bit for bit that formula's
@@ -168,7 +182,7 @@ class Adam:
             np.sqrt(denom, out=denom)
             denom += self.eps
             step /= denom
-            p.data -= step
+            p.data[:reach] -= step
 
 
 def clip_gradients(grads: list[np.ndarray], max_norm: float) -> float:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -61,13 +62,14 @@ def _normalize(record):
 
 def prepare_samples(records, vocab: Vocabulary, config: TrainConfig):
     """Normalize each record and map its statements to token id lists,
-    capped at stmt_token_cap tokens per statement."""
+    capped at stmt_token_cap tokens per statement. A function's capped
+    statements are mapped in one encode_tokens pass and split back."""
     samples = []
     for r in records:
-        statements = [
-            encode_tokens(stmt[:config.stmt_token_cap], vocab)
-            for stmt in _normalize(r).statements
-        ]
+        capped = [stmt[:config.stmt_token_cap] for stmt in _normalize(r).statements]
+        ids = encode_tokens(list(chain.from_iterable(capped)), vocab)
+        ends = accumulate(map(len, capped))
+        statements = [ids[end - len(stmt):end] for stmt, end in zip(capped, ends)]
         samples.append(PreparedSample(r.sample_id, r.label, r.cwe, statements))
     return samples
 
@@ -164,6 +166,7 @@ def _train_parameters(config: TrainConfig, vocab_size: int, train_samples,
     for epoch in range(config.epochs):
         order = order_rng.permutation(n)
         dd_losses, ce_losses, ccl_losses, norms1, norms2 = [], [], [], [], []
+        gate_total, live_total = 0.0, 0
         for batch_no, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start:start + config.batch_size]
             batch = [train_samples[i].statements for i in idx]
@@ -197,12 +200,15 @@ def _train_parameters(config: TrainConfig, vocab_size: int, train_samples,
                     f"aborting: epoch {epoch} batch {batch_no}: {exc}") from exc
             ce_losses.append(float(parts.cross_entropy.data))
             ccl_losses.append(float(parts.contrastive.data))
+            gate_total += float(parts.gates.data.sum())  # padded gates are 0
+            live_total += int(lengths2.sum())
         digest_lines.append(
             f"{epoch},{_mean(dd_losses)!r},{_mean(ce_losses)!r},{_mean(ccl_losses)!r}")
         log.info("epoch %d: distribution %.4f, gated CE %.4f, contrastive %.4f, "
+                 "mean step-2 gate over live statements %.4f, "
                  "mean pre-clip gradient norm step 1 %.4f, step 2 %.4f",
                  epoch, _mean(dd_losses), _mean(ce_losses), _mean(ccl_losses),
-                 _mean(norms1), _mean(norms2))
+                 gate_total / max(live_total, 1), _mean(norms1), _mean(norms2))
     tensors = {name: t.data.astype(np.float32) for name, t in params.store.items()}
     return tensors, "\n".join(digest_lines) + "\n"
 

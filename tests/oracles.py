@@ -6,15 +6,21 @@ meaningful. Some helpers drive the package. The finite-difference harness,
 `finite_difference_check`, runs `leo.autodiff.backward` for the analytic
 side and compares it against central differences of the forward pass.
 `full_block_representations` is the scoring pass over every statement slot,
-padding included, against which the live-row pass is checked.
+padding included, against which the live-row pass is checked;
+`dense_affine_grads` and `full_width_classifier_forward` are the full-width
+backward the live-width one is checked against.
 `kmeans_inertia_history` re-runs `minibatch_kmeans` with 0, 1, ... Lloyd
 rounds to recover the inertia after each round, which the package does not
 keep.
 """
 from __future__ import annotations
 
+import contextlib
 import copy
+import ctypes
+import glob
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +56,55 @@ def adam_reference_step(p, g, m, v, t, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8
     v = beta2 * v + (1 - beta2) * g * g
     p = p - lr * (m / (1 - beta1 ** t)) / (np.sqrt(v / (1 - beta2 ** t)) + eps)
     return p, m, v
+
+
+def dense_affine_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray):
+    """The full-width backward of x @ w + b for an upstream gradient g:
+    (dx, dw, db), every product over all of x's columns."""
+    return g @ w.T, x.T @ g, g.sum(axis=0)
+
+
+def _openblas_thread_calls():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None."""
+    for lib in glob.glob(os.path.join(os.path.dirname(np.__file__), "..",
+                                      "numpy.libs", "*openblas*")):
+        handle = ctypes.CDLL(lib)
+        for stem in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(handle, f"{stem}_get_num_threads{suffix}", None)
+                put = getattr(handle, f"{stem}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.restype = ctypes.c_int
+                    put.argtypes = [ctypes.c_int]
+                    return get, put
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread. OpenBLAS splits a
+    product among its threads at row ranges that depend on the product's
+    size and sums the rows at each range's end in another order, so a
+    narrow product matches the same places of a wide one bit for bit only
+    on one thread, as the benchmark and CI's tier-1 step run. Without a
+    recognised OpenBLAS the block runs as it is."""
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+def full_width_classifier_forward(x, params, rng=None, *, live=None):
+    """classifier_forward with its live-width hint dropped, so its first
+    layer's backward takes the full-width products."""
+    return classifier_forward(x, params, rng)
 
 
 def central_difference(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

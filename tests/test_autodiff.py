@@ -12,7 +12,9 @@ from oracles import (
     adam_reference_step,
     adam_reference_trace,
     central_difference,
+    dense_affine_grads,
     finite_difference_check,
+    one_blas_thread,
 )
 
 
@@ -509,6 +511,71 @@ def test_adam_matches_reference_step_exactly():
         ref_p, ref_m, ref_v = adam_reference_step(ref_p, g, ref_m, ref_v, step, lr=3e-3)
         assert p.data is data
         assert np.array_equal(p.data, ref_p)
+
+
+def test_adam_reach_matches_reference_as_the_prefix_grows_and_shrinks():
+    """Adam updates each parameter only up to the last row any step so far
+    gave a nonzero gradient. Every step matches the whole-array reference
+    bit for bit, and rows with nonzero moments keep moving after a step
+    whose gradient stops short of them."""
+    rng = np.random.default_rng(31)
+    shapes = {"w": (12, 3), "b": (9,), "k": (6, 2, 2)}
+    store = ParameterStore()
+    params = {n: store.add(n, rng.normal(size=s)) for n, s in shapes.items()}
+    ref = {n: (p.data.copy(), np.zeros(p.shape), np.zeros(p.shape))
+           for n, p in params.items()}
+    opt = Adam(lr=3e-3)
+    reach = 0
+    for step, reached in enumerate([3, 7, 2, 0, 5, 12], start=1):
+        before = params["w"].data.copy()
+        for p in params.values():
+            p.grad = rng.normal(size=p.shape)
+            p.grad[reached:] = 0.0
+        opt.step(store)
+        for n, p in params.items():
+            ref_p, ref_m, ref_v = ref[n]
+            ref[n] = adam_reference_step(ref_p, p.grad, ref_m, ref_v, step, lr=3e-3)
+            assert np.array_equal(p.data, ref[n][0]), (n, step)
+        reach = max(reach, reached)
+        moved = np.flatnonzero((params["w"].data != before).any(axis=1))
+        assert moved.tolist() == list(range(reach))
+
+
+@pytest.mark.parametrize("b, rows, dim, hidden, longest", [
+    (128, 100, 150, 300, 17),  # the default shape
+    (64, 40, 32, 300, 11),     # the A5 shape
+    (40, 14, 10, 24, 13),      # the margin reaches the full width
+    (7, 40, 32, 30, 5),        # too few rows: full-width products
+    (33, 40, 8, 12, 0),        # no live column
+])
+def test_affine_live_width_backward_matches_dense_oracle(b, rows, dim, hidden, longest):
+    """With the columns from `live` on zero, the live-width backward gives
+    the dense backward's dw rows and dx columns up to `live` bit for bit,
+    on one BLAS thread, and exact zeros in the dw rows past it."""
+    rng = np.random.default_rng(b * rows + longest)
+    live = longest * dim
+    x = rng.normal(size=(b, rows * dim))
+    x[:, live:] = 0.0
+    w = rng.normal(size=(rows * dim, hidden))
+    bias = rng.normal(size=hidden)
+    g = rng.normal(size=(b, hidden))
+    xt, wt, bt = (ad.Tensor(a, requires_grad=True) for a in (x, w, bias))
+    out = ad.affine(xt, wt, bt, live=live)
+    assert np.array_equal(out.data, x @ w + bias)
+    with one_blas_thread():
+        ad.backward(ad.reduce_sum(ad.mul(out, ad.constant(g))))
+        dx, dw, db = dense_affine_grads(x, w, g)
+    assert np.array_equal(wt.grad[:live], dw[:live])
+    assert not wt.grad[live:].any()
+    assert np.array_equal(xt.grad[:, :live], dx[:, :live])
+    assert np.array_equal(bt.grad, db)
+
+
+def test_affine_rejects_live_width_outside_the_columns():
+    x, w, b = ad.constant(np.ones((2, 3))), ad.constant(np.ones((3, 4))), ad.constant(np.ones(4))
+    for live in (-1, 4):
+        with pytest.raises(ad.GraphError, match="live width"):
+            ad.affine(x, w, b, live=live)
 
 
 def test_adam_untouched_group_stays_put():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import leo.autodiff as ad
+import leo.losses as losses_module
 from leo.autodiff import GraphError
 from leo.encoder import encode_batch, init_encoder_params
 from leo.losses import (
@@ -26,10 +27,12 @@ from oracles import (
     direct_contrastive_loss,
     exhaustive_mask_expectation,
     finite_difference_check,
+    full_width_classifier_forward,
     hand_cosine,
     kmeans_inertia,
     kmeans_inertia_history,
     lloyd_reference,
+    one_blas_thread,
 )
 
 
@@ -601,6 +604,55 @@ def test_joint_loss_full_stack_gradient_through_encoder():
     report = finite_difference_check(loss_fn, dict(store.items()),
                                      rng=np.random.default_rng(6))
     assert report.ok(1e-3), report
+
+
+@pytest.mark.parametrize("capped", [False, True])
+def test_live_width_losses_match_the_full_width_classifier(monkeypatch, capped):
+    """Both losses give the classifier's first layer the batch's live width
+    (its longest function times dim). Losses, gates and every parameter
+    gradient are bit for bit those of the full-width backward on one BLAS
+    thread, on a batch of 40 functions, one without statements; with
+    `capped`, one function is cut at max_statements, so the live width is
+    the full width."""
+    rows, dim = 20, 150  # one statement's columns outspan the margin
+    rng = np.random.default_rng(41)
+    store = ParameterStore()
+    enc = init_encoder_params(store, 30, dim, rng)
+    sel = init_selector_params(store, dim, rng, hidden_sizes=(8, 8))
+    clf = init_classifier_params(store, rows * dim, rng, hidden_sizes=(20, 6))
+    jitter_biases(store, 42)
+    batch = [[rng.integers(2, 30, size=rng.integers(1, 6)).tolist()
+              for _ in range(rng.integers(1, 12))] for _ in range(40)]
+    batch[3] = []
+    if capped:
+        batch[7] = [[2, 3]] * (rows + 4)
+    labels = rng.integers(0, 2, size=40)
+
+    def run():
+        store.zero_grads()
+        x1, n1 = encode_batch(batch, enc, rows, rng=np.random.default_rng(1))
+        loss1 = data_distribution_loss(x1, n1, labels, clf, relax_temp=0.5,
+                                       rng=np.random.default_rng(2),
+                                       dropout_rng=np.random.default_rng(3))
+        x2, n2 = encode_batch(batch, enc, rows, rng=np.random.default_rng(4))
+        parts = joint_loss(x2, n2, labels, sel, clf, relax_temp=0.5,
+                           temperature=0.5, contrastive_weight=0.1, clusters=2,
+                           rng=np.random.default_rng(5),
+                           dropout_rng=np.random.default_rng(6))
+        ad.backward(ad.add(loss1, parts.total))
+        return ([loss1.item(), parts.total.item()], parts.gates.data,
+                {n: t.grad for n, t in store.items()})
+
+    with one_blas_thread():
+        live_losses, live_gates, live_grads = run()
+        monkeypatch.setattr(losses_module, "classifier_forward",
+                            full_width_classifier_forward)
+        full_losses, full_gates, full_grads = run()
+    assert live_losses == full_losses
+    assert np.array_equal(live_gates, full_gates)
+    assert live_grads.keys() == full_grads.keys()
+    for name, grad in full_grads.items():
+        assert np.array_equal(live_grads[name], grad), name
 
 
 def test_joint_loss_requires_rng_when_sampling():

@@ -24,7 +24,7 @@ from leo.model import (
     save_model,
     serialize_model,
 )
-from leo.normalize import normalize_source
+from leo.normalize import UNK_ID, encode_tokens, normalize_source
 from leo.optim import Adam, clip_store_gradients
 from leo.scoring import calibrate_threshold, mahalanobis_scores
 from leo.synth import generate_family, generate_pair, generate_synthetic, write_corpus
@@ -426,6 +426,45 @@ def test_epoch_log_reports_mean_pre_clip_norms(caplog, monkeypatch):
                              f"step 2 {np.mean(step2):.4f}")
     assert art.log_digest.splitlines()[0] == \
         "epoch,distribution_loss,gated_ce,contrastive"
+
+
+def test_epoch_log_reports_mean_live_gate(caplog, monkeypatch):
+    """Each epoch's log line reports the mean step-2 gate over the real
+    statement slots of every batch; the digest does not carry it."""
+    gates = []
+    real_joint = train_module.joint_loss
+
+    def spy(x, lengths, *args, **kwargs):
+        parts = real_joint(x, lengths, *args, **kwargs)
+        gates.append(parts.gates.data[np.arange(x.data.shape[1]) < lengths[:, None]])
+        return parts
+
+    monkeypatch.setattr(train_module, "joint_loss", spy)
+    with caplog.at_level(logging.INFO, logger="leo"):
+        art = train(tiny_config(epochs=1), tiny_corpus(n=40)[0])
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("epoch ")]
+    assert len(lines) == 1 and len(gates) > 1
+    mean = np.concatenate(gates).mean()
+    assert 0.0 < mean < 1.0
+    assert f"mean step-2 gate over live statements {mean:.4f}, " in lines[0]
+    assert all(len(line.split(",")) == 4 for line in art.log_digest.splitlines())
+
+
+def test_prepare_samples_maps_ids_as_encode_tokens_per_statement():
+    """One id lookup per function gives the per-statement encode_tokens
+    mapping, with statements over stmt_token_cap cut and unseen tokens
+    mapped to the unknown id."""
+    cfg = tiny_config(stmt_token_cap=4)
+    train_recs, id_test, ood_test = tiny_corpus(n=30, n_ood=10)
+    records = train_recs + id_test + ood_test
+    vocab = build_training_vocabulary(train_recs[:10], cfg)
+    statements = [normalize_source(r.code).statements for r in records]
+    want = [[encode_tokens(stmt[:4], vocab) for stmt in fn] for fn in statements]
+    got = [s.statements for s in prepare_samples(records, vocab, cfg)]
+    assert got == want
+    assert any(len(stmt) > 4 for fn in statements for stmt in fn)
+    assert any(UNK_ID in ids for fn in got for ids in fn)
 
 
 def _update(params, adam, loss, clip_norm):
