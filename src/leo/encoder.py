@@ -12,11 +12,14 @@ stream, each over max(L, k) positions (a statement shorter than the kernel
 is zero-padded to one window), and runs one shared convolution over only
 the windows that lie inside a statement. A statement's windows are
 consecutive rows of the conv output, so one segment max over those rows
-pools the ReLU'd windows per statement, and each statement gets exactly
-the vector a lone convolution over it would give. Training
-dropout draws its mask at the padded (statements x longest x dim) shape and
-keeps the packed positions, so the random stream, and with it the trained
-parameters, do not depend on the packing.
+pools the ReLU'd windows per statement, and each statement gets exactly the
+vector a lone convolution over it would give. Training dropout draws its
+mask at the padded (statements x longest x dim) shape and keeps the packed
+positions, so the random stream, and with it the trained parameters, do
+not depend on the packing. The packed (scoring) rows have no dropout or
+tape and fold the embedding into the convolution: the batch's distinct ids
+go through the kernel taps in one small product, each window sums its k
+gathered tap rows, and no im2col matrix is built.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ from itertools import chain
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import GraphError, Tensor
+from .autodiff import GraphError, NumericError, Tensor
 from .normalize import PAD_ID
 from .optim import ParameterStore, normal
 
@@ -93,10 +96,10 @@ def _embed_ids(id_matrix: np.ndarray, params: EncoderParams) -> Tensor:
 
 
 def _encode_packed(statements: list, params: EncoderParams,
-                   rng: np.random.Generator | None) -> Tensor:
+                   rng: np.random.Generator | None, folded: bool) -> Tensor:
     """S statements (token id sequences) laid end to end, each over
     max(L, k) positions, through one conv over their valid windows ->
-    (S, dim) statement vectors."""
+    (S, dim) statement vectors; `folded` runs the conv tape-free."""
     lengths = np.array([len(s) for s in statements], dtype=np.int64)
     if lengths.min() < 1:
         raise GraphError("cannot encode an empty statement")
@@ -108,14 +111,35 @@ def _encode_packed(statements: list, params: EncoderParams,
     ids = np.full(len(stmt), PAD_ID, dtype=np.int64)
     ids[pos < lengths[stmt]] = np.fromiter(chain.from_iterable(statements),
                                            dtype=np.int64, count=int(lengths.sum()))
-    emb = ad.dropout(_embed_ids(ids, params), params.dropout_retain, rng,
-                     padded=((n, t_max, params.dim), (stmt, pos)))
     # a window starts at each position with k - 1 more of its statement after it
     starts = np.flatnonzero(pos + k <= spans[stmt])
+    # each statement's windows are consecutive rows, the first at pos 0
+    runs = np.flatnonzero(pos[starts] == 0)
+    if folded:
+        return ad.constant(_folded_conv_max(ids, starts, runs, params))
+    emb = ad.dropout(_embed_ids(ids, params), params.dropout_retain, rng,
+                     padded=((n, t_max, params.dim), (stmt, pos)))
     h = ad.maximum_const(ad.conv1d(emb, params.conv_kernel, params.conv_bias,
                                    starts), 0.0)
-    # each statement's windows are consecutive rows of h, the first at pos 0
-    return ad.segment_max(h, np.flatnonzero(pos[starts] == 0))
+    return ad.segment_max(h, runs)
+
+
+def _folded_conv_max(ids, starts, runs, params: EncoderParams) -> np.ndarray:
+    """conv1d -> ReLU -> segment_max, tape-free: window s is sum_j
+    E[ids[s + j]] @ K_j + b, and E[id] @ K_j is computed once per id."""
+    k, dim, f = params.conv_kernel.data.shape
+    uniq, inv = np.unique(ids, return_inverse=True)
+    rows = params.embedding.data[uniq]
+    rows[uniq == PAD_ID] = 0.0
+    taps = rows @ params.conv_kernel.data.transpose(1, 0, 2).reshape(dim, k * f)
+    taps = taps.reshape(-1, k, f)
+    h = taps[inv[starts], 0]
+    for j in range(1, k):
+        h += taps[inv[starts + j], j]
+    h += params.conv_bias.data
+    if ad.CHECK_FINITE and not np.all(np.isfinite(h)):
+        raise NumericError("non-finite values in the folded conv windows")
+    return np.maximum.reduceat(np.maximum(h, 0.0, out=h), runs, axis=0)
 
 
 def encode_batch(batch: list[list], params: EncoderParams, max_statements: int,
@@ -130,15 +154,18 @@ def encode_batch(batch: list[list], params: EncoderParams, max_statements: int,
     function after function, and no block is built: function f owns rows
     sum(lengths[:f]) to sum(lengths[:f + 1]). All kept statements share a
     single embedding lookup and convolution. Embedding dropout draws from
-    `rng`; without one there is no dropout.
+    `rng`; without one there is no dropout. `packed` is the inference
+    encoding: it takes no rng, records no tape and folds the conv taps.
     """
+    if packed and rng is not None:
+        raise GraphError("the packed encoding is inference only: no dropout rng")
     kept = [statements[:max_statements] for statements in batch]
     true_lengths = np.array([len(k) for k in kept], dtype=np.int64)
     flat = [s for k in kept for s in k]
     if not flat:
         shape = (0, params.dim) if packed else (len(batch), max_statements, params.dim)
         return ad.constant(np.zeros(shape)), true_lengths
-    vectors = _encode_packed(flat, params, rng)
+    vectors = _encode_packed(flat, params, rng, folded=packed)
     if packed:
         return vectors, true_lengths
     batch_idx = np.repeat(np.arange(len(batch)), true_lengths)

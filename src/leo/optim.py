@@ -190,9 +190,12 @@ def clip_gradients(grads: list[np.ndarray], max_norm: float) -> float:
     Returns the pre-clip norm."""
     if max_norm <= 0:
         raise GraphError("max_norm must be positive")
+    # one square buffer for all: for a C-contiguous g, the bits of g * g
+    scratch = np.empty(max((g.size for g in grads), default=0))
     total = 0.0
     for g in grads:
-        total += float(np.sum(g * g))
+        sq = scratch[:g.size].reshape(g.shape) if g.flags.c_contiguous else None
+        total += float(np.sum(np.multiply(g, g, out=sq)))
     norm = math.sqrt(total)
     if norm > max_norm:
         factor = max_norm / norm

@@ -1,5 +1,7 @@
 """Differentiation engine: analytic examples, finite-difference agreement,
 optimizer and clipping behavior, determinism."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -612,6 +614,26 @@ def test_clip_zero_gradients_unchanged():
     g = [np.zeros(3)]
     clip_gradients(g, 1.0)
     assert np.array_equal(g[0], np.zeros(3))
+
+
+def test_clip_norm_is_bit_identical_to_a_fresh_square_per_gradient():
+    """The reused square buffer sums each gradient as np.sum(g * g) does:
+    1-, 2- and 3-D gradients, a classifier/w0-shaped one at the default
+    shape (15,000 x 300) ahead of smaller ones, and a transposed view. The
+    entries span many magnitudes, so a square sum taken in another order
+    (the buffer read as the wrong layout) moves its last bits."""
+    rng = np.random.default_rng(5)
+    grads = [rng.normal(size=shape) * np.exp(3.0 * rng.normal(size=shape))
+             for shape in ((15000, 300), (37,), (129, 65), (3, 150, 150), (40, 7))]
+    grads = grads[:4] + [grads[4].T, np.array(0.5)]
+    for g in grads:
+        want = math.sqrt(float(np.sum(g * g)))
+        assert clip_gradients([g], want * 2) == want
+    want = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    copies = [g.copy() for g in grads]
+    assert clip_gradients(grads, want * 2) == want
+    for g, c in zip(grads, copies):
+        assert np.array_equal(g, c)
 
 
 @settings(max_examples=60, deadline=None)

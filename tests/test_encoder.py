@@ -240,19 +240,74 @@ def test_encode_batch_empty_inputs():
 
 
 def test_encode_batch_packed_rows_are_the_live_rows_of_the_block():
-    _, params = make_params(dim=4)
+    """Exact where both products are exact (kernel 1, identity weights); to
+    rounding on random parameters, where the packed encoding sums the kernel
+    taps in another order than the block's im2col product."""
     batch = RAGGED_BATCH + [[[2, 3]] * 5]
-    block, lengths = encode_batch(batch, params, max_statements=3)
-    rows, packed_lengths = encode_batch(batch, params, max_statements=3,
-                                        packed=True)
-    np.testing.assert_array_equal(packed_lengths, [3, 0, 3, 1, 3])
-    np.testing.assert_array_equal(packed_lengths, lengths)
-    live = np.arange(3)[None, :] < lengths[:, None]
-    np.testing.assert_array_equal(rows.data, block.data[live])
+    for (_, params), rtol in ((identity_params(), 0.0), (make_params(dim=4), 1e-12)):
+        block, lengths = encode_batch(batch, params, max_statements=3)
+        rows, packed_lengths = encode_batch(batch, params, max_statements=3,
+                                            packed=True)
+        np.testing.assert_array_equal(packed_lengths, [3, 0, 3, 1, 3])
+        np.testing.assert_array_equal(packed_lengths, lengths)
+        live = np.arange(3)[None, :] < lengths[:, None]
+        np.testing.assert_allclose(rows.data, block.data[live], rtol=rtol, atol=0)
     for batch in ([], [[], []]):
         empty, none = encode_batch(batch, params, max_statements=3, packed=True)
         assert empty.data.shape == (0, 4)
         np.testing.assert_array_equal(none, [0] * len(batch))
+
+
+def test_folded_packed_encoder_matches_statement_oracle():
+    """The packed (folded) encoding against the per-statement loop oracle:
+    statements shorter than the kernel, one token repeated across many
+    windows, a function past max_statements, and a non-zero PAD_ID row that
+    the pad mask must still hide."""
+    rng = np.random.default_rng(21)
+    batch = [
+        [[2, 3], [4], [5, 6, 7, 8, 9, 10]],
+        [],
+        [[3] * 40, [3, 4] * 9 + [3], [PAD_ID, 5, PAD_ID]],
+        [list(rng.integers(1, 12, size=rng.integers(1, 9))) for _ in range(9)],
+        [[7]],
+    ]
+    cap = 6
+    for kernel in (1, 2, 3, 5):
+        _, params = make_params(vocab=12, dim=5, kernel=kernel, seed=kernel)
+        params.embedding.data[PAD_ID] = rng.normal(size=5)
+        params.conv_bias.data = rng.normal(0.0, 0.1, size=5)
+        rows, lengths = encode_batch(batch, params, cap, packed=True)
+        np.testing.assert_array_equal(lengths, [3, 0, 3, 6, 1])
+        kept = [s for fn in batch for s in fn[:cap]]
+        assert rows.data.shape == (len(kept), 5)
+        for row, s in zip(rows.data, kept):
+            want = encode_statement_reference(s, params.embedding.data,
+                                              params.conv_kernel.data,
+                                              params.conv_bias.data, PAD_ID)
+            np.testing.assert_allclose(row, want, rtol=1e-12, atol=0)
+        for empty in ([], [[], []]):
+            out, none = encode_batch(empty, params, cap, packed=True)
+            assert out.data.shape == (0, 5)
+            np.testing.assert_array_equal(none, [0] * len(empty))
+
+
+def test_packed_encoding_is_inference_only_and_records_no_tape():
+    _, params = make_params(dim=4)
+    with pytest.raises(GraphError):
+        encode_batch(RAGGED_BATCH, params, 3, rng=np.random.default_rng(0),
+                     packed=True)
+    assert params.embedding.requires_grad
+    rows, _ = encode_batch(RAGGED_BATCH, params, 3, packed=True)
+    assert not rows.requires_grad and rows._parents == () and rows._backward is None
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_packed_encoding_raises_on_a_non_finite_reached_row():
+    _, params = make_params(dim=4)
+    params.embedding.data[8, 1] = np.inf
+    encode_batch([[[2, 3, 4, 5, 6]]], params, 1, packed=True)  # 8 not reached
+    with pytest.raises(ad.NumericError):
+        encode_batch(RAGGED_BATCH, params, 3, packed=True)
 
 
 def test_encode_batch_statement_order_permutes_rows():

@@ -96,11 +96,15 @@ def test_pooled_empty_function_is_zero_vector():
 
 
 def test_concat_mode_flattens_row_major():
+    """The gated (functions, 4, 3) block of the scoring encoding (the packed
+    rows), flattened row-major."""
     concat, params = representations("concat-diagonal")
-    x, lengths = encode_batch(FUNCS, params.encoder, 4)
-    gates = selector_forward(x, params.selector).data
-    gates = gates * (np.arange(4)[None, :] < lengths[:, None])
-    gated = x.data * gates[:, :, None]
+    rows, lengths = encode_batch(FUNCS, params.encoder, 4, packed=True)
+    live = np.arange(4)[None, :] < lengths[:, None]
+    x = np.zeros((len(FUNCS), 4, 3))
+    x[live] = rows.data
+    gates = selector_forward(ad.constant(x), params.selector).data * live
+    gated = x * gates[:, :, None]
     np.testing.assert_array_equal(concat, gated.reshape(len(FUNCS), 12))
     assert np.all(concat[1].reshape(4, 3)[3:] == 0.0)
 
