@@ -27,6 +27,7 @@ import numpy as np
 
 from leo import autodiff as ad
 from leo.autodiff import GraphError, backward
+from leo.data import DatasetRecord
 from leo.encoder import encode_batch
 from leo.losses import classifier_forward, minibatch_kmeans
 from leo.scoring import representation_dim
@@ -344,6 +345,27 @@ def padded_encode_reference(batch, embedding, kernel, bias, max_statements,
             best = np.maximum(best, conv)
         out[i, j] = best
     return out
+
+
+def family_d_records(n: int, rng: np.random.Generator) -> list[DatasetRecord]:
+    """Held-out family D, n // 2 benign/vulnerable twin pairs from ID tokens
+    only: a clamp `if (idx >= len) { idx = len - 1; }` before a read of
+    buf[idx], and in about half the pairs a write back to buf[idx]. The
+    vulnerable twin lacks the clamp. It draws only from `rng`, so it leaves
+    `generate_synthetic`'s stream alone."""
+    records = []
+    for pair in range(n // 2):
+        guard = "if (idx >= len) { idx = len - 1; }"
+        body = [guard, "int val = buf[idx] + buf[0];"]
+        if rng.random() < 0.5:
+            body.append("buf[idx] = val;")
+        body.append("return val;")
+        for label, lines in ((0, body), (1, [s for s in body if s is not guard])):
+            code = ("int f(int *buf, int len, int idx) {\n"
+                    + "".join(f"    {s}\n" for s in lines) + "}\n")
+            records.append(DatasetRecord(f"D{pair:05d}{'bv'[label]}", code,
+                                         label, "CWE-193"))
+    return records
 
 
 def relaxed_bernoulli_reference(p, a, b, nu) -> np.ndarray:
