@@ -38,16 +38,6 @@ class GraphError(ValueError):
 
 _node_ids = itertools.count()
 
-# affine's live-width backward takes a narrower product than the full one.
-# A BLAS such as OpenBLAS sums some places of a product in another order
-# than the same places of a wider one: its last rows or columns, and every
-# place of a product of few rows, which go to other kernels. So the narrow
-# product reaches _LIVE_MARGIN to 2 * _LIVE_MARGIN - 1 zero columns past
-# the live ones, and a product of fewer than _LIVE_MIN_ROWS rows runs full
-# width; the live columns then get the full product's bits.
-_LIVE_MARGIN = 64
-_LIVE_MIN_ROWS = 32
-
 # Finiteness checking can be disabled for throughput experiments; the
 # training loop leaves it on.
 CHECK_FINITE = True
@@ -234,37 +224,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward, "matmul")
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor, *, live: int | None = None) -> Tensor:
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for 2-D x and w and a bias row b of w's width, as one
     node; the bias is added in place, so the output is the only
     output-sized array.
 
-    `live` says the columns of x from `live` on are structural zeros whose
-    gradient nothing reads. Backward then takes dw only for the first rows
-    and dx only for the first columns, a margin past `live` (see
-    _LIVE_MARGIN), and leaves the rest of both zero. The forward product
-    stays full width.
+    x may have fewer columns than w has rows: its k columns then meet the
+    first k rows of w, as if x went on in zero columns, and the rows of w
+    past k get a zero gradient.
     """
     if x.data.ndim != 2 or w.data.ndim != 2:
         raise GraphError(f"affine expects 2-D operands, got {x.data.shape} @ {w.data.shape}")
-    if x.data.shape[1] != w.data.shape[0] or b.data.shape != w.data.shape[1:]:
+    k = x.data.shape[1]
+    if k > w.data.shape[0] or b.data.shape != w.data.shape[1:]:
         raise GraphError(f"affine shape mismatch: {x.data.shape} @ {w.data.shape} "
                          f"+ {b.data.shape}")
-    if live is not None and not 0 <= live <= x.data.shape[1]:
-        raise GraphError(f"affine live width {live} outside the {x.data.shape[1]} columns")
-    data = x.data @ w.data
+    rows = w.data[:k]
+    data = x.data @ rows
     data += b.data
 
     def backward(g):
-        n, k = x.data.shape
-        cut = k if live is None else min((live // _LIVE_MARGIN + 2) * _LIVE_MARGIN, k)
-        if cut == k or n < _LIVE_MIN_ROWS:
-            return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
+        if k == w.data.shape[0]:
+            return g @ rows.T, x.data.T @ g, g.sum(axis=0)
         # np.zeros, not zeros_like: the pages that stay zero are never written
-        dx, dw = np.zeros(x.data.shape), np.zeros(w.data.shape)
-        dx[:, :cut] = g @ w.data[:cut].T
-        dw[:cut] = x.data[:, :cut].T @ g
-        return dx, dw, g.sum(axis=0)
+        dw = np.zeros(w.data.shape)
+        np.matmul(x.data.T, g, out=dw[:k])
+        return g @ rows.T, dw, g.sum(axis=0)
 
     return _make(data, (x, w, b), backward, "affine")
 
@@ -296,8 +281,11 @@ def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
     data = table.data[indices]
 
     def backward(g):
-        dt = np.zeros_like(table.data)
-        np.add.at(dt, indices.reshape(-1), g.reshape(-1, table.data.shape[1]))
+        flat, rows = indices.reshape(-1), g.reshape(-1, table.data.shape[1])
+        dt = np.empty_like(table.data)
+        # per column, bincount adds in index order, as np.add.at would
+        for j in range(dt.shape[1]):
+            dt[:, j] = np.bincount(flat, weights=rows[:, j], minlength=len(dt))
         return (dt,)
 
     return _make(data, (table,), backward, "gather_rows")
@@ -420,18 +408,14 @@ def conv1d(x: Tensor, weights: Tensor, bias: Tensor, starts: np.ndarray) -> Tens
     return _make(data, (x, weights, bias), backward, "conv1d")
 
 
-def dropout(x: Tensor, retain: float, rng: np.random.Generator | None,
-            padded: tuple | None = None) -> Tensor:
+def dropout(x: Tensor, retain: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout: keep each element with probability `retain` and
-    scale by 1/retain. Without an rng (inference) it is the identity. With
-    `padded` = (shape, index) the uniforms are drawn at a padded shape and x
-    takes those at `index`, so a packed layout draws the stream its padded
-    form would."""
+    scale by 1/retain. Without an rng (inference) it is the identity."""
     if rng is None:
         return x
     if not 0.0 < retain <= 1.0:
         raise GraphError(f"dropout retain probability {retain} outside (0, 1]")
-    u = rng.random(x.data.shape) if padded is None else rng.random(padded[0])[padded[1]]
+    u = rng.random(x.data.shape)
     mask = (u < retain) / retain
 
     def backward(g):

@@ -3,9 +3,9 @@
 Each statement's token ids are embedded, padding positions are forced to
 zero, dropout is applied when a dropout rng is given (training), and a
 valid convolution followed by ReLU and a max over time yields one fixed-size
-vector per statement. For training a function becomes a fixed
-(max_statements x dim) matrix: real statements in order, zero rows after
-them. The scoring pass takes the packed (statements x dim) rows instead.
+vector per statement. A batch comes out as the packed (statements x dim)
+rows of its real statements, function after function, with the
+per-function statement counts.
 
 encode_batch lays every real statement of a batch end to end in one token
 stream, each over max(L, k) positions (a statement shorter than the kernel
@@ -13,13 +13,12 @@ is zero-padded to one window), and runs one shared convolution over only
 the windows that lie inside a statement. A statement's windows are
 consecutive rows of the conv output, so one segment max over those rows
 pools the ReLU'd windows per statement, and each statement gets exactly the
-vector a lone convolution over it would give. Training dropout draws its
-mask at the padded (statements x longest x dim) shape and keeps the packed
-positions, so the random stream, and with it the trained parameters, do
-not depend on the packing. The packed (scoring) rows have no dropout or
-tape and fold the embedding into the convolution: the batch's distinct ids
-go through the kernel taps in one small product, each window sums its k
-gathered tap rows, and no im2col matrix is built.
+vector a lone convolution over it would give. Training dropout draws one
+uniform per element of that stream, sum(max(L, k)) x dim in all. With
+frozen parameters (a model rebuilt from an artifact) there is no dropout or
+tape, and the embedding is folded into the convolution: the batch's
+distinct ids go through the kernel taps in one small product, each window
+sums its k gathered tap rows, and no im2col matrix is built.
 """
 from __future__ import annotations
 
@@ -105,8 +104,7 @@ def _encode_packed(statements: list, params: EncoderParams,
         raise GraphError("cannot encode an empty statement")
     k = params.kernel_size
     spans = np.maximum(lengths, k)
-    n, t_max = len(spans), int(spans.max())
-    stmt = np.repeat(np.arange(n), spans)
+    stmt = np.repeat(np.arange(len(spans)), spans)
     pos = np.arange(spans.sum()) - np.repeat(np.cumsum(spans) - spans, spans)
     ids = np.full(len(stmt), PAD_ID, dtype=np.int64)
     ids[pos < lengths[stmt]] = np.fromiter(chain.from_iterable(statements),
@@ -117,8 +115,7 @@ def _encode_packed(statements: list, params: EncoderParams,
     runs = np.flatnonzero(pos[starts] == 0)
     if folded:
         return ad.constant(_folded_conv_max(ids, starts, runs, params))
-    emb = ad.dropout(_embed_ids(ids, params), params.dropout_retain, rng,
-                     padded=((n, t_max, params.dim), (stmt, pos)))
+    emb = ad.dropout(_embed_ids(ids, params), params.dropout_retain, rng)
     h = ad.maximum_const(ad.conv1d(emb, params.conv_kernel, params.conv_bias,
                                    starts), 0.0)
     return ad.segment_max(h, runs)
@@ -143,33 +140,26 @@ def _folded_conv_max(ids, starts, runs, params: EncoderParams) -> np.ndarray:
 
 
 def encode_batch(batch: list[list], params: EncoderParams, max_statements: int,
-                 rng: np.random.Generator | None = None, *, packed: bool = False):
+                 rng: np.random.Generator | None = None):
     """Encode a batch of functions (each a list of token id sequences) and
-    return the statement vectors plus the per-function true lengths.
+    return the (S, dim) rows of the S kept statements plus the per-function
+    true lengths.
 
     The first min(count, max_statements) statements of each function are
-    encoded in order. By default the vectors come as one (B, max_statements,
-    dim) block whose rows past a function's true length stay exactly zero.
-    With `packed` they come as the (S, dim) rows of the S kept statements,
-    function after function, and no block is built: function f owns rows
+    kept, in order, function after function: function f owns rows
     sum(lengths[:f]) to sum(lengths[:f + 1]). All kept statements share a
     single embedding lookup and convolution. Embedding dropout draws from
-    `rng`; without one there is no dropout. `packed` is the inference
-    encoding: it takes no rng, records no tape and folds the conv taps.
+    `rng`; without one there is no dropout. When no encoder parameter
+    requires a gradient the encoding is tape-free and folds the conv taps,
+    and a dropout rng is an error.
     """
-    if packed and rng is not None:
-        raise GraphError("the packed encoding is inference only: no dropout rng")
+    folded = not any(t.requires_grad for t in
+                     (params.embedding, params.conv_kernel, params.conv_bias))
+    if folded and rng is not None:
+        raise GraphError("a frozen encoder is inference only: no dropout rng")
     kept = [statements[:max_statements] for statements in batch]
     true_lengths = np.array([len(k) for k in kept], dtype=np.int64)
     flat = [s for k in kept for s in k]
     if not flat:
-        shape = (0, params.dim) if packed else (len(batch), max_statements, params.dim)
-        return ad.constant(np.zeros(shape)), true_lengths
-    vectors = _encode_packed(flat, params, rng, folded=packed)
-    if packed:
-        return vectors, true_lengths
-    batch_idx = np.repeat(np.arange(len(batch)), true_lengths)
-    row_idx = np.arange(len(flat)) - np.repeat(np.cumsum(true_lengths) - true_lengths,
-                                               true_lengths)
-    placed = ad.scatter_rows(vectors, batch_idx, row_idx, len(batch), max_statements)
-    return placed, true_lengths
+        return ad.constant(np.zeros((0, params.dim))), true_lengths
+    return _encode_packed(flat, params, rng, folded), true_lengths

@@ -7,7 +7,10 @@ never receives gradient from it. Step two trains everything jointly:
 cross-entropy through sampled selector gates plus a weighted contrastive
 term that pulls vulnerable samples toward the members of their own
 per-batch k-means cluster and away from everything else. Both steps
-classify through the same gate-masking pass, gated_classifier.
+classify through the same gate-masking pass, gated_classifier: it gates
+the packed (S, dim) statement rows and places them into one (batch,
+longest, dim) block, longest being the batch's longest function, which
+the classifier, the clustering and the contrastive similarities all read.
 
 Cluster assignments are recomputed from the current masked representations
 every batch and treated as constants by the gradient.
@@ -21,13 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import GraphError, Tensor
 from .optim import MLPParams, ParameterStore, init_mlp_params, mlp_forward
-from .selector import (
-    apply_mask,
-    pad_gate,
-    relax_gates,
-    sample_gumbel,
-    selector_presigmoid,
-)
+from .selector import relax_gates, sample_gumbel, selector_presigmoid
 
 _PROB_FLOOR = 1e-12
 _NORM_GUARD = 1e-24
@@ -44,31 +41,40 @@ def init_classifier_params(store: ParameterStore, input_dim: int,
 
 
 def classifier_forward(x: Tensor, params: MLPParams,
-                       rng: np.random.Generator | None = None, *,
-                       live: int | None = None) -> Tensor:
-    """Class probabilities: (n, features) -> (n, 2). The features from
-    `live` on, if given, are structural zeros (see ad.affine)."""
-    return ad.softmax(mlp_forward(x, params, rng, live=live), axis=-1)
+                       rng: np.random.Generator | None = None) -> Tensor:
+    """Class probabilities: (n, features) -> (n, 2). Fewer features than
+    the classifier's input width stand for that many leading ones, the
+    rest zero (see ad.affine)."""
+    return ad.softmax(mlp_forward(x, params, rng), axis=-1)
 
 
 def gated_classifier(x: Tensor, z: Tensor, true_lengths, params: MLPParams,
                      dropout_rng: np.random.Generator | None = None):
-    """The gate-masking pass both losses share: zero the gates of padded
-    rows, scale statement row (f, i) of the (batch, rows, dim) block by
-    gate z[f, i], flatten each gated matrix row-major, and classify. The
-    flattened features past the batch's longest function are zero rows
-    under zero gates, so the classifier's first layer takes no gradient
-    for them.
+    """The gate-masking pass both losses share: scale statement row s of
+    the packed (S, dim) rows by its gate z[s], place function f's gated
+    rows at the top of block row f of a zero (batch, longest, dim) block,
+    longest the batch's longest function, and classify the block flattened
+    row-major, so that the classifier's first layer reads only the first
+    longest * dim rows of its weights; the features past them would be
+    zeros.
 
-    Returns (padded gates, gated block, class probabilities).
+    Returns (gated block, class probabilities).
     """
-    b, rows, dim = x.data.shape
-    z = pad_gate(z, true_lengths, rows)
-    masked = apply_mask(x, z)
-    longest = int(np.max(true_lengths, initial=0))
-    probs = classifier_forward(ad.reshape(masked, (b, rows * dim)), params,
-                               dropout_rng, live=longest * dim)
-    return z, masked, probs
+    lengths = np.asarray(true_lengths, dtype=np.int64)
+    n = int(lengths.sum())
+    if x.data.ndim != 2 or x.data.shape[0] != n or z.data.shape != (n,):
+        raise GraphError(f"gated_classifier expects the {n} statement rows of "
+                         f"the lengths and one gate each, got {x.data.shape} "
+                         f"rows and {z.data.shape} gates")
+    b, dim = len(lengths), x.data.shape[1]
+    longest = int(lengths.max(initial=0))
+    gated = ad.mul(x, ad.reshape(z, (n, 1)))
+    slot = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    block = ad.scatter_rows(gated, np.repeat(np.arange(b), lengths), slot,
+                            b, longest)
+    probs = classifier_forward(ad.reshape(block, (b, longest * dim)), params,
+                               dropout_rng)
+    return block, probs
 
 
 # ---------------------------------------------------------------------------
@@ -105,19 +111,18 @@ def data_distribution_loss(x: Tensor, true_lengths, labels,
     """Mean cross-entropy of the classifier on randomly masked functions.
 
     Each real statement is kept through a soft coin flip (keep probability
-    one half, relaxed at `relax_temp`); padded rows are forced to zero. The
-    mask is a graph constant: gradient reaches the classifier and whatever
-    produced x, never the selector.
+    one half, relaxed at `relax_temp`). The mask is a graph constant:
+    gradient reaches the classifier and whatever produced the (S, dim)
+    statement rows x, never the selector.
     """
     if rng is None:
         raise GraphError("data_distribution_loss needs an rng for its mask")
-    b, rows, _ = x.data.shape
-    noise_a = sample_gumbel((b, rows), rng)
-    noise_b = sample_gumbel((b, rows), rng)
+    n = x.data.shape[0]
+    noise_a = sample_gumbel(n, rng)
+    noise_b = sample_gumbel(n, rng)
     # a zero score is the log-odds of keep probability one half
-    r = relax_gates(ad.constant(np.zeros((b, rows))), noise_a, noise_b,
-                    relax_temp)
-    _, _, probs = gated_classifier(x, r, true_lengths, params, dropout_rng)
+    r = relax_gates(ad.constant(np.zeros(n)), noise_a, noise_b, relax_temp)
+    _, probs = gated_classifier(x, r, true_lengths, params, dropout_rng)
     return batch_cross_entropy(probs, labels)
 
 
@@ -248,6 +253,20 @@ def assign_clusters(flat_reps: np.ndarray, labels, k: int,
     return ClusterAssignment(cluster_of, result.k_effective)
 
 
+def _peer_weights(labels, cluster_of) -> np.ndarray:
+    """(n, n) peer weights: row i spreads a weight of one evenly over the
+    other vulnerable samples of i's cluster. A row of zeros marks a sample
+    that is no anchor: benign, unassigned, or alone in its cluster."""
+    labels = np.asarray(labels, dtype=np.int64)
+    cluster_of = np.asarray(cluster_of, dtype=np.int64)
+    vulnerable = (labels == 1) & (cluster_of >= 0)
+    same = (vulnerable[:, None] & vulnerable[None, :]
+            & (cluster_of[:, None] == cluster_of[None, :]))
+    np.fill_diagonal(same, False)
+    peers = same.sum(axis=1, keepdims=True)
+    return np.divide(same, peers, out=np.zeros(same.shape), where=peers > 0)
+
+
 def cluster_contrastive_loss(masked: Tensor, labels, cluster_of: np.ndarray,
                              temperature: float) -> Tensor:
     """Pull each vulnerable sample toward its same-cluster peers.
@@ -261,22 +280,11 @@ def cluster_contrastive_loss(masked: Tensor, labels, cluster_of: np.ndarray,
     """
     if temperature <= 0:
         raise GraphError("contrastive temperature must be positive")
-    labels = np.asarray(labels, dtype=np.int64)
-    cluster_of = np.asarray(cluster_of, dtype=np.int64)
     n = masked.data.shape[0]
     if n < 2:
         return ad.constant(0.0, name="contrastive_empty")
-    peer_weight = np.zeros((n, n))
-    anchor = np.zeros(n)
-    for i in range(n):
-        if labels[i] != 1 or cluster_of[i] < 0:
-            continue
-        peers = np.flatnonzero((labels == 1) & (cluster_of == cluster_of[i]))
-        peers = peers[peers != i]
-        if peers.size == 0:
-            continue
-        anchor[i] = 1.0
-        peer_weight[i, peers] = 1.0 / peers.size
+    peer_weight = _peer_weights(labels, cluster_of)
+    anchor = peer_weight.any(axis=1).astype(np.float64)
     if not anchor.any():
         return ad.constant(0.0, name="contrastive_empty")
 
@@ -303,8 +311,9 @@ class JointLossParts:
     total: Tensor
     cross_entropy: Tensor
     contrastive: Tensor
-    gates: Tensor
+    gates: Tensor                      # (S,): one per statement row
     assignment: ClusterAssignment | None
+    anchors: int = 0                   # vulnerable samples with a peer
 
 
 def joint_loss(x: Tensor, true_lengths, labels, selector: MLPParams,
@@ -313,28 +322,30 @@ def joint_loss(x: Tensor, true_lengths, labels, selector: MLPParams,
                rng: np.random.Generator, variant: str = "cluster",
                kmeans_iters: int = 10,
                dropout_rng: np.random.Generator | None = None) -> JointLossParts:
-    """Gated cross-entropy plus the weighted contrastive term.
+    """Gated cross-entropy plus the weighted contrastive term, on the
+    (S, dim) statement rows x of a batch.
 
-    One gate sample per function per call: `rng` draws the Gumbel pair and
+    One gate sample per statement per call: `rng` draws the Gumbel pair and
     then seeds the per-batch clustering, so a freshly seeded stream gives
     the same gates and clusters on every call. A zero contrastive_weight
     skips clustering entirely.
     """
     if rng is None:
         raise GraphError("joint_loss needs an rng to sample gates")
-    b, rows, _ = x.data.shape
     labels = np.asarray(labels, dtype=np.int64)
     scores = selector_presigmoid(x, selector, dropout_rng)
-    noise = (sample_gumbel((b, rows), rng), sample_gumbel((b, rows), rng))
-    z, masked, probs = gated_classifier(
-        x, relax_gates(scores, *noise, relax_temp), true_lengths,
-        classifier, dropout_rng)
+    n = x.data.shape[0]
+    z = relax_gates(scores, sample_gumbel(n, rng), sample_gumbel(n, rng),
+                    relax_temp)
+    masked, probs = gated_classifier(x, z, true_lengths, classifier, dropout_rng)
     ce = batch_cross_entropy(probs, labels)
     if contrastive_weight == 0.0:
         return JointLossParts(ce, ce, ad.constant(0.0), z, None)
+    b = masked.data.shape[0]
     assignment = assign_clusters(masked.data.reshape(b, -1), labels,
                                  clusters, rng, variant, kmeans_iters)
     ccl = cluster_contrastive_loss(masked, labels, assignment.cluster_of,
                                    temperature)
     total = ad.add(ce, ad.scale(ccl, contrastive_weight))
-    return JointLossParts(total, ce, ccl, z, assignment)
+    anchors = int(_peer_weights(labels, assignment.cluster_of).any(axis=1).sum())
+    return JointLossParts(total, ce, ccl, z, assignment, anchors)

@@ -113,18 +113,17 @@ def init_mlp_params(store: ParameterStore, prefix: str, input_dim: int,
 
 
 def mlp_forward(x: Tensor, params: MLPParams,
-                rng: np.random.Generator | None = None, *,
-                live: int | None = None) -> Tensor:
+                rng: np.random.Generator | None = None) -> Tensor:
     """Raw head outputs of an (n, input_dim) block: (n, out_dim). Hidden
-    dropout draws from `rng`; without one there is no dropout. `live` is
-    the first layer's live input width (see ad.affine)."""
+    dropout draws from `rng`; without one there is no dropout. A block
+    narrower than input_dim meets the first layer's leading rows (see
+    ad.affine)."""
     h = x
     for w, b in params.layers:
-        h = ad.dropout(ad.maximum_const(ad.affine(h, w, b, live=live), 0.0),
+        h = ad.dropout(ad.maximum_const(ad.affine(h, w, b), 0.0),
                        params.dropout_retain, rng)
-        live = None
     w, b = params.head
-    return ad.affine(h, w, b, live=live)
+    return ad.affine(h, w, b)
 
 
 class Adam:

@@ -1,16 +1,15 @@
 """Statement gating: per-row relevance probabilities and relaxed gates.
 
 A small MLP (optim.MLPParams) shared across rows scores each statement
-vector; the sigmoid of the score is that statement's keep probability. Training samples soft gates
-from the binary Concrete relaxation. Because the relaxation needs the
+vector; the sigmoid of the score is that statement's keep probability.
+Training samples soft gates from the binary Concrete relaxation. Because the relaxation needs the
 log-odds of p and p is itself a sigmoid, relax_gates computes the gate
 directly from the pre-sigmoid score: z = sigmoid((score + a - b) / nu) with
 a, b standard Gumbel noise, so P(z > 0.5) = p for any nu > 0. A plain keep
 probability enters as a constant log-odds score (zero for p = 1/2).
 
-Gates for padded rows are forced to zero after sampling so padding never
-reaches the classifier or the scores. Gates and statement blocks are always
-batched: (batch, rows) and (batch, rows, dim).
+The selector reads the packed (S, dim) statement rows of a batch and
+gives one score, and in training one gate, per real statement: (S,).
 """
 from __future__ import annotations
 
@@ -34,13 +33,11 @@ def init_selector_params(store: ParameterStore, input_dim: int,
 
 def selector_presigmoid(x: Tensor, params: MLPParams,
                         rng: np.random.Generator | None = None) -> Tensor:
-    """Raw per-row scores (the log-odds of the keep probabilities) of a
-    (batch, rows, dim) block -> (batch, rows)."""
-    if x.data.ndim != 3:
-        raise GraphError("selector input must be a (batch, rows, dim) block")
-    shape = x.data.shape
-    flat = ad.reshape(x, (shape[0] * shape[1], shape[2]))
-    return ad.reshape(mlp_forward(flat, params, rng), shape[:-1])
+    """Raw per-row scores (the log-odds of the keep probabilities) of
+    (S, dim) statement rows -> (S,)."""
+    if x.data.ndim != 2:
+        raise GraphError("selector input must be (statements, dim) rows")
+    return ad.reshape(mlp_forward(x, params, rng), x.data.shape[:1])
 
 
 def selector_forward(x: Tensor, params: MLPParams,
@@ -87,28 +84,3 @@ def deterministic_mask(p: np.ndarray, mode: str = "expected") -> np.ndarray:
     if mode == "hard":
         return (p > 0.5).astype(np.float64)
     raise GraphError(f"unknown deterministic mask mode '{mode}'")
-
-
-# ---------------------------------------------------------------------------
-# masking
-
-
-def pad_gate(z: Tensor, true_lengths, max_statements: int) -> Tensor:
-    """Zero the gates of padded rows of a (batch, rows) block:
-    z[f, i] *= 1[i < true_lengths[f]]."""
-    lengths = np.atleast_1d(np.asarray(true_lengths, dtype=np.int64))
-    rows = np.arange(max_statements)
-    keep = (rows[None, :] < lengths[:, None]).astype(np.float64)
-    if keep.shape != z.data.shape:
-        raise GraphError("true_lengths do not match the gate block shape")
-    if keep.all():
-        return z
-    return ad.mul(z, ad.constant(keep, name="length_mask"))
-
-
-def apply_mask(matrix: Tensor, z: Tensor) -> Tensor:
-    """Scale statement row (f, i) of a (batch, rows, dim) block by gate
-    z[f, i] of the (batch, rows) gate block."""
-    if matrix.data.ndim != 3 or matrix.data.shape[:2] != z.data.shape:
-        raise GraphError("apply_mask expects (B,L,d) statements and (B,L) gates")
-    return ad.mul(matrix, ad.reshape(z, (*z.data.shape, 1)))

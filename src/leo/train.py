@@ -101,10 +101,8 @@ def masked_representations(params: ModelParams, samples, config: TrainConfig,
     for start in range(0, n, config.batch_size):
         chunk = samples[start:start + config.batch_size]
         x, lengths = encode_batch([s.statements for s in chunk],
-                                  params.encoder, config.max_statements,
-                                  packed=True)
-        probs = selector_forward(ad.constant(x.data[None]),
-                                 params.selector).data[0]
+                                  params.encoder, config.max_statements)
+        probs = selector_forward(x, params.selector).data
         masked = x.data * deterministic_mask(probs, config.gate_mode)[:, None]
         b = len(chunk)
         if pooled:
@@ -166,7 +164,7 @@ def _train_parameters(config: TrainConfig, vocab_size: int, train_samples,
     for epoch in range(config.epochs):
         order = order_rng.permutation(n)
         dd_losses, ce_losses, ccl_losses, norms1, norms2 = [], [], [], [], []
-        gate_total, live_total = 0.0, 0
+        gate_total, live_total, clusters, anchors = 0.0, 0, [], []
         for batch_no, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start:start + config.batch_size]
             batch = [train_samples[i].statements for i in idx]
@@ -200,15 +198,19 @@ def _train_parameters(config: TrainConfig, vocab_size: int, train_samples,
                     f"aborting: epoch {epoch} batch {batch_no}: {exc}") from exc
             ce_losses.append(float(parts.cross_entropy.data))
             ccl_losses.append(float(parts.contrastive.data))
-            gate_total += float(parts.gates.data.sum())  # padded gates are 0
+            gate_total += float(parts.gates.data.sum())
             live_total += int(lengths2.sum())
+            clusters.append(parts.assignment.k_effective if parts.assignment else 0)
+            anchors.append(parts.anchors)
         digest_lines.append(
             f"{epoch},{_mean(dd_losses)!r},{_mean(ce_losses)!r},{_mean(ccl_losses)!r}")
         log.info("epoch %d: distribution %.4f, gated CE %.4f, contrastive %.4f, "
                  "mean step-2 gate over live statements %.4f, "
+                 "mean step-2 k-means clusters %.2f, contrastive anchors %.2f, "
                  "mean pre-clip gradient norm step 1 %.4f, step 2 %.4f",
                  epoch, _mean(dd_losses), _mean(ce_losses), _mean(ccl_losses),
-                 gate_total / max(live_total, 1), _mean(norms1), _mean(norms2))
+                 gate_total / max(live_total, 1), _mean(clusters),
+                 _mean(anchors), _mean(norms1), _mean(norms2))
     tensors = {name: t.data.astype(np.float32) for name, t in params.store.items()}
     return tensors, "\n".join(digest_lines) + "\n"
 

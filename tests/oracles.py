@@ -7,20 +7,18 @@ meaningful. Some helpers drive the package. The finite-difference harness,
 side and compares it against central differences of the forward pass.
 `full_block_representations` is the scoring pass over every statement slot,
 padding included, against which the live-row pass is checked;
-`dense_affine_grads` and `full_width_classifier_forward` are the full-width
-backward the live-width one is checked against.
+`padded_losses` are both training losses over every slot, against which
+the packed rows and the narrow classifier input are checked;
+`dense_affine_grads` is the full-width backward the row-prefix one is
+checked against.
 `kmeans_inertia_history` re-runs `minibatch_kmeans` with 0, 1, ... Lloyd
 rounds to recover the inertia after each round, which the package does not
 keep.
 """
 from __future__ import annotations
 
-import contextlib
 import copy
-import ctypes
-import glob
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,9 +27,21 @@ from leo import autodiff as ad
 from leo.autodiff import GraphError, backward
 from leo.data import DatasetRecord
 from leo.encoder import encode_batch
-from leo.losses import classifier_forward, minibatch_kmeans
+from leo.losses import (
+    assign_clusters,
+    batch_cross_entropy,
+    classifier_forward,
+    cluster_contrastive_loss,
+    minibatch_kmeans,
+)
 from leo.scoring import representation_dim
-from leo.selector import apply_mask, deterministic_mask, pad_gate, selector_forward
+from leo.selector import (
+    deterministic_mask,
+    relax_gates,
+    sample_gumbel,
+    selector_forward,
+    selector_presigmoid,
+)
 
 
 def adam_reference_trace(grads, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, x0=0.0):
@@ -63,49 +73,6 @@ def dense_affine_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray):
     """The full-width backward of x @ w + b for an upstream gradient g:
     (dx, dw, db), every product over all of x's columns."""
     return g @ w.T, x.T @ g, g.sum(axis=0)
-
-
-def _openblas_thread_calls():
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None."""
-    for lib in glob.glob(os.path.join(os.path.dirname(np.__file__), "..",
-                                      "numpy.libs", "*openblas*")):
-        handle = ctypes.CDLL(lib)
-        for stem in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", ""):
-                get = getattr(handle, f"{stem}_get_num_threads{suffix}", None)
-                put = getattr(handle, f"{stem}_set_num_threads{suffix}", None)
-                if get is not None and put is not None:
-                    get.restype = ctypes.c_int
-                    put.argtypes = [ctypes.c_int]
-                    return get, put
-    return None
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """Run the block with numpy's OpenBLAS on one thread. OpenBLAS splits a
-    product among its threads at row ranges that depend on the product's
-    size and sums the rows at each range's end in another order, so a
-    narrow product matches the same places of a wide one bit for bit only
-    on one thread, as the benchmark and CI's tier-1 step run. Without a
-    recognised OpenBLAS the block runs as it is."""
-    calls = _openblas_thread_calls()
-    if calls is None:
-        yield
-        return
-    get, put = calls
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
-
-
-def full_width_classifier_forward(x, params, rng=None, *, live=None):
-    """classifier_forward with its live-width hint dropped, so its first
-    layer's backward takes the full-width products."""
-    return classifier_forward(x, params, rng)
 
 
 def central_difference(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -314,39 +281,6 @@ def encode_function_reference(statements, embedding, kernel, bias,
     return out
 
 
-def padded_encode_reference(batch, embedding, kernel, bias, max_statements,
-                            retain=1.0, rng=None, pad_id=0) -> np.ndarray:
-    """encode_batch the padded way: every kept statement of the batch padded
-    to the longest one (at least the kernel width) in one (S, T, dim) block,
-    padding embedded as zero, dropout drawn from `rng` at that block's shape
-    (none without one), then per statement the max of ReLU(conv) over the
-    windows that start inside it (one window if it is shorter than the
-    kernel). Returns the (B, max_statements, filters) block."""
-    k, dim, filters = kernel.shape
-    out = np.zeros((len(batch), max_statements, filters))
-    kept = [(i, j, list(ids)) for i, statements in enumerate(batch)
-            for j, ids in enumerate(statements[:max_statements])]
-    if not kept:
-        return out
-    t = max(k, max(len(ids) for _, _, ids in kept))
-    block = np.zeros((len(kept), t, dim))
-    for row, (_, _, ids) in enumerate(kept):
-        for pos, token in enumerate(ids):
-            if token != pad_id:
-                block[row, pos] = embedding[token]
-    if rng is not None:
-        block = block * ((rng.random(block.shape) < retain) / retain)
-    for row, (i, j, ids) in enumerate(kept):
-        best = np.zeros(filters)
-        for start in range(max(len(ids) - k + 1, 1)):
-            conv = bias.astype(np.float64).copy()
-            for tap in range(k):
-                conv += block[row, start + tap] @ kernel[tap]
-            best = np.maximum(best, conv)
-        out[i, j] = best
-    return out
-
-
 def family_d_records(n: int, rng: np.random.Generator) -> list[DatasetRecord]:
     """Held-out family D, n // 2 benign/vulnerable twin pairs from ID tokens
     only: a clamp `if (idx >= len) { idx = len - 1; }` before a read of
@@ -384,32 +318,78 @@ def relaxed_bernoulli_reference(p, a, b, nu) -> np.ndarray:
     return out
 
 
+def padded_block(rows: np.ndarray, lengths, max_statements: int) -> np.ndarray:
+    """(B, max_statements, dim) block: function f's packed statement rows at
+    the top of block row f, zero rows after them."""
+    lengths = np.asarray(lengths)
+    block = np.zeros((len(lengths), max_statements, rows.shape[1]))
+    for f, start in enumerate(np.cumsum(lengths) - lengths):
+        block[f, :lengths[f]] = rows[start:start + lengths[f]]
+    return block
+
+
 def full_block_representations(params, samples, config):
     """Scoring representations and max-softmax complements the long way:
     the selector scores all batch x max_statements slots, padded ones
-    included, pad_gate zeroes the padded gates afterwards, and the
-    classifier always runs."""
-    n = len(samples)
+    included, the padded gates are zeroed afterwards, and the classifier
+    always runs."""
+    n, m = len(samples), config.max_statements
     reps = np.zeros((n, representation_dim(config)))
     msp = np.zeros(n)
     for start in range(0, n, config.batch_size):
         chunk = samples[start:start + config.batch_size]
-        x, lengths = encode_batch([s.statements for s in chunk],
-                                  params.encoder, config.max_statements)
-        probs = selector_forward(x, params.selector).data
-        z = pad_gate(ad.constant(deterministic_mask(probs, config.gate_mode)),
-                     lengths, config.max_statements)
-        masked = apply_mask(x, z)
+        rows, lengths = encode_batch([s.statements for s in chunk],
+                                     params.encoder, m)
+        x = padded_block(rows.data, lengths, m)
         b = len(chunk)
-        flat = ad.reshape(masked, (b, -1))
-        class_probs = classifier_forward(flat, params.classifier).data
+        probs = selector_forward(ad.constant(x.reshape(b * m, -1)),
+                                 params.selector).data.reshape(b, m)
+        z = deterministic_mask(probs, config.gate_mode)
+        z *= np.arange(m)[None, :] < lengths[:, None]
+        masked = x * z[:, :, None]
+        flat = masked.reshape(b, -1)
+        class_probs = classifier_forward(ad.constant(flat), params.classifier).data
         msp[start:start + b] = 1.0 - class_probs.max(axis=1)
         if config.scoring_mode == "pooled-d":
-            reps[start:start + b] = (masked.data.sum(axis=1)
+            reps[start:start + b] = (masked.sum(axis=1)
                                      / np.maximum(lengths, 1)[:, None])
         else:
-            reps[start:start + b] = flat.data
+            reps[start:start + b] = flat
     return reps, msp
+
+
+def padded_losses(rows, lengths, labels, selector, classifier, *, dd_rng,
+                  joint_rng, relax_temp=0.5, temperature=0.5,
+                  contrastive_weight=0.1, clusters=2):
+    """Both training losses the padded way, without dropout: the (S, dim)
+    statement rows go into a (B, max_statements, dim) block through a 0/1
+    placement product, the selector scores every slot, each loss's
+    Gumbel pair (S draws each, the packed stream) is placed at the real
+    slots, the padded gates are zeroed, and the classifier, the clustering
+    and the contrastive term read the full max_statements * dim flatten.
+    Returns (distribution loss, joint loss)."""
+    lengths = np.asarray(lengths)
+    n, dim = rows.data.shape
+    b = len(lengths)
+    m = classifier.layers[0][0].data.shape[0] // dim
+    live = (np.arange(m)[None, :] < lengths[:, None]).reshape(-1)
+    place = np.zeros((b * m, n))
+    place[np.flatnonzero(live), np.arange(n)] = 1.0
+    block = ad.matmul(ad.constant(place), rows)  # (B * m, dim)
+
+    def gated(scores, rng):
+        a, c = np.zeros(b * m), np.zeros(b * m)
+        a[live], c[live] = sample_gumbel(n, rng), sample_gumbel(n, rng)
+        z = ad.mul(relax_gates(scores, a, c, relax_temp), ad.constant(live * 1.0))
+        return ad.reshape(ad.mul(block, ad.reshape(z, (b * m, 1))), (b, m * dim))
+
+    flat = gated(ad.constant(np.zeros(b * m)), dd_rng)
+    distribution = batch_cross_entropy(classifier_forward(flat, classifier), labels)
+    flat = gated(selector_presigmoid(block, selector), joint_rng)
+    joint = batch_cross_entropy(classifier_forward(flat, classifier), labels)
+    assignment = assign_clusters(flat.data, labels, clusters, joint_rng)
+    ccl = cluster_contrastive_loss(flat, labels, assignment.cluster_of, temperature)
+    return distribution, ad.add(joint, ad.scale(ccl, contrastive_weight))
 
 
 @dataclass

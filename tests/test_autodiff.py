@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leo import autodiff as ad
+from leo.normalize import PAD_ID
 from leo.optim import Adam, ParameterStore, clip_gradients
 
 from oracles import (
@@ -16,7 +17,6 @@ from oracles import (
     central_difference,
     dense_affine_grads,
     finite_difference_check,
-    one_blas_thread,
 )
 
 
@@ -106,6 +106,8 @@ def test_affine_shape_mismatch():
         ad.affine(x, t(np.ones((2, 3))), t(np.ones(3)))
     with pytest.raises(ad.GraphError):
         ad.affine(x, w, t(np.ones(3)))
+    with pytest.raises(ad.GraphError, match="shape mismatch"):
+        ad.affine(t(np.ones((2, 5))), w, t(np.ones(4)))
 
 
 def test_affine_is_matmul_plus_bias_bit_for_bit():
@@ -546,38 +548,46 @@ def test_adam_reach_matches_reference_as_the_prefix_grows_and_shrinks():
 @pytest.mark.parametrize("b, rows, dim, hidden, longest", [
     (128, 100, 150, 300, 17),  # the default shape
     (64, 40, 32, 300, 11),     # the A5 shape
-    (40, 14, 10, 24, 13),      # the margin reaches the full width
-    (7, 40, 32, 30, 5),        # too few rows: full-width products
-    (33, 40, 8, 12, 0),        # no live column
+    (40, 14, 10, 24, 13),      # one statement short of the full width
+    (7, 40, 32, 30, 5),        # few rows
+    (33, 40, 8, 12, 0),        # no statement at all
 ])
-def test_affine_live_width_backward_matches_dense_oracle(b, rows, dim, hidden, longest):
-    """With the columns from `live` on zero, the live-width backward gives
-    the dense backward's dw rows and dx columns up to `live` bit for bit,
-    on one BLAS thread, and exact zeros in the dw rows past it."""
+def test_affine_row_prefix_grads_match_dense_oracle(b, rows, dim, hidden, longest):
+    """An x of longest * dim columns meets the first longest * dim rows of
+    a rows * dim tall w: the forward and the gradients are those of the
+    dense product with x padded by zero columns, and the rows of w past
+    the prefix get exact zeros."""
     rng = np.random.default_rng(b * rows + longest)
     live = longest * dim
-    x = rng.normal(size=(b, rows * dim))
-    x[:, live:] = 0.0
+    x = np.zeros((b, rows * dim))
+    x[:, :live] = rng.normal(size=(b, live))
     w = rng.normal(size=(rows * dim, hidden))
     bias = rng.normal(size=hidden)
     g = rng.normal(size=(b, hidden))
-    xt, wt, bt = (ad.Tensor(a, requires_grad=True) for a in (x, w, bias))
-    out = ad.affine(xt, wt, bt, live=live)
-    assert np.array_equal(out.data, x @ w + bias)
-    with one_blas_thread():
-        ad.backward(ad.reduce_sum(ad.mul(out, ad.constant(g))))
-        dx, dw, db = dense_affine_grads(x, w, g)
-    assert np.array_equal(wt.grad[:live], dw[:live])
+    xt, wt, bt = (ad.Tensor(a, requires_grad=True) for a in (x[:, :live], w, bias))
+    out = ad.affine(xt, wt, bt)
+    np.testing.assert_allclose(out.data, x @ w + bias, rtol=1e-12, atol=1e-12)
+    ad.backward(ad.reduce_sum(ad.mul(out, ad.constant(g))))
+    dx, dw, db = dense_affine_grads(x, w, g)
+    np.testing.assert_allclose(wt.grad[:live], dw[:live], rtol=1e-12, atol=1e-12)
     assert not wt.grad[live:].any()
-    assert np.array_equal(xt.grad[:, :live], dx[:, :live])
-    assert np.array_equal(bt.grad, db)
+    np.testing.assert_allclose(xt.grad, dx[:, :live], rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(bt.grad, db)
 
 
-def test_affine_rejects_live_width_outside_the_columns():
-    x, w, b = ad.constant(np.ones((2, 3))), ad.constant(np.ones((3, 4))), ad.constant(np.ones(4))
-    for live in (-1, 4):
-        with pytest.raises(ad.GraphError, match="live width"):
-            ad.affine(x, w, b, live=live)
+def test_gather_rows_backward_matches_add_at_oracle():
+    """The embedding gradient sums each row's upstream gradients in index
+    order, bit for bit as np.add.at does, with ids repeated many times, the
+    PAD_ID row, and rows no id reaches."""
+    rng = np.random.default_rng(29)
+    table = t(rng.normal(size=(12, 5)), name="table")
+    ids = rng.choice([PAD_ID, 3, 3, 3, 7, 8, 11], size=(60, 7))
+    g = rng.normal(size=(60, 7, 5)) * 10.0 ** rng.integers(-8, 8, size=(60, 7, 1))
+    ad.backward(ad.reduce_sum(ad.mul(ad.gather_rows(table, ids), ad.constant(g))))
+    want = np.zeros((12, 5))
+    np.add.at(want, ids.reshape(-1), g.reshape(-1, 5))
+    assert np.array_equal(table.grad, want)
+    assert not table.grad[[1, 2, 4, 5, 6, 9, 10]].any()
 
 
 def test_adam_untouched_group_stays_put():

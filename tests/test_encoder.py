@@ -13,7 +13,7 @@ from oracles import (
     encode_function_reference,
     encode_statement_reference,
     finite_difference_check,
-    padded_encode_reference,
+    padded_block,
 )
 
 
@@ -33,11 +33,20 @@ def identity_params(vocab=9, dim=4, retain=0.8):
     return store, params
 
 
+def frozen(params):
+    """The parameters as a model rebuilt from an artifact has them: no
+    gradient, so encode_batch takes the folded, tape-free path."""
+    for t in (params.embedding, params.conv_kernel, params.conv_bias):
+        t.requires_grad = False
+    return params
+
+
 def encode_one(statements, params, max_statements=None):
-    """encode_batch on a batch of one function -> its statement matrix."""
-    out, _ = encode_batch([statements], params,
-                          max_statements or max(len(statements), 1))
-    return out.data[0]
+    """encode_batch on a batch of one function -> its (max_statements, dim)
+    statement matrix, zero rows after its statements."""
+    max_statements = max_statements or max(len(statements), 1)
+    out, lengths = encode_batch([statements], params, max_statements)
+    return padded_block(out.data, lengths, max_statements)[0]
 
 
 def oracle(statements, params, max_statements):
@@ -103,7 +112,7 @@ def test_embed_rejects_empty_and_out_of_range():
         encode_batch([[[7]]], params, max_statements=2)
     # without a dropout rng there is no dropout (retain is 0.8 here)
     out, _ = encode_batch([[[2]]], params, max_statements=2, rng=None)
-    np.testing.assert_allclose(out.data[0], oracle([[2]], params, 2),
+    np.testing.assert_allclose(out.data, oracle([[2]], params, 2)[:1],
                                atol=1e-12, rtol=0)
 
 
@@ -117,7 +126,7 @@ def test_embed_dropout_monte_carlo_mean():
     total = np.zeros(4)
     for _ in range(500):
         out, _ = encode_batch(batch, params, 200, rng=rng)
-        total += out.data[0].sum(axis=0)
+        total += out.data.sum(axis=0)
     mean = total / (200 * 500)
     assert np.all(np.abs(mean - reference) <= 0.02 * np.abs(reference))
 
@@ -182,11 +191,10 @@ def test_encode_function_padding_and_truncation():
     assert np.any(m[:3] != 0.0)
 
     out, lengths = encode_batch([[[2, 3]] * 12], params, max_statements=8)
-    assert lengths.tolist() == [8] and out.data.shape == (1, 8, 4)
+    assert lengths.tolist() == [8] and out.data.shape == (8, 4)
 
     empty, lengths = encode_batch([[]], params, max_statements=8)
-    assert lengths.tolist() == [0]
-    assert np.all(empty.data == 0.0)
+    assert lengths.tolist() == [0] and empty.data.shape == (0, 4)
 
 
 def test_encode_function_rows_match_statement_path():
@@ -216,50 +224,53 @@ def test_encode_batch_matches_per_function():
     for kernel in (1, 2, 3, 5):
         _, params = make_params(dim=4, kernel=kernel, seed=kernel)
         out, lengths = encode_batch(RAGGED_BATCH, params, max_statements=3)
-        assert out.data.shape == (4, 3, 4)
+        assert out.data.shape == (7, 4)
         np.testing.assert_array_equal(lengths, [3, 0, 3, 1])
+        block = padded_block(out.data, lengths, 3)
         for i, statements in enumerate(RAGGED_BATCH):
-            np.testing.assert_allclose(out.data[i], oracle(statements, params, 3),
+            np.testing.assert_allclose(block[i], oracle(statements, params, 3),
                                        atol=1e-12, rtol=0)
 
 
 def test_encode_batch_zero_rows_past_true_length():
+    """No row stands for a slot past a function's true length: the rows are
+    the kept statements and nothing else."""
     _, params = make_params(dim=4)
     out, lengths = encode_batch(RAGGED_BATCH, params, max_statements=6)
-    for i in range(len(RAGGED_BATCH)):
-        assert np.all(out.data[i, lengths[i]:] == 0.0)
+    np.testing.assert_array_equal(lengths, [len(fn) for fn in RAGGED_BATCH])
+    assert out.data.shape == (sum(map(len, RAGGED_BATCH)), 4)
+    assert np.all(out.data.any(axis=1))
 
 
 def test_encode_batch_empty_inputs():
     _, params = make_params(dim=4)
     out, lengths = encode_batch([], params, max_statements=3)
-    assert out.data.shape == (0, 3, 4) and lengths.shape == (0,)
+    assert out.data.shape == (0, 4) and lengths.shape == (0,)
     out2, lengths2 = encode_batch([[], []], params, max_statements=3)
-    assert np.all(out2.data == 0.0)
+    assert out2.data.shape == (0, 4)
     np.testing.assert_array_equal(lengths2, [0, 0])
 
 
-def test_encode_batch_packed_rows_are_the_live_rows_of_the_block():
-    """Exact where both products are exact (kernel 1, identity weights); to
-    rounding on random parameters, where the packed encoding sums the kernel
-    taps in another order than the block's im2col product."""
+def test_frozen_encoder_rows_match_the_taped_rows():
+    """Frozen parameters take the folded path, trainable ones the taped
+    conv: the same rows, exactly where both products are exact (kernel 1,
+    identity weights) and to rounding on random parameters, where the
+    folded path sums the kernel taps in another order than im2col."""
     batch = RAGGED_BATCH + [[[2, 3]] * 5]
-    for (_, params), rtol in ((identity_params(), 0.0), (make_params(dim=4), 1e-12)):
-        block, lengths = encode_batch(batch, params, max_statements=3)
-        rows, packed_lengths = encode_batch(batch, params, max_statements=3,
-                                            packed=True)
-        np.testing.assert_array_equal(packed_lengths, [3, 0, 3, 1, 3])
-        np.testing.assert_array_equal(packed_lengths, lengths)
-        live = np.arange(3)[None, :] < lengths[:, None]
-        np.testing.assert_allclose(rows.data, block.data[live], rtol=rtol, atol=0)
-    for batch in ([], [[], []]):
-        empty, none = encode_batch(batch, params, max_statements=3, packed=True)
-        assert empty.data.shape == (0, 4)
-        np.testing.assert_array_equal(none, [0] * len(batch))
+    for make, rtol in ((identity_params, 0.0), (lambda: make_params(dim=4), 1e-12)):
+        _, taped = make()
+        _, folded = make()
+        rows, lengths = encode_batch(batch, taped, max_statements=3)
+        frozen_rows, frozen_lengths = encode_batch(batch, frozen(folded), 3)
+        assert rows.requires_grad and not frozen_rows.requires_grad
+        np.testing.assert_array_equal(lengths, [3, 0, 3, 1, 3])
+        np.testing.assert_array_equal(frozen_lengths, lengths)
+        np.testing.assert_allclose(frozen_rows.data, rows.data, rtol=rtol, atol=0)
 
 
 def test_folded_packed_encoder_matches_statement_oracle():
-    """The packed (folded) encoding against the per-statement loop oracle:
+    """The folded encoding of frozen parameters against the per-statement
+    loop oracle:
     statements shorter than the kernel, one token repeated across many
     windows, a function past max_statements, and a non-zero PAD_ID row that
     the pad mask must still hide."""
@@ -276,7 +287,7 @@ def test_folded_packed_encoder_matches_statement_oracle():
         _, params = make_params(vocab=12, dim=5, kernel=kernel, seed=kernel)
         params.embedding.data[PAD_ID] = rng.normal(size=5)
         params.conv_bias.data = rng.normal(0.0, 0.1, size=5)
-        rows, lengths = encode_batch(batch, params, cap, packed=True)
+        rows, lengths = encode_batch(batch, frozen(params), cap)
         np.testing.assert_array_equal(lengths, [3, 0, 3, 6, 1])
         kept = [s for fn in batch for s in fn[:cap]]
         assert rows.data.shape == (len(kept), 5)
@@ -286,18 +297,19 @@ def test_folded_packed_encoder_matches_statement_oracle():
                                               params.conv_bias.data, PAD_ID)
             np.testing.assert_allclose(row, want, rtol=1e-12, atol=0)
         for empty in ([], [[], []]):
-            out, none = encode_batch(empty, params, cap, packed=True)
+            out, none = encode_batch(empty, params, cap)
             assert out.data.shape == (0, 5)
             np.testing.assert_array_equal(none, [0] * len(empty))
 
 
 def test_packed_encoding_is_inference_only_and_records_no_tape():
+    """A frozen encoder takes no dropout rng and records no tape."""
     _, params = make_params(dim=4)
+    encode_batch(RAGGED_BATCH, params, 3, rng=np.random.default_rng(0))
+    frozen(params)
     with pytest.raises(GraphError):
-        encode_batch(RAGGED_BATCH, params, 3, rng=np.random.default_rng(0),
-                     packed=True)
-    assert params.embedding.requires_grad
-    rows, _ = encode_batch(RAGGED_BATCH, params, 3, packed=True)
+        encode_batch(RAGGED_BATCH, params, 3, rng=np.random.default_rng(0))
+    rows, _ = encode_batch(RAGGED_BATCH, params, 3)
     assert not rows.requires_grad and rows._parents == () and rows._backward is None
 
 
@@ -305,9 +317,10 @@ def test_packed_encoding_is_inference_only_and_records_no_tape():
 def test_packed_encoding_raises_on_a_non_finite_reached_row():
     _, params = make_params(dim=4)
     params.embedding.data[8, 1] = np.inf
-    encode_batch([[[2, 3, 4, 5, 6]]], params, 1, packed=True)  # 8 not reached
+    frozen(params)
+    encode_batch([[[2, 3, 4, 5, 6]]], params, 1)  # 8 not reached
     with pytest.raises(ad.NumericError):
-        encode_batch(RAGGED_BATCH, params, 3, packed=True)
+        encode_batch(RAGGED_BATCH, params, 3)
 
 
 def test_encode_batch_statement_order_permutes_rows():
@@ -315,9 +328,9 @@ def test_encode_batch_statement_order_permutes_rows():
     s1, s2, s3 = [2, 3], [4, 5, 6], [7]
     a, _ = encode_batch([[s1, s2, s3]], params, max_statements=4)
     b, _ = encode_batch([[s3, s1, s2]], params, max_statements=4)
-    np.testing.assert_allclose(a.data[0, 0], b.data[0, 1], atol=1e-12, rtol=0)
-    np.testing.assert_allclose(a.data[0, 1], b.data[0, 2], atol=1e-12, rtol=0)
-    np.testing.assert_allclose(a.data[0, 2], b.data[0, 0], atol=1e-12, rtol=0)
+    np.testing.assert_allclose(a.data[0], b.data[1], atol=1e-12, rtol=0)
+    np.testing.assert_allclose(a.data[1], b.data[2], atol=1e-12, rtol=0)
+    np.testing.assert_allclose(a.data[2], b.data[0], atol=1e-12, rtol=0)
 
 
 def test_encode_batch_train_mode_deterministic_given_seed():
@@ -350,27 +363,6 @@ def test_encode_batch_convolves_only_valid_windows(monkeypatch):
         encode_batch(RAGGED_BATCH, params, max_statements=3)
         kept = [s for fn in RAGGED_BATCH for s in fn[:3]]
         assert windows == [sum(max(len(s) - kernel + 1, 1) for s in kept)]
-
-
-def test_encode_batch_matches_padded_reference_and_rng_stream():
-    """Train mode: the packed encoder equals the padded block path, whose
-    dropout mask is drawn at the (statements x longest x dim) shape, and
-    leaves the dropout rng where that path leaves it."""
-    rng = np.random.default_rng(3)
-    batch = [[list(rng.integers(1, 9, size=rng.integers(1, 9)))
-              for _ in range(rng.integers(0, 6))] for _ in range(6)]
-    for kernel in (1, 3, 5):
-        _, params = make_params(dim=4, kernel=kernel, seed=kernel)
-        for seed in (None, 11):
-            ours = None if seed is None else np.random.default_rng(seed)
-            theirs = None if seed is None else np.random.default_rng(seed)
-            out, _ = encode_batch(batch, params, 4, rng=ours)
-            want = padded_encode_reference(
-                batch, params.embedding.data, params.conv_kernel.data,
-                params.conv_bias.data, 4, params.dropout_retain, theirs, PAD_ID)
-            np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=0)
-            if seed is not None:
-                assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def test_encode_batch_short_exact_and_capped_statements_in_one_batch():
@@ -409,7 +401,7 @@ def test_pad_embedding_row_gets_no_gradient():
 def test_finite_difference_through_batched_encode():
     store, params = make_params(vocab=7, dim=3, kernel=3, seed=3)
     batch = [[[2, 3, 4, 5], [6]], [[3], [4, 5, 2]]]
-    coeff = ad.constant(np.random.default_rng(11).normal(size=(2, 3, 3)))
+    coeff = ad.constant(np.random.default_rng(11).normal(size=(4, 3)))
 
     def loss_fn():
         out, _ = encode_batch(batch, params, max_statements=3)
@@ -423,7 +415,7 @@ def test_finite_difference_through_batched_encode():
 def test_finite_difference_through_train_mode_encode():
     store, params = make_params(vocab=7, dim=3, kernel=3, seed=5)
     batch = [[[2, 3, 4, 5], [6]], [[3], [4, 5, 2]]]
-    coeff = ad.constant(np.random.default_rng(12).normal(size=(2, 3, 3)))
+    coeff = ad.constant(np.random.default_rng(12).normal(size=(4, 3)))
 
     def loss_fn():
         out, _ = encode_batch(batch, params, max_statements=3,

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import leo.autodiff as ad
-import leo.losses as losses_module
 from leo.autodiff import GraphError
 from leo.encoder import encode_batch, init_encoder_params
 from leo.losses import (
@@ -27,12 +26,12 @@ from oracles import (
     direct_contrastive_loss,
     exhaustive_mask_expectation,
     finite_difference_check,
-    full_width_classifier_forward,
     hand_cosine,
     kmeans_inertia,
     kmeans_inertia_history,
     lloyd_reference,
-    one_blas_thread,
+    padded_block,
+    padded_losses,
 )
 
 
@@ -44,7 +43,7 @@ def single_ce(probs, label):
 
 def masked_ce(x, gates, lengths, labels, params):
     """Cross-entropy of the shared gate-masking pass under constant gates."""
-    _, _, probs = gated_classifier(x, ad.constant(np.asarray(gates, dtype=float)),
+    _, probs = gated_classifier(x, ad.constant(np.asarray(gates, dtype=float)),
                                    lengths, params)
     return batch_cross_entropy(probs, labels).item()
 
@@ -132,8 +131,9 @@ def test_cross_entropy_gradient_matches_finite_differences():
 
 
 def dd_setup(seed=6, b=3, rows=4, dim=3):
+    """b full-length functions: their (b * rows, dim) statement rows."""
     rng = np.random.default_rng(seed)
-    x = ad.constant(rng.normal(size=(b, rows, dim)))
+    x = ad.constant(rng.normal(size=(b * rows, dim)))
     lengths = np.array([rows] * b)
     labels = rng.integers(0, 2, size=b)
     store, params = make_classifier(rows * dim, hidden=(5, 4), seed=seed + 1)
@@ -142,7 +142,7 @@ def dd_setup(seed=6, b=3, rows=4, dim=3):
 
 def test_distribution_loss_all_ones_mask_is_plain_ce():
     x, lengths, labels, _, params = dd_setup()
-    ones = np.ones((3, 4))
+    ones = np.ones(12)
     got = masked_ce(x, ones, lengths, labels, params)
     flat = ad.reshape(x, (3, 12))
     want = batch_cross_entropy(classifier_forward(flat, params), labels).item()
@@ -151,7 +151,7 @@ def test_distribution_loss_all_ones_mask_is_plain_ce():
 
 def test_distribution_loss_all_zero_mask_is_label_symmetric():
     x, lengths, labels, _, params = dd_setup()
-    zeros = np.zeros((3, 4))
+    zeros = np.zeros(12)
     labels = np.array([1, 1, 0])
     got = masked_ce(x, zeros, lengths, labels, params)
     zero_in = classifier_forward(ad.constant(np.zeros((1, 12))), params).data[0]
@@ -160,28 +160,25 @@ def test_distribution_loss_all_zero_mask_is_label_symmetric():
 
 
 def test_distribution_loss_forces_padded_rows_to_zero():
-    rng = np.random.default_rng(7)
-    x = ad.constant(rng.normal(size=(2, 4, 3)))  # junk in pad rows
+    """Functions of 2 and 3 statements under all-one gates: the classifier
+    reads them as its full 4-slot input with zero rows after them."""
+    rows = np.random.default_rng(7).normal(size=(5, 3))
     labels = np.array([0, 1])
     _, params = make_classifier(12, seed=8)
-    ones = np.ones((2, 4))
-    got = masked_ce(x, ones, [2, 3], labels, params)
-    cleaned = x.data.copy()
-    cleaned[0, 2:] = 0.0
-    cleaned[1, 3:] = 0.0
-    flat = ad.constant(cleaned.reshape(2, 12))
+    got = masked_ce(ad.constant(rows), np.ones(5), [2, 3], labels, params)
+    flat = ad.constant(padded_block(rows, [2, 3], 4).reshape(2, 12))
     want = batch_cross_entropy(classifier_forward(flat, params), labels).item()
     assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_distribution_loss_monte_carlo_matches_exhaustive_masks():
     rng = np.random.default_rng(9)
-    x = ad.constant(rng.normal(size=(1, 3, 3)))
+    x = ad.constant(rng.normal(size=(3, 3)))
     labels = np.array([1])
     _, params = make_classifier(9, hidden=(5, 4), seed=10)
 
     def ce_of_mask(mask):
-        return masked_ce(x, [mask], [3], labels, params)
+        return masked_ce(x, mask, [3], labels, params)
 
     exact = exhaustive_mask_expectation(ce_of_mask, 3)
     draw_rng = np.random.default_rng(11)
@@ -214,7 +211,9 @@ def test_distribution_loss_input_checks():
     with pytest.raises(GraphError):
         data_distribution_loss(x, lengths, labels, params, relax_temp=0.5, rng=None)
     with pytest.raises(GraphError):
-        masked_ce(x, np.ones((3, 5)), lengths, labels, params)
+        masked_ce(x, np.ones(13), lengths, labels, params)
+    with pytest.raises(GraphError):
+        masked_ce(x, np.ones(12), [4, 4, 3], labels, params)
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +292,46 @@ def test_kmeans_deterministic_for_seed():
 
 def test_flatten_examples():
     _, clf = make_classifier(6, hidden=(5,), seed=15)
-    x = np.array([[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
-                  [[0.5, -1.0], [2.0, 0.0], [7.0, 8.0]]])
-    z = np.array([[0.0, 1.0, 0.5], [1.0, 1.0, 0.9]])  # last gate is padding
-    gates, _, probs = gated_classifier(ad.constant(x), ad.constant(z), [3, 2], clf)
-    np.testing.assert_array_equal(gates.data, [[0.0, 1.0, 0.5], [1.0, 1.0, 0.0]])
+    x = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0],  # function 0
+                  [0.5, -1.0], [2.0, 0.0]])             # function 1
+    z = np.array([0.0, 1.0, 0.5, 1.0, 1.0])
+    block, probs = gated_classifier(ad.constant(x), ad.constant(z), [3, 2], clf)
+    np.testing.assert_array_equal(block.data, [[[0.0, 0.0], [3.0, 4.0], [2.5, 3.0]],
+                                               [[0.5, -1.0], [2.0, 0.0], [0.0, 0.0]]])
     # the classifier sees each gated (rows, dim) matrix flattened row-major
     flat = np.array([[0.0, 0.0, 3.0, 4.0, 2.5, 3.0],
                      [0.5, -1.0, 2.0, 0.0, 0.0, 0.0]])
     want = classifier_forward(ad.constant(flat), clf).data
     np.testing.assert_allclose(probs.data, want, atol=1e-15, rtol=0)
+
+
+def test_gated_block_scales_rows_and_zeroes_the_rest():
+    """Row s of the block's function is the statement row times its gate;
+    the block is as long as the longest function, with zero rows after each
+    shorter one; permuting a function's statements with their gates permutes
+    its block rows; rows, gates and lengths must agree."""
+    _, clf = make_classifier(5 * 3, hidden=(4,), seed=16)
+    rng = np.random.default_rng(17)
+    lengths = [2, 4, 0, 3]
+    x = rng.normal(size=(9, 3)) + 2.0
+    z = rng.uniform(size=9)
+    z[[1, 5]] = 0.0
+    ones, _ = gated_classifier(ad.constant(x), ad.constant(np.ones(9)), lengths, clf)
+    np.testing.assert_array_equal(ones.data, padded_block(x, lengths, 4))
+    zeros, _ = gated_classifier(ad.constant(x), ad.constant(np.zeros(9)), lengths, clf)
+    np.testing.assert_array_equal(zeros.data, np.zeros((4, 4, 3)))
+    block, _ = gated_classifier(ad.constant(x), ad.constant(z), lengths, clf)
+    np.testing.assert_array_equal(block.data, padded_block(x * z[:, None], lengths, 4))
+    assert not block.data[0, 1].any() and not block.data[1, 3].any()
+    perm = np.array([0, 1, 5, 3, 2, 4, 6, 8, 7])  # within functions 1 and 3
+    swapped, _ = gated_classifier(ad.constant(x[perm]), ad.constant(z[perm]),
+                                  lengths, clf)
+    np.testing.assert_array_equal(swapped.data[1], block.data[1, [3, 1, 0, 2]])
+    np.testing.assert_array_equal(swapped.data[3, :3], block.data[3, [0, 2, 1]])
+    for rows, gates, lens in ((x, z[:8], lengths), (x, z, [2, 4, 0, 2]),
+                              (x[None], z, lengths)):
+        with pytest.raises(GraphError):
+            gated_classifier(ad.constant(rows), ad.constant(gates), lens, clf)
 
 
 def test_cosine_examples_and_oracle():
@@ -475,8 +504,8 @@ def joint_setup(seed=18, b=4, rows=5, dim=4):
     store = ParameterStore()
     sel = init_selector_params(store, dim, rng, hidden_sizes=(5, 4, 3))
     clf = init_classifier_params(store, rows * dim, rng, hidden_sizes=(6, 5))
-    x = ad.constant(rng.normal(size=(b, rows, dim)))
     lengths = np.array([rows, rows - 1, rows, rows - 2])[:b]
+    x = ad.constant(rng.normal(size=(lengths.sum(), dim)))
     labels = np.array([1, 1, 0, 1])[:b]
     return store, sel, clf, x, lengths, labels
 
@@ -498,12 +527,8 @@ def test_joint_loss_forced_gates_is_classification_loss():
     parts = joint_loss(x, lengths, labels, sel, clf, relax_temp=0.5,
                        temperature=0.5, contrastive_weight=0.0, clusters=3,
                        rng=np.random.default_rng(4))
-    for i, n in enumerate(lengths):
-        np.testing.assert_array_equal(parts.gates.data[i], [1.0] * n + [0.0] * (5 - n))
-    cleaned = x.data.copy()
-    for i, n in enumerate(lengths):
-        cleaned[i, n:] = 0.0
-    flat = ad.constant(cleaned.reshape(4, 20))
+    np.testing.assert_array_equal(parts.gates.data, np.ones(lengths.sum()))
+    flat = ad.constant(padded_block(x.data, lengths, 5).reshape(4, 20))
     want = batch_cross_entropy(classifier_forward(flat, clf), labels).item()
     assert parts.total.item() == pytest.approx(want, abs=1e-12)
 
@@ -522,14 +547,15 @@ def test_joint_loss_total_is_ce_plus_weighted_contrastive():
 
 
 def test_joint_loss_gates_respect_padding_and_range():
+    """One gate per real statement, none for the slots past a function's
+    end, each strictly inside (0, 1)."""
     _, sel, clf, x, lengths, labels = joint_setup()
     parts = joint_loss(x, lengths, labels, sel, clf, relax_temp=0.5,
                        temperature=0.5, contrastive_weight=0.1, clusters=2,
                        rng=np.random.default_rng(2))
     z = parts.gates.data
-    for i, n in enumerate(lengths):
-        assert np.all(z[i, n:] == 0.0)
-        assert np.all((z[i, :n] > 0.0) & (z[i, :n] < 1.0))
+    assert z.shape == (lengths.sum(),)
+    assert np.all((z > 0.0) & (z < 1.0))
 
 
 def test_joint_loss_deterministic_given_rng():
@@ -547,8 +573,8 @@ def test_joint_loss_z_override_blocks_selector_gradient():
     """Constant gates through the shared pass leave the selector out of the
     graph of both loss terms."""
     store, sel, clf, x, lengths, labels = joint_setup()
-    _, masked, probs = gated_classifier(x, ad.constant(np.full((4, 5), 0.7)),
-                                        lengths, clf)
+    masked, probs = gated_classifier(x, ad.constant(np.full(lengths.sum(), 0.7)),
+                                     lengths, clf)
     ccl = cluster_contrastive_loss(masked, labels, np.array([0, 0, -1, 0]), 0.5)
     ad.backward(ad.add(batch_cross_entropy(probs, labels), ad.scale(ccl, 0.1)))
     for name, t in store.items():
@@ -607,14 +633,14 @@ def test_joint_loss_full_stack_gradient_through_encoder():
 
 
 @pytest.mark.parametrize("capped", [False, True])
-def test_live_width_losses_match_the_full_width_classifier(monkeypatch, capped):
-    """Both losses give the classifier's first layer the batch's live width
-    (its longest function times dim). Losses, gates and every parameter
-    gradient are bit for bit those of the full-width backward on one BLAS
-    thread, on a batch of 40 functions, one without statements; with
-    `capped`, one function is cut at max_statements, so the live width is
-    the full width."""
-    rows, dim = 20, 150  # one statement's columns outspan the margin
+def test_packed_losses_match_the_dense_padded_oracle(capped):
+    """Both losses on the packed statement rows, through the longest-wide
+    block and the classifier's leading first-layer rows, against the
+    padded oracle over every max_statements slot: losses and every
+    parameter gradient within 1e-12, on a batch of 40 functions, one
+    without statements; with `capped`, one function is cut at
+    max_statements, so the block is full width."""
+    rows, dim = 20, 15
     rng = np.random.default_rng(41)
     store = ParameterStore()
     enc = init_encoder_params(store, 30, dim, rng)
@@ -628,31 +654,78 @@ def test_live_width_losses_match_the_full_width_classifier(monkeypatch, capped):
         batch[7] = [[2, 3]] * (rows + 4)
     labels = rng.integers(0, 2, size=40)
 
-    def run():
-        store.zero_grads()
-        x1, n1 = encode_batch(batch, enc, rows, rng=np.random.default_rng(1))
+    def packed():
+        x1, n1 = encode_batch(batch, enc, rows)
         loss1 = data_distribution_loss(x1, n1, labels, clf, relax_temp=0.5,
-                                       rng=np.random.default_rng(2),
-                                       dropout_rng=np.random.default_rng(3))
-        x2, n2 = encode_batch(batch, enc, rows, rng=np.random.default_rng(4))
+                                       rng=np.random.default_rng(2))
+        x2, n2 = encode_batch(batch, enc, rows)
         parts = joint_loss(x2, n2, labels, sel, clf, relax_temp=0.5,
                            temperature=0.5, contrastive_weight=0.1, clusters=2,
-                           rng=np.random.default_rng(5),
-                           dropout_rng=np.random.default_rng(6))
-        ad.backward(ad.add(loss1, parts.total))
-        return ([loss1.item(), parts.total.item()], parts.gates.data,
-                {n: t.grad for n, t in store.items()})
+                           rng=np.random.default_rng(5))
+        assert n1.max() == (rows if capped else 11)
+        return loss1, parts.total
 
-    with one_blas_thread():
-        live_losses, live_gates, live_grads = run()
-        monkeypatch.setattr(losses_module, "classifier_forward",
-                            full_width_classifier_forward)
-        full_losses, full_gates, full_grads = run()
-    assert live_losses == full_losses
-    assert np.array_equal(live_gates, full_gates)
-    assert live_grads.keys() == full_grads.keys()
-    for name, grad in full_grads.items():
-        assert np.array_equal(live_grads[name], grad), name
+    def padded():
+        x, n = encode_batch(batch, enc, rows)
+        return padded_losses(x, n, labels, sel, clf,
+                             dd_rng=np.random.default_rng(2),
+                             joint_rng=np.random.default_rng(5))
+
+    results = []
+    for run in (packed, padded):
+        store.zero_grads()
+        losses = run()
+        ad.backward(ad.add(*losses))
+        results.append(([loss.item() for loss in losses],
+                        {n: t.grad for n, t in store.items()}))
+    (got, got_grads), (want, want_grads) = results
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    assert got_grads.keys() == want_grads.keys()
+    for name, grad in want_grads.items():
+        scale = np.abs(grad).max()
+        np.testing.assert_allclose(got_grads[name], grad, rtol=0,
+                                   atol=1e-12 * scale, err_msg=name)
+    w0 = got_grads["classifier/w0"]
+    assert not w0[(rows if capped else 11) * dim:].any()
+
+
+class CountingGenerator:
+    """A Generator stand-in that records the size of every `random` draw."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def random(self, size=None):
+        out = self._rng.random(size)
+        self.sizes.append(np.size(out))
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_one_step_draws_uniforms_only_for_real_statements():
+    """One joint step draws sum(max(L, k)) * dim encoder dropout uniforms,
+    S * hidden per selector hidden layer, batch * hidden per classifier
+    hidden layer, and 2 * S Gumbel uniforms, S being the kept statements."""
+    store = ParameterStore()
+    rng = np.random.default_rng(43)
+    dim, k, cap = 6, 3, 5
+    enc = init_encoder_params(store, 20, dim, rng, kernel_size=k)
+    sel = init_selector_params(store, dim, rng, hidden_sizes=(7, 4))
+    clf = init_classifier_params(store, cap * dim, rng, hidden_sizes=(9, 5))
+    batch = [[[2, 3, 4, 5], [6]], [], [[7, 8]] * 8, [[9, 10, 11, 12, 13, 14]]]
+    kept = [s for fn in batch for s in fn[:cap]]
+    n = len(kept)
+    dropout, gumbel = CountingGenerator(1), CountingGenerator(2)
+    x, lengths = encode_batch(batch, enc, cap, rng=dropout)
+    joint_loss(x, lengths, [1, 0, 1, 1], sel, clf, relax_temp=0.5,
+               temperature=0.5, contrastive_weight=0.1, clusters=2,
+               rng=gumbel, dropout_rng=dropout)
+    positions = sum(max(len(s), k) for s in kept)
+    assert dropout.sizes == [positions * dim, n * 7, n * 4, 4 * 9, 4 * 5]
+    assert gumbel.sizes == [n, n]
 
 
 def test_joint_loss_requires_rng_when_sampling():

@@ -430,13 +430,13 @@ def test_epoch_log_reports_mean_pre_clip_norms(caplog, monkeypatch):
 
 def test_epoch_log_reports_mean_live_gate(caplog, monkeypatch):
     """Each epoch's log line reports the mean step-2 gate over the real
-    statement slots of every batch; the digest does not carry it."""
+    statements of every batch; the digest does not carry it."""
     gates = []
     real_joint = train_module.joint_loss
 
-    def spy(x, lengths, *args, **kwargs):
-        parts = real_joint(x, lengths, *args, **kwargs)
-        gates.append(parts.gates.data[np.arange(x.data.shape[1]) < lengths[:, None]])
+    def spy(*args, **kwargs):
+        parts = real_joint(*args, **kwargs)
+        gates.append(parts.gates.data)
         return parts
 
     monkeypatch.setattr(train_module, "joint_loss", spy)
@@ -448,6 +448,42 @@ def test_epoch_log_reports_mean_live_gate(caplog, monkeypatch):
     mean = np.concatenate(gates).mean()
     assert 0.0 < mean < 1.0
     assert f"mean step-2 gate over live statements {mean:.4f}, " in lines[0]
+    assert all(len(line.split(",")) == 4 for line in art.log_digest.splitlines())
+
+
+@pytest.mark.parametrize("ablate", [False, True])
+def test_epoch_log_reports_mean_clusters_and_anchors(caplog, monkeypatch, ablate):
+    """Each epoch's log line reports, per step-2 batch, the mean number of
+    clusters k-means kept and the mean contrastive anchor count: vulnerable
+    samples with a same-cluster peer. Without a contrastive term both read
+    0. The digest carries neither."""
+    parts_seen = []
+    real_joint = train_module.joint_loss
+
+    def spy(*args, **kwargs):
+        parts_seen.append((np.asarray(args[2]), real_joint(*args, **kwargs)))
+        return parts_seen[-1][1]
+
+    monkeypatch.setattr(train_module, "joint_loss", spy)
+    with caplog.at_level(logging.INFO, logger="leo"):
+        art = train(tiny_config(epochs=2, ablate_cd=ablate), tiny_corpus(n=40)[0])
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("epoch ")]
+    assert len(lines) == 2 and len(parts_seen) % 2 == 0
+    per_epoch = len(parts_seen) // 2
+    for epoch, line in enumerate(lines):
+        batches = parts_seen[epoch * per_epoch:(epoch + 1) * per_epoch]
+        clusters, anchors = [], []
+        for labels, parts in batches:
+            cluster_of = (parts.assignment.cluster_of if parts.assignment
+                          else np.full(len(labels), -1))
+            sizes = np.bincount(cluster_of[cluster_of >= 0], minlength=1)
+            clusters.append(parts.assignment.k_effective if parts.assignment else 0)
+            anchors.append(int(sizes[sizes >= 2].sum()))
+            assert parts.anchors == anchors[-1]
+        assert (max(clusters) == 0) == ablate
+        assert (f"mean step-2 k-means clusters {np.mean(clusters):.2f}, "
+                f"contrastive anchors {np.mean(anchors):.2f}, ") in line
     assert all(len(line.split(",")) == 4 for line in art.log_digest.splitlines())
 
 

@@ -60,9 +60,8 @@ def scoring_pass(artifact, records):
     params = model_from_artifact(artifact)
     samples = prepare_samples(records, artifact.vocab, config)
     rows, lengths = encode_batch([s.statements for s in samples],
-                                 params.encoder, config.max_statements,
-                                 packed=True)
-    keep = selector_forward(ad.constant(rows.data[None]), params.selector).data[0]
+                                 params.encoder, config.max_statements)
+    keep = selector_forward(rows, params.selector).data
     gated = rows.data * deterministic_mask(keep, config.gate_mode)[:, None]
     block = np.zeros((len(samples), config.max_statements, rows.data.shape[1]))
     block[np.arange(config.max_statements)[None, :] < lengths[:, None]] = gated

@@ -38,7 +38,7 @@ from leo.train import (
 )
 
 from oracles import (dense_mahalanobis, full_block_representations,
-                     nearest_rank, sample_mean_cov)
+                     nearest_rank, padded_block, sample_mean_cov)
 
 SMALL = dict(max_statements=4, embed_dim=3, vocab_max=100, selector_hidden=(4,),
              classifier_hidden=(5,), batch_size=2, clusters=1)
@@ -99,12 +99,9 @@ def test_concat_mode_flattens_row_major():
     """The gated (functions, 4, 3) block of the scoring encoding (the packed
     rows), flattened row-major."""
     concat, params = representations("concat-diagonal")
-    rows, lengths = encode_batch(FUNCS, params.encoder, 4, packed=True)
-    live = np.arange(4)[None, :] < lengths[:, None]
-    x = np.zeros((len(FUNCS), 4, 3))
-    x[live] = rows.data
-    gates = selector_forward(ad.constant(x), params.selector).data * live
-    gated = x * gates[:, :, None]
+    rows, lengths = encode_batch(FUNCS, params.encoder, 4)
+    gates = selector_forward(rows, params.selector).data
+    gated = padded_block(rows.data * gates[:, None], lengths, 4)
     np.testing.assert_array_equal(concat, gated.reshape(len(FUNCS), 12))
     assert np.all(concat[1].reshape(4, 3)[3:] == 0.0)
 
@@ -142,7 +139,7 @@ def test_selector_scores_live_rows_only(monkeypatch):
     seen = []
 
     def spy(x, params, rng=None):
-        seen.append(x.data.shape[0] * x.data.shape[1])
+        seen.append(x.data.shape[0])
         return selector_forward(x, params, rng)
 
     monkeypatch.setattr(train_module, "selector_forward", spy)
@@ -423,8 +420,7 @@ def test_msp_score_examples():
     samples = prepare_samples(records, artifact.vocab, artifact.config)
     x, lengths = encode_batch([s.statements for s in samples], params.encoder, 4)
     gates = selector_forward(x, params.selector).data
-    gates = gates * (np.arange(4)[None, :] < lengths[:, None])
-    flat = (x.data * gates[:, :, None]).reshape(len(samples), -1)
+    flat = padded_block(x.data * gates[:, None], lengths, 4).reshape(len(samples), -1)
     probs = classifier_forward(ad.constant(flat), params.classifier).data
     np.testing.assert_allclose(scores, 1.0 - probs.max(axis=1), atol=1e-15, rtol=0)
 

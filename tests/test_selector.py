@@ -1,4 +1,4 @@
-"""Selector MLP, Gumbel gates, and masking."""
+"""Selector MLP and Gumbel gates."""
 import numpy as np
 import pytest
 
@@ -6,11 +6,9 @@ import leo.autodiff as ad
 from leo.autodiff import GraphError
 from leo.optim import ParameterStore
 from leo.selector import (
-    apply_mask,
     deterministic_mask,
     gumbel_from_uniform,
     init_selector_params,
-    pad_gate,
     relax_gates,
     sample_gumbel,
     selector_forward,
@@ -72,9 +70,9 @@ def test_init_rejects_bad_arguments():
 def test_zero_weights_give_half_probability():
     store, params = make_selector()
     zero_selector(store)
-    x = ad.constant(np.random.default_rng(1).normal(size=(1, 5, 4)))
+    x = ad.constant(np.random.default_rng(1).normal(size=(5, 4)))
     p = selector_forward(x, params)
-    np.testing.assert_array_equal(p.data, np.full((1, 5), 0.5))
+    np.testing.assert_array_equal(p.data, np.full(5, 0.5))
 
 
 def test_zero_rows_give_half_probability():
@@ -82,52 +80,52 @@ def test_zero_rows_give_half_probability():
     for _, b in params.layers:
         b.data[:] = 0.0
     params.head[1].data[:] = 0.0
-    p = selector_forward(ad.constant(np.zeros((1, 3, 4))), params)
-    np.testing.assert_array_equal(p.data, np.full((1, 3), 0.5))
+    p = selector_forward(ad.constant(np.zeros((3, 4))), params)
+    np.testing.assert_array_equal(p.data, np.full(3, 0.5))
 
 
 def test_probabilities_strictly_inside_unit_interval():
     for seed in range(5):
         _, params = make_selector(seed=seed)
-        x = ad.constant(np.random.default_rng(seed + 50).normal(size=(1, 8, 4)) * 5)
+        x = ad.constant(np.random.default_rng(seed + 50).normal(size=(8, 4)) * 5)
         p = selector_forward(x, params).data
         assert np.all(p > 0.0) and np.all(p < 1.0)
 
 
 def test_forward_shapes_and_batched_consistency():
     _, params = make_selector()
-    block = np.random.default_rng(2).normal(size=(3, 5, 4))
-    batched = selector_forward(ad.constant(block), params)
-    assert batched.data.shape == (3, 5)
-    for i in range(3):
-        single = selector_forward(ad.constant(block[i:i + 1]), params)
-        np.testing.assert_allclose(batched.data[i], single.data[0], atol=1e-12, rtol=0)
+    rows = np.random.default_rng(2).normal(size=(15, 4))
+    batched = selector_forward(ad.constant(rows), params)
+    assert batched.data.shape == (15,)
+    for i in range(0, 15, 5):
+        part = selector_forward(ad.constant(rows[i:i + 5]), params)
+        np.testing.assert_allclose(batched.data[i:i + 5], part.data, atol=1e-12, rtol=0)
     with pytest.raises(GraphError):
-        selector_forward(ad.constant(block[0]), params)
+        selector_forward(ad.constant(rows.reshape(3, 5, 4)), params)
 
 
 def test_rowwise_weight_sharing():
     _, params = make_selector()
-    rows = np.random.default_rng(3).normal(size=(1, 4, 4))
+    rows = np.random.default_rng(3).normal(size=(4, 4))
     p = selector_forward(ad.constant(rows), params).data
-    swapped = selector_forward(ad.constant(rows[:, ::-1].copy()), params).data
-    np.testing.assert_allclose(swapped, p[:, ::-1], atol=1e-12, rtol=0)
+    swapped = selector_forward(ad.constant(rows[::-1].copy()), params).data
+    np.testing.assert_allclose(swapped, p[::-1], atol=1e-12, rtol=0)
 
 
 def test_train_mode_needs_rng_and_is_seed_deterministic():
     _, params = make_selector()
-    x = ad.constant(np.random.default_rng(4).normal(size=(1, 5, 4)))
+    x = ad.constant(np.random.default_rng(4).normal(size=(5, 4)))
     # without a dropout rng the MLP runs with no dropout
-    h = x.data.reshape(5, 4)
+    h = x.data
     for w, b in params.layers:
         h = np.maximum(h @ w.data + b.data, 0.0)
     plain = 1.0 / (1.0 + np.exp(-(h @ params.head[0].data + params.head[1].data)))
     np.testing.assert_allclose(selector_forward(x, params, rng=None).data,
-                               plain.reshape(1, 5), atol=1e-12, rtol=0)
+                               plain.reshape(5), atol=1e-12, rtol=0)
     a = selector_forward(x, params, rng=np.random.default_rng(9))
     b = selector_forward(x, params, rng=np.random.default_rng(9))
     np.testing.assert_array_equal(a.data, b.data)
-    assert not np.allclose(a.data, plain.reshape(1, 5))
+    assert not np.allclose(a.data, plain.reshape(5))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +226,7 @@ def test_relax_gates_shape_check():
 
 
 # ---------------------------------------------------------------------------
-# deterministic gates and masking
+# deterministic gates
 
 
 def test_deterministic_mask_modes():
@@ -241,59 +239,6 @@ def test_deterministic_mask_modes():
         deterministic_mask(p, "soft")
 
 
-def test_apply_mask_identity_and_zero():
-    x = ad.constant(np.random.default_rng(9).normal(size=(1, 5, 3)))
-    ones = ad.constant(np.ones((1, 5)))
-    zeros = ad.constant(np.zeros((1, 5)))
-    np.testing.assert_array_equal(apply_mask(x, ones).data, x.data)
-    np.testing.assert_array_equal(apply_mask(x, zeros).data, np.zeros((1, 5, 3)))
-
-
-def test_apply_mask_pattern_zeroes_named_rows():
-    x = ad.constant(np.arange(15, dtype=float).reshape(1, 5, 3) + 1)
-    z = ad.constant(np.array([[0.0, 1.0, 1.0, 0.0, 1.0]]))
-    out = apply_mask(x, z).data[0]
-    assert np.all(out[0] == 0.0) and np.all(out[3] == 0.0)
-    np.testing.assert_array_equal(out[[1, 2, 4]], x.data[0, [1, 2, 4]])
-
-
-def test_apply_mask_commutes_with_permutation():
-    rng = np.random.default_rng(10)
-    x = rng.normal(size=(1, 6, 3))
-    z = rng.uniform(size=(1, 6))
-    perm = rng.permutation(6)
-    direct = apply_mask(ad.constant(x), ad.constant(z)).data[:, perm]
-    permuted = apply_mask(ad.constant(x[:, perm]), ad.constant(z[:, perm])).data
-    np.testing.assert_array_equal(direct, permuted)
-
-
-def test_apply_mask_batched_and_errors():
-    rng = np.random.default_rng(11)
-    x = rng.normal(size=(2, 4, 3))
-    z = rng.uniform(size=(2, 4))
-    out = apply_mask(ad.constant(x), ad.constant(z)).data
-    np.testing.assert_allclose(out, x * z[:, :, None], atol=0)
-    with pytest.raises(GraphError):
-        apply_mask(ad.constant(x[0]), ad.constant(np.ones(4)))
-    with pytest.raises(GraphError):
-        apply_mask(ad.constant(x), ad.constant(np.ones((2, 5))))
-
-
-def test_pad_gate_zeroes_rows_past_length():
-    z = ad.constant(np.ones((2, 4)))
-    out = pad_gate(z, [2, 4], 4).data
-    np.testing.assert_array_equal(out, [[1, 1, 0, 0], [1, 1, 1, 1]])
-    single = pad_gate(ad.constant(np.ones((1, 4))), [3], 4).data
-    np.testing.assert_array_equal(single, [[1, 1, 1, 0]])
-    with pytest.raises(GraphError):
-        pad_gate(ad.constant(np.ones(4)), [3], 4)
-
-
-def test_pad_gate_full_length_is_identity_object():
-    z = ad.constant(np.ones((1, 4)))
-    assert pad_gate(z, [4], 4) is z
-
-
 # ---------------------------------------------------------------------------
 # gradients
 
@@ -301,34 +246,15 @@ def test_pad_gate_full_length_is_identity_object():
 def test_finite_difference_through_gated_selector():
     store, params = make_selector(dim=3, hidden=(5, 4, 3), seed=13)
     rng = np.random.default_rng(14)
-    x = ad.constant(rng.normal(size=(2, 4, 3)))
-    a = sample_gumbel((2, 4), rng)
-    b = sample_gumbel((2, 4), rng)
-    coeff = ad.constant(rng.normal(size=(2, 4, 3)))
+    x = ad.constant(rng.normal(size=(7, 3)))
+    a = sample_gumbel(7, rng)
+    b = sample_gumbel(7, rng)
+    coeff = ad.constant(rng.normal(size=(7, 3)))
 
     def loss_fn():
-        scores = selector_presigmoid(x, params)
-        z = pad_gate(relax_gates(scores, a, b, 0.5), [3, 4], 4)
-        return ad.reduce_sum(ad.mul(apply_mask(x, z), coeff))
+        z = relax_gates(selector_presigmoid(x, params), a, b, 0.5)
+        return ad.reduce_sum(ad.mul(ad.mul(x, ad.reshape(z, (7, 1))), coeff))
 
     report = finite_difference_check(loss_fn, dict(store.items()),
                                      rng=np.random.default_rng(2))
     assert report.ok(1e-4), report
-
-
-def test_gate_gradient_is_blocked_by_pad():
-    store, params = make_selector(dim=3, hidden=(4, 4, 4), seed=15)
-    rng = np.random.default_rng(16)
-    x_rows = rng.normal(size=(1, 4, 3))
-    x_rows[0, 2:] = 0.0  # padded rows are zero vectors
-    x = ad.constant(x_rows)
-    a = sample_gumbel((1, 4), rng)
-    b = sample_gumbel((1, 4), rng)
-
-    scores = selector_presigmoid(x, params)
-    z = pad_gate(relax_gates(scores, a, b, 0.5), [2], 4)
-    loss = ad.reduce_sum(apply_mask(x, z))
-    ad.backward(loss)
-    # gradient w.r.t. the padded gates is exactly zero, so perturbing the
-    # selector head bias moves the loss only through the two live rows
-    assert np.all(z.data[0, 2:] == 0.0)
