@@ -305,35 +305,6 @@ def test_flatten_examples():
     np.testing.assert_allclose(probs.data, want, atol=1e-15, rtol=0)
 
 
-def test_gated_block_scales_rows_and_zeroes_the_rest():
-    """Row s of the block's function is the statement row times its gate;
-    the block is as long as the longest function, with zero rows after each
-    shorter one; permuting a function's statements with their gates permutes
-    its block rows; rows, gates and lengths must agree."""
-    _, clf = make_classifier(5 * 3, hidden=(4,), seed=16)
-    rng = np.random.default_rng(17)
-    lengths = [2, 4, 0, 3]
-    x = rng.normal(size=(9, 3)) + 2.0
-    z = rng.uniform(size=9)
-    z[[1, 5]] = 0.0
-    ones, _ = gated_classifier(ad.constant(x), ad.constant(np.ones(9)), lengths, clf)
-    np.testing.assert_array_equal(ones.data, padded_block(x, lengths, 4))
-    zeros, _ = gated_classifier(ad.constant(x), ad.constant(np.zeros(9)), lengths, clf)
-    np.testing.assert_array_equal(zeros.data, np.zeros((4, 4, 3)))
-    block, _ = gated_classifier(ad.constant(x), ad.constant(z), lengths, clf)
-    np.testing.assert_array_equal(block.data, padded_block(x * z[:, None], lengths, 4))
-    assert not block.data[0, 1].any() and not block.data[1, 3].any()
-    perm = np.array([0, 1, 5, 3, 2, 4, 6, 8, 7])  # within functions 1 and 3
-    swapped, _ = gated_classifier(ad.constant(x[perm]), ad.constant(z[perm]),
-                                  lengths, clf)
-    np.testing.assert_array_equal(swapped.data[1], block.data[1, [3, 1, 0, 2]])
-    np.testing.assert_array_equal(swapped.data[3, :3], block.data[3, [0, 2, 1]])
-    for rows, gates, lens in ((x, z[:8], lengths), (x, z, [2, 4, 0, 2]),
-                              (x[None], z, lengths)):
-        with pytest.raises(GraphError):
-            gated_classifier(ad.constant(rows), ad.constant(gates), lens, clf)
-
-
 def test_cosine_examples_and_oracle():
     def cos(u, v):
         unit = unit_rows(np.array([u, v], dtype=float))

@@ -1,9 +1,10 @@
-"""Selector MLP and Gumbel gates."""
+"""Selector MLP, Gumbel gates, and masking."""
 import numpy as np
 import pytest
 
 import leo.autodiff as ad
 from leo.autodiff import GraphError
+from leo.losses import gated_classifier, init_classifier_params
 from leo.optim import ParameterStore
 from leo.selector import (
     deterministic_mask,
@@ -15,7 +16,7 @@ from leo.selector import (
     selector_presigmoid,
 )
 
-from oracles import finite_difference_check, relaxed_bernoulli_reference
+from oracles import finite_difference_check, padded_block, relaxed_bernoulli_reference
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -237,6 +238,69 @@ def test_deterministic_mask_modes():
         deterministic_mask(np.full(4, 0.5), "hard"), np.zeros(4))
     with pytest.raises(GraphError):
         deterministic_mask(p, "soft")
+
+
+# ---------------------------------------------------------------------------
+# masking: gated_classifier scales each statement row by its gate and
+# places the rows in a zero (batch, longest, dim) block
+
+
+def gated_block(rows, gates, lengths):
+    store = ParameterStore()
+    clf = init_classifier_params(store, 5 * rows.shape[-1], np.random.default_rng(16),
+                                 hidden_sizes=(4,))
+    block, _ = gated_classifier(ad.constant(rows), ad.constant(gates), lengths, clf)
+    return block.data
+
+
+def test_apply_mask_identity_and_zero():
+    x = np.random.default_rng(9).normal(size=(5, 3))
+    np.testing.assert_array_equal(gated_block(x, np.ones(5), [5]), x[None])
+    np.testing.assert_array_equal(gated_block(x, np.zeros(5), [5]), np.zeros((1, 5, 3)))
+
+
+def test_apply_mask_pattern_zeroes_named_rows():
+    x = np.arange(15, dtype=float).reshape(5, 3) + 1
+    out = gated_block(x, np.array([0.0, 1.0, 1.0, 0.0, 1.0]), [5])[0]
+    assert np.all(out[0] == 0.0) and np.all(out[3] == 0.0)
+    np.testing.assert_array_equal(out[[1, 2, 4]], x[[1, 2, 4]])
+
+
+def test_apply_mask_commutes_with_permutation():
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=(9, 3))
+    z = rng.uniform(size=9)
+    lengths = [2, 4, 0, 3]
+    perm = np.array([0, 1, 5, 3, 2, 4, 6, 8, 7])  # within functions 1 and 3
+    direct = gated_block(x, z, lengths)
+    permuted = gated_block(x[perm], z[perm], lengths)
+    np.testing.assert_array_equal(permuted[1], direct[1, [3, 1, 0, 2]])
+    np.testing.assert_array_equal(permuted[3, :3], direct[3, [0, 2, 1]])
+
+
+def test_apply_mask_batched_and_errors():
+    rng = np.random.default_rng(11)
+    lengths = [2, 4, 0, 3]
+    x = rng.normal(size=(9, 3))
+    z = rng.uniform(size=9)
+    np.testing.assert_array_equal(gated_block(x, z, lengths),
+                                  padded_block(x * z[:, None], lengths, 4))
+    for rows, gates, lens in ((x, z[:8], lengths), (x, z, [2, 4, 0, 2]),
+                              (x[None], z, lengths), (x, z[None], lengths)):
+        with pytest.raises(GraphError):
+            gated_block(rows, gates, lens)
+
+
+def test_pad_gate_zeroes_rows_past_length():
+    x = np.random.default_rng(12).normal(size=(6, 3)) + 2.0
+    out = gated_block(x, np.ones(6), [2, 4])
+    assert out.shape == (2, 4, 3)
+    np.testing.assert_array_equal(out[0, 2:], np.zeros((2, 3)))
+    assert np.all(out[0, :2] != 0.0) and np.all(out[1] != 0.0)
+    single = gated_block(x[:3], np.ones(3), [3])
+    assert single.shape == (1, 3, 3) and np.all(single != 0.0)
+    with pytest.raises(GraphError):
+        gated_block(x, np.ones(6), [2, 3])
 
 
 # ---------------------------------------------------------------------------
