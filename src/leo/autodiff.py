@@ -227,31 +227,34 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for 2-D x and w and a bias row b of w's width, as one
     node; the bias is added in place, so the output is the only
-    output-sized array.
-
-    x may have fewer columns than w has rows: its k columns then meet the
-    first k rows of w, as if x went on in zero columns, and the rows of w
-    past k get a zero gradient.
-    """
+    output-sized array."""
     if x.data.ndim != 2 or w.data.ndim != 2:
         raise GraphError(f"affine expects 2-D operands, got {x.data.shape} @ {w.data.shape}")
-    k = x.data.shape[1]
-    if k > w.data.shape[0] or b.data.shape != w.data.shape[1:]:
+    if x.data.shape[1] != w.data.shape[0] or b.data.shape != w.data.shape[1:]:
         raise GraphError(f"affine shape mismatch: {x.data.shape} @ {w.data.shape} "
                          f"+ {b.data.shape}")
-    rows = w.data[:k]
-    data = x.data @ rows
+    data = x.data @ w.data
     data += b.data
 
     def backward(g):
-        if k == w.data.shape[0]:
-            return g @ rows.T, x.data.T @ g, g.sum(axis=0)
-        # np.zeros, not zeros_like: the pages that stay zero are never written
-        dw = np.zeros(w.data.shape)
-        np.matmul(x.data.T, g, out=dw[:k])
-        return g @ rows.T, dw, g.sum(axis=0)
+        return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
 
     return _make(data, (x, w, b), backward, "affine")
+
+
+def leading_rows(a: Tensor, k: int) -> Tensor:
+    """The first k rows of a, as a view. The rows past k get a zero
+    gradient."""
+    if not 0 <= k <= a.data.shape[0]:
+        raise GraphError(f"leading_rows: {k} rows of {a.data.shape}")
+
+    def backward(g):
+        # np.zeros, not zeros_like: the pages that stay zero are never written
+        d = np.zeros(a.data.shape)
+        d[:k] = g
+        return (d,)
+
+    return _make(a.data[:k], (a,), backward, "leading_rows")
 
 
 def transpose(a: Tensor) -> Tensor:

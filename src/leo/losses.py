@@ -42,9 +42,7 @@ def init_classifier_params(store: ParameterStore, input_dim: int,
 
 def classifier_forward(x: Tensor, params: MLPParams,
                        rng: np.random.Generator | None = None) -> Tensor:
-    """Class probabilities: (n, features) -> (n, 2). Fewer features than
-    the classifier's input width stand for that many leading ones, the
-    rest zero (see ad.affine)."""
+    """Class probabilities: (n, features) -> (n, 2)."""
     return ad.softmax(mlp_forward(x, params, rng), axis=-1)
 
 
@@ -54,8 +52,8 @@ def gated_classifier(x: Tensor, z: Tensor, true_lengths, params: MLPParams,
     the packed (S, dim) rows by its gate z[s], place function f's gated
     rows at the top of block row f of a zero (batch, longest, dim) block,
     longest the batch's longest function, and classify the block flattened
-    row-major, so that the classifier's first layer reads only the first
-    longest * dim rows of its weights; the features past them would be
+    row-major. The classifier's first layer reads only the first
+    longest * dim rows of its weights: the features past them would be
     zeros.
 
     Returns (gated block, class probabilities).
@@ -68,12 +66,20 @@ def gated_classifier(x: Tensor, z: Tensor, true_lengths, params: MLPParams,
                          f"rows and {z.data.shape} gates")
     b, dim = len(lengths), x.data.shape[1]
     longest = int(lengths.max(initial=0))
+    layers = [*params.layers, params.head]
+    w0, b0 = layers[0]
+    width = w0.data.shape[0]
+    if width % dim or width < longest * dim:
+        raise GraphError(f"gated_classifier: a classifier of {width} inputs "
+                         f"cannot read {longest} statements of width {dim}")
+    layers[0] = (ad.leading_rows(w0, longest * dim), b0)
     gated = ad.mul(x, ad.reshape(z, (n, 1)))
     slot = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     block = ad.scatter_rows(gated, np.repeat(np.arange(b), lengths), slot,
                             b, longest)
-    probs = classifier_forward(ad.reshape(block, (b, longest * dim)), params,
-                               dropout_rng)
+    probs = classifier_forward(ad.reshape(block, (b, longest * dim)),
+                               MLPParams(layers[:-1], layers[-1],
+                                         params.dropout_retain), dropout_rng)
     return block, probs
 
 
@@ -253,7 +259,7 @@ def assign_clusters(flat_reps: np.ndarray, labels, k: int,
     return ClusterAssignment(cluster_of, result.k_effective)
 
 
-def _peer_weights(labels, cluster_of) -> np.ndarray:
+def peer_weights(labels, cluster_of) -> np.ndarray:
     """(n, n) peer weights: row i spreads a weight of one evenly over the
     other vulnerable samples of i's cluster. A row of zeros marks a sample
     that is no anchor: benign, unassigned, or alone in its cluster."""
@@ -267,7 +273,7 @@ def _peer_weights(labels, cluster_of) -> np.ndarray:
     return np.divide(same, peers, out=np.zeros(same.shape), where=peers > 0)
 
 
-def cluster_contrastive_loss(masked: Tensor, labels, cluster_of: np.ndarray,
+def cluster_contrastive_loss(masked: Tensor, peer_weight: np.ndarray,
                              temperature: float) -> Tensor:
     """Pull each vulnerable sample toward its same-cluster peers.
 
@@ -275,15 +281,15 @@ def cluster_contrastive_loss(masked: Tensor, labels, cluster_of: np.ndarray,
     vulnerable peer), average over peers c of
     -log( exp(sim(i,c)/t) / sum over all others a of exp(sim(i,a)/t) ),
     then sum over anchors. Similarity is cosine on the flattened masked
-    matrices. Anchors without peers contribute zero; a batch of one has no
-    pairs and scores zero.
+    matrices. `peer_weight` is peer_weights(labels, cluster_of). Anchors
+    without peers contribute zero; a batch of one has no pairs and scores
+    zero.
     """
     if temperature <= 0:
         raise GraphError("contrastive temperature must be positive")
     n = masked.data.shape[0]
     if n < 2:
         return ad.constant(0.0, name="contrastive_empty")
-    peer_weight = _peer_weights(labels, cluster_of)
     anchor = peer_weight.any(axis=1).astype(np.float64)
     if not anchor.any():
         return ad.constant(0.0, name="contrastive_empty")
@@ -344,8 +350,8 @@ def joint_loss(x: Tensor, true_lengths, labels, selector: MLPParams,
     b = masked.data.shape[0]
     assignment = assign_clusters(masked.data.reshape(b, -1), labels,
                                  clusters, rng, variant, kmeans_iters)
-    ccl = cluster_contrastive_loss(masked, labels, assignment.cluster_of,
-                                   temperature)
+    weights = peer_weights(labels, assignment.cluster_of)
+    ccl = cluster_contrastive_loss(masked, weights, temperature)
     total = ad.add(ce, ad.scale(ccl, contrastive_weight))
-    anchors = int(_peer_weights(labels, assignment.cluster_of).any(axis=1).sum())
-    return JointLossParts(total, ce, ccl, z, assignment, anchors)
+    return JointLossParts(total, ce, ccl, z, assignment,
+                          int(weights.any(axis=1).sum()))

@@ -115,9 +115,7 @@ def init_mlp_params(store: ParameterStore, prefix: str, input_dim: int,
 def mlp_forward(x: Tensor, params: MLPParams,
                 rng: np.random.Generator | None = None) -> Tensor:
     """Raw head outputs of an (n, input_dim) block: (n, out_dim). Hidden
-    dropout draws from `rng`; without one there is no dropout. A block
-    narrower than input_dim meets the first layer's leading rows (see
-    ad.affine)."""
+    dropout draws from `rng`; without one there is no dropout."""
     h = x
     for w, b in params.layers:
         h = ad.dropout(ad.maximum_const(ad.affine(h, w, b), 0.0),

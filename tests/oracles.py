@@ -33,6 +33,7 @@ from leo.losses import (
     classifier_forward,
     cluster_contrastive_loss,
     minibatch_kmeans,
+    peer_weights,
 )
 from leo.scoring import representation_dim
 from leo.selector import (
@@ -359,14 +360,17 @@ def full_block_representations(params, samples, config):
 
 
 def padded_losses(rows, lengths, labels, selector, classifier, *, dd_rng,
-                  joint_rng, relax_temp=0.5, temperature=0.5,
+                  joint_rng, dropout_rng=None, relax_temp=0.5, temperature=0.5,
                   contrastive_weight=0.1, clusters=2):
-    """Both training losses the padded way, without dropout: the (S, dim)
-    statement rows go into a (B, max_statements, dim) block through a 0/1
-    placement product, the selector scores every slot, each loss's
-    Gumbel pair (S draws each, the packed stream) is placed at the real
-    slots, the padded gates are zeroed, and the classifier, the clustering
-    and the contrastive term read the full max_statements * dim flatten.
+    """Both training losses the padded way: the (S, dim) statement rows go
+    into a (B, max_statements, dim) block through a 0/1 placement product,
+    the selector scores every slot, each loss's Gumbel pair (S draws each,
+    the packed stream) is placed at the real slots, the padded gates are
+    zeroed, and the classifier, the clustering and the contrastive term
+    read the full max_statements * dim flatten. With `dropout_rng`, each
+    selector hidden layer draws S rows of uniforms, the packed stream,
+    placed at the real slots (padded slots drop everything), and the
+    classifier draws its (B, hidden) uniforms as in training.
     Returns (distribution loss, joint loss)."""
     lengths = np.asarray(lengths)
     n, dim = rows.data.shape
@@ -383,12 +387,28 @@ def padded_losses(rows, lengths, labels, selector, classifier, *, dd_rng,
         z = ad.mul(relax_gates(scores, a, c, relax_temp), ad.constant(live * 1.0))
         return ad.reshape(ad.mul(block, ad.reshape(z, (b * m, 1))), (b, m * dim))
 
+    def scores():
+        if dropout_rng is None:
+            return selector_presigmoid(block, selector)
+        h = block
+        for w, bias in selector.layers:
+            h = ad.maximum_const(ad.affine(h, w, bias), 0.0)
+            u = np.ones((b * m, w.data.shape[1]))
+            u[live] = dropout_rng.random((n, w.data.shape[1]))
+            retain = selector.dropout_retain
+            h = ad.mul(h, ad.constant((u < retain) / retain))
+        w, bias = selector.head
+        return ad.reshape(ad.affine(h, w, bias), (b * m,))
+
     flat = gated(ad.constant(np.zeros(b * m)), dd_rng)
-    distribution = batch_cross_entropy(classifier_forward(flat, classifier), labels)
-    flat = gated(selector_presigmoid(block, selector), joint_rng)
-    joint = batch_cross_entropy(classifier_forward(flat, classifier), labels)
+    distribution = batch_cross_entropy(
+        classifier_forward(flat, classifier, dropout_rng), labels)
+    flat = gated(scores(), joint_rng)
+    joint = batch_cross_entropy(classifier_forward(flat, classifier, dropout_rng),
+                                labels)
     assignment = assign_clusters(flat.data, labels, clusters, joint_rng)
-    ccl = cluster_contrastive_loss(flat, labels, assignment.cluster_of, temperature)
+    ccl = cluster_contrastive_loss(flat, peer_weights(labels, assignment.cluster_of),
+                                   temperature)
     return distribution, ad.add(joint, ad.scale(ccl, contrastive_weight))
 
 

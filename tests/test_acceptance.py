@@ -18,6 +18,7 @@ from leo.losses import (
     cluster_contrastive_loss,
     init_classifier_params,
     joint_loss,
+    peer_weights,
 )
 from leo.metrics import ScoreSet, aupr, auroc, fpr_at_tpr
 from leo.model import load_model, save_model, serialize_model
@@ -280,7 +281,7 @@ def test_A4_contrastive_fidelity(verdict):
         clusters = {i: i % 2 for i in range(m) if labels[i] == 1}
         cluster_of = np.array([clusters.get(i, -1) for i in range(m)])
         mine = float(cluster_contrastive_loss(
-            ad.constant(reps), labels, cluster_of, 0.5).data)
+            ad.constant(reps), peer_weights(labels, cluster_of), 0.5).data)
         ref = direct_contrastive_loss(list(reps), labels, clusters, 0.5)
         worst = max(worst, abs(mine - ref))
         assert abs(mine - ref) <= 1e-12
@@ -288,7 +289,7 @@ def test_A4_contrastive_fidelity(verdict):
     # anchors with no same-cluster peer are skipped; none at all -> zero
     reps = rng.normal(size=(3, 4))
     lonely = float(cluster_contrastive_loss(
-        ad.constant(reps), [1, 1, 0], np.array([0, 1, -1]), 0.5).data)
+        ad.constant(reps), peer_weights([1, 1, 0], np.array([0, 1, -1])), 0.5).data)
     skip_ok = lonely == 0.0
     ref_lonely = direct_contrastive_loss(list(reps), [1, 1, 0],
                                          {0: 0, 1: 1}, 0.5)
@@ -303,9 +304,9 @@ def test_A4_contrastive_fidelity(verdict):
                               variant="supervised-class")
     same_assign = np.array_equal(a_cluster.cluster_of, a_super.cluster_of)
     l_cluster = float(cluster_contrastive_loss(
-        ad.constant(flat), labels6, a_cluster.cluster_of, 0.5).data)
+        ad.constant(flat), peer_weights(labels6, a_cluster.cluster_of), 0.5).data)
     l_super = float(cluster_contrastive_loss(
-        ad.constant(flat), labels6, a_super.cluster_of, 0.5).data)
+        ad.constant(flat), peer_weights(labels6, a_super.cluster_of), 0.5).data)
     coincide = same_assign and l_cluster == l_super
 
     ok = worst <= 1e-12 and skip_ok and coincide

@@ -106,6 +106,9 @@ def test_affine_shape_mismatch():
         ad.affine(x, t(np.ones((2, 3))), t(np.ones(3)))
     with pytest.raises(ad.GraphError):
         ad.affine(x, w, t(np.ones(3)))
+    # a narrower x is a mismatch too, not a read of w's leading rows
+    with pytest.raises(ad.GraphError, match="shape mismatch"):
+        ad.affine(t(np.ones((2, 2))), w, t(np.ones(4)))
 
 
 def test_affine_is_matmul_plus_bias_bit_for_bit():
@@ -552,9 +555,9 @@ def test_adam_reach_matches_reference_as_the_prefix_grows_and_shrinks():
 ])
 def test_affine_row_prefix_grads_match_dense_oracle(b, rows, dim, hidden, longest):
     """An x of longest * dim columns meets the first longest * dim rows of
-    a rows * dim tall w: the forward and the gradients are those of the
-    dense product with x padded by zero columns, and the rows of w past
-    the prefix get exact zeros."""
+    a rows * dim tall w through leading_rows: the forward and the
+    gradients are those of the dense product with x padded by zero
+    columns, and the rows of w past the prefix get exact zeros."""
     rng = np.random.default_rng(b * rows + longest)
     live = longest * dim
     x = np.zeros((b, rows * dim))
@@ -563,7 +566,7 @@ def test_affine_row_prefix_grads_match_dense_oracle(b, rows, dim, hidden, longes
     bias = rng.normal(size=hidden)
     g = rng.normal(size=(b, hidden))
     xt, wt, bt = (ad.Tensor(a, requires_grad=True) for a in (x[:, :live], w, bias))
-    out = ad.affine(xt, wt, bt)
+    out = ad.affine(xt, ad.leading_rows(wt, live), bt)
     np.testing.assert_allclose(out.data, x @ w + bias, rtol=1e-12, atol=1e-12)
     ad.backward(ad.reduce_sum(ad.mul(out, ad.constant(g))))
     dx, dw, db = dense_affine_grads(x, w, g)
@@ -574,17 +577,21 @@ def test_affine_row_prefix_grads_match_dense_oracle(b, rows, dim, hidden, longes
 
 
 def test_affine_rejects_live_width_outside_the_columns():
-    """x's width is the live width: any width up to w's row count reads
-    w's leading rows, and a wider x is rejected."""
+    """The live width is a leading_rows prefix of w: any prefix up to w's
+    row count feeds affine an x of that width, a prefix outside the rows
+    is rejected, and so is an x whose width is not the prefix's."""
     rng = np.random.default_rng(31)
-    w, b = rng.normal(size=(3, 4)), rng.normal(size=4)
+    w, b = ad.constant(rng.normal(size=(3, 4))), ad.constant(rng.normal(size=4))
     for live in range(4):
         x = rng.normal(size=(2, live))
-        out = ad.affine(ad.constant(x), ad.constant(w), ad.constant(b))
-        np.testing.assert_allclose(out.data, x @ w[:live] + b, rtol=1e-12, atol=1e-12)
-    for live in (4, 5):
-        with pytest.raises(ad.GraphError, match="shape mismatch"):
-            ad.affine(ad.constant(np.ones((2, live))), ad.constant(w), ad.constant(b))
+        out = ad.affine(ad.constant(x), ad.leading_rows(w, live), b)
+        np.testing.assert_allclose(out.data, x @ w.data[:live] + b.data,
+                                   rtol=1e-12, atol=1e-12)
+    for live in (-1, 4):
+        with pytest.raises(ad.GraphError, match="leading_rows"):
+            ad.leading_rows(w, live)
+    with pytest.raises(ad.GraphError, match="shape mismatch"):
+        ad.affine(ad.constant(np.ones((2, 2))), ad.leading_rows(w, 3), b)
 
 
 def test_gather_rows_backward_matches_add_at_oracle():

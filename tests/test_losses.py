@@ -17,6 +17,7 @@ from leo.losses import (
     init_classifier_params,
     joint_loss,
     minibatch_kmeans,
+    peer_weights,
     unit_rows,
 )
 from leo.optim import ParameterStore
@@ -384,7 +385,7 @@ def test_assign_rejects_unknown_variant():
 
 def contrastive_value(reps, labels, cluster_of, tau):
     masked = ad.constant(np.asarray(reps, dtype=float))
-    return cluster_contrastive_loss(masked, labels, cluster_of, tau)
+    return cluster_contrastive_loss(masked, peer_weights(labels, cluster_of), tau)
 
 
 def test_contrastive_identical_pair_is_zero():
@@ -546,7 +547,8 @@ def test_joint_loss_z_override_blocks_selector_gradient():
     store, sel, clf, x, lengths, labels = joint_setup()
     masked, probs = gated_classifier(x, ad.constant(np.full(lengths.sum(), 0.7)),
                                      lengths, clf)
-    ccl = cluster_contrastive_loss(masked, labels, np.array([0, 0, -1, 0]), 0.5)
+    ccl = cluster_contrastive_loss(
+        masked, peer_weights(labels, np.array([0, 0, -1, 0])), 0.5)
     ad.backward(ad.add(batch_cross_entropy(probs, labels), ad.scale(ccl, 0.1)))
     for name, t in store.items():
         if name.startswith("selector/"):
@@ -603,14 +605,18 @@ def test_joint_loss_full_stack_gradient_through_encoder():
     assert report.ok(1e-3), report
 
 
-@pytest.mark.parametrize("capped", [False, True])
-def test_packed_losses_match_the_dense_padded_oracle(capped):
+@pytest.mark.parametrize("capped, dropout_seed", [
+    (False, None), (True, None), (False, 9), (True, 9)],
+    ids=["False", "True", "False-dropout", "True-dropout"])
+def test_packed_losses_match_the_dense_padded_oracle(capped, dropout_seed):
     """Both losses on the packed statement rows, through the longest-wide
     block and the classifier's leading first-layer rows, against the
     padded oracle over every max_statements slot: losses and every
     parameter gradient within 1e-12, on a batch of 40 functions, one
     without statements; with `capped`, one function is cut at
-    max_statements, so the block is full width."""
+    max_statements, so the block is full width. With `dropout_seed`, both
+    runs draw selector and classifier hidden dropout from one fresh stream
+    of that seed, and the dropout moves both losses."""
     rows, dim = 20, 15
     rng = np.random.default_rng(41)
     store = ParameterStore()
@@ -625,14 +631,19 @@ def test_packed_losses_match_the_dense_padded_oracle(capped):
         batch[7] = [[2, 3]] * (rows + 4)
     labels = rng.integers(0, 2, size=40)
 
-    def packed():
+    def dropout_rng(seed=dropout_seed):
+        return None if seed is None else np.random.default_rng(seed)
+
+    def packed(seed=dropout_seed):
+        drop = dropout_rng(seed)
         x1, n1 = encode_batch(batch, enc, rows)
         loss1 = data_distribution_loss(x1, n1, labels, clf, relax_temp=0.5,
-                                       rng=np.random.default_rng(2))
+                                       rng=np.random.default_rng(2),
+                                       dropout_rng=drop)
         x2, n2 = encode_batch(batch, enc, rows)
         parts = joint_loss(x2, n2, labels, sel, clf, relax_temp=0.5,
                            temperature=0.5, contrastive_weight=0.1, clusters=2,
-                           rng=np.random.default_rng(5))
+                           rng=np.random.default_rng(5), dropout_rng=drop)
         assert n1.max() == (rows if capped else 11)
         return loss1, parts.total
 
@@ -640,7 +651,8 @@ def test_packed_losses_match_the_dense_padded_oracle(capped):
         x, n = encode_batch(batch, enc, rows)
         return padded_losses(x, n, labels, sel, clf,
                              dd_rng=np.random.default_rng(2),
-                             joint_rng=np.random.default_rng(5))
+                             joint_rng=np.random.default_rng(5),
+                             dropout_rng=dropout_rng())
 
     results = []
     for run in (packed, padded):
@@ -658,6 +670,23 @@ def test_packed_losses_match_the_dense_padded_oracle(capped):
                                    atol=1e-12 * scale, err_msg=name)
     w0 = got_grads["classifier/w0"]
     assert not w0[(rows if capped else 11) * dim:].any()
+    if dropout_seed is not None:
+        plain = [loss.item() for loss in packed(None)]
+        assert plain[0] != got[0] and plain[1] != got[1]
+
+
+def test_gated_classifier_rejects_a_statement_width_it_was_not_built_for():
+    """A classifier built for 5 statements of width 3 takes no 2- or 4-wide
+    rows and no function longer than 5 statements."""
+    _, clf = make_classifier(5 * 3, hidden=(4,), seed=17)
+    rng = np.random.default_rng(18)
+    for dim, lengths in ((2, [2, 3]), (4, [2, 1]), (3, [6, 1])):
+        x = ad.constant(rng.normal(size=(sum(lengths), dim)))
+        with pytest.raises(GraphError, match="cannot read"):
+            gated_classifier(x, ad.constant(np.ones(sum(lengths))), lengths, clf)
+    x = ad.constant(rng.normal(size=(6, 3)))
+    block, probs = gated_classifier(x, ad.constant(np.ones(6)), [5, 1], clf)
+    assert block.data.shape == (2, 5, 3) and probs.data.shape == (2, 2)
 
 
 class CountingGenerator:
