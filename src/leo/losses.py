@@ -6,11 +6,12 @@ relaxed Bernoulli mask that is a constant in the graph, so the selector
 never receives gradient from it. Step two trains everything jointly:
 cross-entropy through sampled selector gates plus a weighted contrastive
 term that pulls vulnerable samples toward the members of their own
-per-batch k-means cluster and away from everything else. Both steps
-classify through the same gate-masking pass, gated_classifier: it gates
-the packed (S, dim) statement rows and places them into one (batch,
+per-batch k-means cluster and away from everything else. Both steps, and
+every scoring mode, go through the same gate-masking pass, gated_block: it
+gates the packed (S, dim) statement rows and places them into one (batch,
 longest, dim) block, longest being the batch's longest function, which
-the classifier, the clustering and the contrastive similarities all read.
+classifier_forward, the clustering and the contrastive similarities all
+read.
 
 Cluster assignments are recomputed from the current masked representations
 every batch and treated as constants by the gradient.
@@ -40,47 +41,44 @@ def init_classifier_params(store: ParameterStore, input_dim: int,
                            rng, dropout_retain)
 
 
-def classifier_forward(x: Tensor, params: MLPParams,
-                       rng: np.random.Generator | None = None) -> Tensor:
-    """Class probabilities: (n, features) -> (n, 2)."""
-    return ad.softmax(mlp_forward(x, params, rng), axis=-1)
-
-
-def gated_classifier(x: Tensor, z: Tensor, true_lengths, params: MLPParams,
-                     dropout_rng: np.random.Generator | None = None):
-    """The gate-masking pass both losses share: scale statement row s of
-    the packed (S, dim) rows by its gate z[s], place function f's gated
-    rows at the top of block row f of a zero (batch, longest, dim) block,
-    longest the batch's longest function, and classify the block flattened
-    row-major. The classifier's first layer reads only the first
-    longest * dim rows of its weights: the features past them would be
-    zeros.
-
-    Returns (gated block, class probabilities).
-    """
+def gated_block(x: Tensor, z: Tensor, true_lengths) -> Tensor:
+    """The gate-masking pass training and scoring share: scale statement
+    row s of the packed (S, dim) rows by its gate z[s] and place function
+    f's gated rows at the top of block row f of a zero (batch, longest,
+    dim) block, longest the batch's longest function."""
     lengths = np.asarray(true_lengths, dtype=np.int64)
     n = int(lengths.sum())
     if x.data.ndim != 2 or x.data.shape[0] != n or z.data.shape != (n,):
-        raise GraphError(f"gated_classifier expects the {n} statement rows of "
+        raise GraphError(f"gated_block expects the {n} statement rows of "
                          f"the lengths and one gate each, got {x.data.shape} "
                          f"rows and {z.data.shape} gates")
-    b, dim = len(lengths), x.data.shape[1]
-    longest = int(lengths.max(initial=0))
+    gated = ad.mul(x, ad.reshape(z, (n, 1)))
+    slot = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return ad.scatter_rows(gated, np.repeat(np.arange(len(lengths)), lengths),
+                           slot, len(lengths), int(lengths.max(initial=0)))
+
+
+def classifier_forward(block: Tensor, params: MLPParams,
+                       rng: np.random.Generator | None = None) -> Tensor:
+    """Class probabilities of an (n, rows, dim) block of gated statement
+    rows, flattened row-major: (n, 2). The first layer reads only the first
+    rows * dim rows of its weights: the features past them would be zeros.
+    """
+    if block.data.ndim != 3:
+        raise GraphError(f"classifier_forward expects an (n, rows, dim) "
+                         f"block, got shape {block.data.shape}")
+    b, rows, dim = block.data.shape
     layers = [*params.layers, params.head]
     w0, b0 = layers[0]
     width = w0.data.shape[0]
-    if width % dim or width < longest * dim:
-        raise GraphError(f"gated_classifier: a classifier of {width} inputs "
-                         f"cannot read {longest} statements of width {dim}")
-    layers[0] = (ad.leading_rows(w0, longest * dim), b0)
-    gated = ad.mul(x, ad.reshape(z, (n, 1)))
-    slot = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    block = ad.scatter_rows(gated, np.repeat(np.arange(b), lengths), slot,
-                            b, longest)
-    probs = classifier_forward(ad.reshape(block, (b, longest * dim)),
-                               MLPParams(layers[:-1], layers[-1],
-                                         params.dropout_retain), dropout_rng)
-    return block, probs
+    if width % dim or width < rows * dim:
+        raise GraphError(f"classifier_forward: a classifier of {width} inputs "
+                         f"cannot read {rows} statements of width {dim}")
+    layers[0] = (ad.leading_rows(w0, rows * dim), b0)
+    flat = ad.reshape(block, (b, rows * dim))
+    return ad.softmax(mlp_forward(flat, MLPParams(layers[:-1], layers[-1],
+                                                  params.dropout_retain), rng),
+                      axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +126,7 @@ def data_distribution_loss(x: Tensor, true_lengths, labels,
     noise_b = sample_gumbel(n, rng)
     # a zero score is the log-odds of keep probability one half
     r = relax_gates(ad.constant(np.zeros(n)), noise_a, noise_b, relax_temp)
-    _, probs = gated_classifier(x, r, true_lengths, params, dropout_rng)
+    probs = classifier_forward(gated_block(x, r, true_lengths), params, dropout_rng)
     return batch_cross_entropy(probs, labels)
 
 
@@ -343,8 +341,9 @@ def joint_loss(x: Tensor, true_lengths, labels, selector: MLPParams,
     n = x.data.shape[0]
     z = relax_gates(scores, sample_gumbel(n, rng), sample_gumbel(n, rng),
                     relax_temp)
-    masked, probs = gated_classifier(x, z, true_lengths, classifier, dropout_rng)
-    ce = batch_cross_entropy(probs, labels)
+    masked = gated_block(x, z, true_lengths)
+    ce = batch_cross_entropy(classifier_forward(masked, classifier, dropout_rng),
+                             labels)
     if contrastive_weight == 0.0:
         return JointLossParts(ce, ce, ad.constant(0.0), z, None)
     b = masked.data.shape[0]

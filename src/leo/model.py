@@ -21,14 +21,17 @@ THRS (threshold + quantile), LOGD (training log digest). Parameters are
 stored as little-endian float32; cluster statistics and the threshold are
 float64 because scoring is calibrated after the float32 quantization.
 Unknown or repeated section tags, bytes left over after a section's
-content, and CLST or THRS contents that CONF's scoring could not have fit
-are rejected; every decoding failure raises ModelFormatError.
+content, a repeated tensor name, a repeated vocabulary token, a vocabulary
+that does not start with the pad and unknown tokens, and CLST or THRS
+contents that CONF's scoring could not have fit are rejected; every
+decoding failure raises ModelFormatError.
 """
 from __future__ import annotations
 
 import math
 import struct
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +40,7 @@ from .autodiff import GraphError
 from .config import TrainConfig, parse_config_text
 from .encoder import EncoderParams, init_encoder_params
 from .losses import init_classifier_params
-from .normalize import Vocabulary
+from .normalize import PAD_TOKEN, UNK_TOKEN, Vocabulary
 from .optim import MLPParams, ParameterStore
 from .scoring import ClusterStatistics, representation_dim
 from .selector import init_selector_params
@@ -176,6 +179,12 @@ def _decode_vocab(payload: memoryview) -> Vocabulary:
     count = r.u32()
     tokens = tuple(r.string() for _ in range(count))
     r.done(b"VOCB")
+    if tokens[:2] != (PAD_TOKEN, UNK_TOKEN):
+        raise ModelFormatError(f"VOCB starts with {list(tokens[:2])}, not "
+                               f"{[PAD_TOKEN, UNK_TOKEN]}")
+    repeated = [token for token, count in Counter(tokens).items() if count > 1]
+    if repeated:
+        raise ModelFormatError(f"VOCB repeats token {repeated[0]!r}")
     return Vocabulary(tokens=tokens)
 
 
@@ -196,6 +205,8 @@ def _decode_tensors(payload: memoryview) -> dict:
     tensors = {}
     for _ in range(count):
         name = r.string()
+        if name in tensors:
+            raise ModelFormatError(f"TENS repeats tensor {name!r}")
         ndim = r.u8()
         shape = struct.unpack(f"<{ndim}I", r.take(4 * ndim))
         n_bytes = 4 * int(np.prod(shape, dtype=np.int64)) if ndim else 4

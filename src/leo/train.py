@@ -28,7 +28,7 @@ from .autodiff import NumericError, backward
 from .config import TrainConfig
 from .data import load_dataset, split_dataset
 from .encoder import encode_batch
-from .losses import classifier_forward, data_distribution_loss, joint_loss
+from .losses import classifier_forward, data_distribution_loss, gated_block, joint_loss
 from .metrics import ScoreSet, build_report
 from .model import ModelArtifact, ModelParams, init_model, model_from_artifact
 from .normalize import NormalizeError, Vocabulary, build_vocabulary, encode_tokens, normalize_source
@@ -84,45 +84,34 @@ def masked_representations(params: ModelParams, samples, config: TrainConfig,
                            *, msp: bool = False):
     """Deterministic-gate scoring representations, batched, without
     dropout, and with `msp` the classifier's max-softmax complement (None
-    without). pooled-d is the mean of a function's real gated rows (zero
-    without statements); concat-diagonal is the whole gated matrix,
-    flattened row-major. The encoder returns only the real statement rows;
-    the selector gates them as one row block, and the pooled mean sums each
-    function's own rows. Only concat-diagonal and `msp` place the gated
-    rows into the (batch, max_statements, dim) block they read."""
+    without). Each batch's real statement rows are gated by the selector and
+    placed by training's gated_block into one (batch, longest, dim) block.
+    pooled-d is the mean of a function's gated rows (zero without
+    statements); concat-diagonal is the block flattened row-major, zero past
+    longest * dim; `msp` runs training's classifier_forward on the block."""
     if msp and params.classifier is None:
         raise ValueError("max-softmax scores need the model's classifier; "
                          "this one was rebuilt without it")
     n = len(samples)
-    pooled = config.scoring_mode == "pooled-d"
     reps = np.zeros((n, representation_dim(config)))
     msp_out = np.zeros(n) if msp else None
-    slots = np.arange(config.max_statements)
     for start in range(0, n, config.batch_size):
         chunk = samples[start:start + config.batch_size]
         x, lengths = encode_batch([s.statements for s in chunk],
                                   params.encoder, config.max_statements)
         probs = selector_forward(x, params.selector).data
-        masked = x.data * deterministic_mask(probs, config.gate_mode)[:, None]
+        gates = deterministic_mask(probs, config.gate_mode)
+        block = gated_block(x, ad.constant(gates), lengths)
         b = len(chunk)
-        if pooled:
-            # a slice sum per function adds in the block sum's order (an
-            # np.add.reduceat over the rows does not, and moves the last bits)
-            end = 0
-            for i, length in enumerate(lengths.tolist()):
-                if length:
-                    reps[start + i] = masked[end:end + length].sum(axis=0) / length
-                    end += length
-        if msp or not pooled:
-            block = np.zeros((b, config.max_statements, masked.shape[1]))
-            block[slots[None, :] < lengths[:, None]] = masked
-            flat = block.reshape(b, -1)
-            if not pooled:
-                reps[start:start + b] = flat
-            if msp:
-                class_probs = classifier_forward(ad.constant(flat),
-                                                 params.classifier).data
-                msp_out[start:start + b] = 1.0 - class_probs.max(axis=1)
+        if config.scoring_mode == "pooled-d":
+            # summed down the rows in row order, as a per-function slice sum
+            reps[start:start + b] = (block.data.sum(axis=1)
+                                     / np.maximum(lengths, 1)[:, None])
+        else:
+            reps[start:start + b, :block.data[0].size] = block.data.reshape(b, -1)
+        if msp:
+            class_probs = classifier_forward(block, params.classifier).data
+            msp_out[start:start + b] = 1.0 - class_probs.max(axis=1)
     return reps, msp_out
 
 

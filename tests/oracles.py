@@ -7,6 +7,8 @@ meaningful. Some helpers drive the package. The finite-difference harness,
 side and compares it against central differences of the forward pass.
 `full_block_representations` is the scoring pass over every statement slot,
 padding included, against which the live-row pass is checked;
+`slot_mask_representations` sums and places the scoring representations
+function by function, against whose bits the shared gated block is checked;
 `padded_losses` are both training losses over every slot, against which
 the packed rows and the narrow classifier input are checked;
 `dense_affine_grads` is the full-width backward the row-prefix one is
@@ -348,15 +350,41 @@ def full_block_representations(params, samples, config):
         z = deterministic_mask(probs, config.gate_mode)
         z *= np.arange(m)[None, :] < lengths[:, None]
         masked = x * z[:, :, None]
-        flat = masked.reshape(b, -1)
-        class_probs = classifier_forward(ad.constant(flat), params.classifier).data
+        class_probs = classifier_forward(ad.constant(masked), params.classifier).data
         msp[start:start + b] = 1.0 - class_probs.max(axis=1)
         if config.scoring_mode == "pooled-d":
             reps[start:start + b] = (masked.sum(axis=1)
                                      / np.maximum(lengths, 1)[:, None])
         else:
-            reps[start:start + b] = flat
+            reps[start:start + b] = masked.reshape(b, -1)
     return reps, msp
+
+
+def slot_mask_representations(params, samples, config):
+    """Scoring representations summed and placed the way they were before
+    scoring shared the training block: pooled-d as a slice sum of each
+    function's own gated rows divided by its length, concat-diagonal as
+    the gated rows written into a (batch, max_statements, dim) block
+    through a slot mask."""
+    reps = np.zeros((len(samples), representation_dim(config)))
+    slots = np.arange(config.max_statements)
+    for start in range(0, len(samples), config.batch_size):
+        chunk = samples[start:start + config.batch_size]
+        x, lengths = encode_batch([s.statements for s in chunk],
+                                  params.encoder, config.max_statements)
+        probs = selector_forward(x, params.selector).data
+        masked = x.data * deterministic_mask(probs, config.gate_mode)[:, None]
+        if config.scoring_mode == "pooled-d":
+            end = 0
+            for i, length in enumerate(lengths.tolist()):
+                if length:
+                    reps[start + i] = masked[end:end + length].sum(axis=0) / length
+                    end += length
+        else:
+            block = np.zeros((len(chunk), config.max_statements, masked.shape[1]))
+            block[slots[None, :] < lengths[:, None]] = masked
+            reps[start:start + len(chunk)] = block.reshape(len(chunk), -1)
+    return reps
 
 
 def padded_losses(rows, lengths, labels, selector, classifier, *, dd_rng,
@@ -367,7 +395,7 @@ def padded_losses(rows, lengths, labels, selector, classifier, *, dd_rng,
     the selector scores every slot, each loss's Gumbel pair (S draws each,
     the packed stream) is placed at the real slots, the padded gates are
     zeroed, and the classifier, the clustering and the contrastive term
-    read the full max_statements * dim flatten. With `dropout_rng`, each
+    read the full (B, max_statements, dim) gated block. With `dropout_rng`, each
     selector hidden layer draws S rows of uniforms, the packed stream,
     placed at the real slots (padded slots drop everything), and the
     classifier draws its (B, hidden) uniforms as in training.
@@ -385,7 +413,7 @@ def padded_losses(rows, lengths, labels, selector, classifier, *, dd_rng,
         a, c = np.zeros(b * m), np.zeros(b * m)
         a[live], c[live] = sample_gumbel(n, rng), sample_gumbel(n, rng)
         z = ad.mul(relax_gates(scores, a, c, relax_temp), ad.constant(live * 1.0))
-        return ad.reshape(ad.mul(block, ad.reshape(z, (b * m, 1))), (b, m * dim))
+        return ad.reshape(ad.mul(block, ad.reshape(z, (b * m, 1))), (b, m, dim))
 
     def scores():
         if dropout_rng is None:
@@ -400,14 +428,15 @@ def padded_losses(rows, lengths, labels, selector, classifier, *, dd_rng,
         w, bias = selector.head
         return ad.reshape(ad.affine(h, w, bias), (b * m,))
 
-    flat = gated(ad.constant(np.zeros(b * m)), dd_rng)
+    masked = gated(ad.constant(np.zeros(b * m)), dd_rng)
     distribution = batch_cross_entropy(
-        classifier_forward(flat, classifier, dropout_rng), labels)
-    flat = gated(scores(), joint_rng)
-    joint = batch_cross_entropy(classifier_forward(flat, classifier, dropout_rng),
+        classifier_forward(masked, classifier, dropout_rng), labels)
+    masked = gated(scores(), joint_rng)
+    joint = batch_cross_entropy(classifier_forward(masked, classifier, dropout_rng),
                                 labels)
-    assignment = assign_clusters(flat.data, labels, clusters, joint_rng)
-    ccl = cluster_contrastive_loss(flat, peer_weights(labels, assignment.cluster_of),
+    assignment = assign_clusters(masked.data.reshape(b, -1), labels, clusters,
+                                 joint_rng)
+    ccl = cluster_contrastive_loss(masked, peer_weights(labels, assignment.cluster_of),
                                    temperature)
     return distribution, ad.add(joint, ad.scale(ccl, contrastive_weight))
 

@@ -1,5 +1,6 @@
 """Classifier losses, random-mask loss, k-means, and the contrastive term."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from leo.losses import (
     classifier_forward,
     cluster_contrastive_loss,
     data_distribution_loss,
-    gated_classifier,
+    gated_block,
     init_classifier_params,
     joint_loss,
     minibatch_kmeans,
@@ -44,9 +45,8 @@ def single_ce(probs, label):
 
 def masked_ce(x, gates, lengths, labels, params):
     """Cross-entropy of the shared gate-masking pass under constant gates."""
-    _, probs = gated_classifier(x, ad.constant(np.asarray(gates, dtype=float)),
-                                   lengths, params)
-    return batch_cross_entropy(probs, labels).item()
+    block = gated_block(x, ad.constant(np.asarray(gates, dtype=float)), lengths)
+    return batch_cross_entropy(classifier_forward(block, params), labels).item()
 
 
 def make_classifier(input_dim, hidden=(6, 5), seed=0):
@@ -62,7 +62,7 @@ def make_classifier(input_dim, hidden=(6, 5), seed=0):
 
 def test_classifier_outputs_probabilities():
     _, params = make_classifier(8)
-    x = ad.constant(np.random.default_rng(1).normal(size=(5, 8)))
+    x = ad.constant(np.random.default_rng(1).normal(size=(5, 1, 8)))
     probs = classifier_forward(x, params).data
     assert probs.shape == (5, 2)
     np.testing.assert_allclose(probs.sum(axis=1), np.ones(5), atol=1e-12)
@@ -71,7 +71,7 @@ def test_classifier_outputs_probabilities():
 
 def test_classifier_single_sample_matches_batch_row():
     _, params = make_classifier(8)
-    rows = np.random.default_rng(2).normal(size=(3, 8))
+    rows = np.random.default_rng(2).normal(size=(3, 1, 8))
     batch = classifier_forward(ad.constant(rows), params).data
     for i in range(3):
         one = classifier_forward(ad.constant(rows[i:i + 1]), params).data
@@ -116,7 +116,7 @@ def test_batch_cross_entropy_is_mean_of_singles():
 
 def test_cross_entropy_gradient_matches_finite_differences():
     store, params = make_classifier(6, hidden=(5, 4), seed=4)
-    x = ad.constant(np.random.default_rng(5).normal(size=(4, 6)))
+    x = ad.constant(np.random.default_rng(5).normal(size=(4, 1, 6)))
     labels = np.array([0, 1, 1, 0])
 
     def loss_fn():
@@ -145,8 +145,8 @@ def test_distribution_loss_all_ones_mask_is_plain_ce():
     x, lengths, labels, _, params = dd_setup()
     ones = np.ones(12)
     got = masked_ce(x, ones, lengths, labels, params)
-    flat = ad.reshape(x, (3, 12))
-    want = batch_cross_entropy(classifier_forward(flat, params), labels).item()
+    block = ad.reshape(x, (3, 4, 3))
+    want = batch_cross_entropy(classifier_forward(block, params), labels).item()
     assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -155,7 +155,7 @@ def test_distribution_loss_all_zero_mask_is_label_symmetric():
     zeros = np.zeros(12)
     labels = np.array([1, 1, 0])
     got = masked_ce(x, zeros, lengths, labels, params)
-    zero_in = classifier_forward(ad.constant(np.zeros((1, 12))), params).data[0]
+    zero_in = classifier_forward(ad.constant(np.zeros((1, 4, 3))), params).data[0]
     per_label = [-math.log(max(zero_in[y], 1e-12)) for y in labels]
     assert got == pytest.approx(np.mean(per_label), abs=1e-12)
 
@@ -167,8 +167,8 @@ def test_distribution_loss_forces_padded_rows_to_zero():
     labels = np.array([0, 1])
     _, params = make_classifier(12, seed=8)
     got = masked_ce(ad.constant(rows), np.ones(5), [2, 3], labels, params)
-    flat = ad.constant(padded_block(rows, [2, 3], 4).reshape(2, 12))
-    want = batch_cross_entropy(classifier_forward(flat, params), labels).item()
+    block = ad.constant(padded_block(rows, [2, 3], 4))
+    want = batch_cross_entropy(classifier_forward(block, params), labels).item()
     assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -296,13 +296,14 @@ def test_flatten_examples():
     x = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0],  # function 0
                   [0.5, -1.0], [2.0, 0.0]])             # function 1
     z = np.array([0.0, 1.0, 0.5, 1.0, 1.0])
-    block, probs = gated_classifier(ad.constant(x), ad.constant(z), [3, 2], clf)
+    block = gated_block(ad.constant(x), ad.constant(z), [3, 2])
+    probs = classifier_forward(block, clf)
     np.testing.assert_array_equal(block.data, [[[0.0, 0.0], [3.0, 4.0], [2.5, 3.0]],
                                                [[0.5, -1.0], [2.0, 0.0], [0.0, 0.0]]])
     # the classifier sees each gated (rows, dim) matrix flattened row-major
     flat = np.array([[0.0, 0.0, 3.0, 4.0, 2.5, 3.0],
                      [0.5, -1.0, 2.0, 0.0, 0.0, 0.0]])
-    want = classifier_forward(ad.constant(flat), clf).data
+    want = classifier_forward(ad.constant(flat[:, None]), clf).data
     np.testing.assert_allclose(probs.data, want, atol=1e-15, rtol=0)
 
 
@@ -500,8 +501,8 @@ def test_joint_loss_forced_gates_is_classification_loss():
                        temperature=0.5, contrastive_weight=0.0, clusters=3,
                        rng=np.random.default_rng(4))
     np.testing.assert_array_equal(parts.gates.data, np.ones(lengths.sum()))
-    flat = ad.constant(padded_block(x.data, lengths, 5).reshape(4, 20))
-    want = batch_cross_entropy(classifier_forward(flat, clf), labels).item()
+    block = ad.constant(padded_block(x.data, lengths, 5))
+    want = batch_cross_entropy(classifier_forward(block, clf), labels).item()
     assert parts.total.item() == pytest.approx(want, abs=1e-12)
 
 
@@ -545,8 +546,8 @@ def test_joint_loss_z_override_blocks_selector_gradient():
     """Constant gates through the shared pass leave the selector out of the
     graph of both loss terms."""
     store, sel, clf, x, lengths, labels = joint_setup()
-    masked, probs = gated_classifier(x, ad.constant(np.full(lengths.sum(), 0.7)),
-                                     lengths, clf)
+    masked = gated_block(x, ad.constant(np.full(lengths.sum(), 0.7)), lengths)
+    probs = classifier_forward(masked, clf)
     ccl = cluster_contrastive_loss(
         masked, peer_weights(labels, np.array([0, 0, -1, 0])), 0.5)
     ad.backward(ad.add(batch_cross_entropy(probs, labels), ad.scale(ccl, 0.1)))
@@ -675,17 +676,23 @@ def test_packed_losses_match_the_dense_padded_oracle(capped, dropout_seed):
         assert plain[0] != got[0] and plain[1] != got[1]
 
 
-def test_gated_classifier_rejects_a_statement_width_it_was_not_built_for():
-    """A classifier built for 5 statements of width 3 takes no 2- or 4-wide
-    rows and no function longer than 5 statements."""
+def test_classifier_forward_rejects_a_block_it_was_not_built_for():
+    """A classifier built for 5 statements of width 3 takes no block of 2-
+    or 4-wide rows, none longer than 5 statements, and nothing but an
+    (n, rows, dim) block."""
     _, clf = make_classifier(5 * 3, hidden=(4,), seed=17)
     rng = np.random.default_rng(18)
     for dim, lengths in ((2, [2, 3]), (4, [2, 1]), (3, [6, 1])):
         x = ad.constant(rng.normal(size=(sum(lengths), dim)))
+        block = gated_block(x, ad.constant(np.ones(sum(lengths))), lengths)
         with pytest.raises(GraphError, match="cannot read"):
-            gated_classifier(x, ad.constant(np.ones(sum(lengths))), lengths, clf)
+            classifier_forward(block, clf)
+    for shape in ((2, 15), (2, 5, 3, 1)):
+        with pytest.raises(GraphError, match=re.escape(f"shape {shape}")):
+            classifier_forward(ad.constant(np.zeros(shape)), clf)
     x = ad.constant(rng.normal(size=(6, 3)))
-    block, probs = gated_classifier(x, ad.constant(np.ones(6)), [5, 1], clf)
+    block = gated_block(x, ad.constant(np.ones(6)), [5, 1])
+    probs = classifier_forward(block, clf)
     assert block.data.shape == (2, 5, 3) and probs.data.shape == (2, 2)
 
 

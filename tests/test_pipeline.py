@@ -3,6 +3,7 @@ the training loop contracts, and the CLI."""
 import dataclasses
 import logging
 import os
+import re
 import struct
 import zlib
 
@@ -339,6 +340,61 @@ def test_container_rejects_stray_and_unknown_sections():
              + b"\x00" + body[16 + length:])
     with pytest.raises(ModelFormatError, match="trailing bytes"):
         deserialize_model(_with_crc(grown))
+
+
+def _sections(blob: bytes) -> dict:
+    """Section tag -> payload of a container, in file order."""
+    sections, pos = {}, 8
+    while pos < len(blob) - 4:
+        length = struct.unpack("<I", blob[pos + 4:pos + 8])[0]
+        sections[blob[pos:pos + 4]] = blob[pos + 8:pos + 8 + length]
+        pos += 8 + length
+    return sections
+
+
+def _with_section(blob: bytes, tag: bytes, payload: bytes) -> bytes:
+    """The container with one section's payload replaced, checksum redone."""
+    sections = {**_sections(blob), tag: payload}
+    return _with_crc(blob[:8] + b"".join(t + struct.pack("<I", len(p)) + p
+                                         for t, p in sections.items()))
+
+
+def _vocab_payload(tokens) -> bytes:
+    return struct.pack("<I", len(tokens)) + b"".join(
+        struct.pack("<I", len(t.encode())) + t.encode() for t in tokens)
+
+
+def test_container_rejects_a_repeated_tensor():
+    art = small_artifact()
+    blob = serialize_model(art)
+    tens = _sections(blob)[b"TENS"]
+    bias = art.tensors["encoder/conv_bias"]
+    entry = (struct.pack("<I", 17) + b"encoder/conv_bias"
+             + struct.pack("<BI", 1, bias.size) + bias.astype("<f4").tobytes())
+    count = struct.unpack("<I", tens[:4])[0]
+    repeated = struct.pack("<I", count + 1) + tens[4:] + entry
+    with pytest.raises(ModelFormatError, match="repeats tensor 'encoder/conv_bias'"):
+        deserialize_model(_with_section(blob, b"TENS", repeated))
+
+
+def test_container_rejects_a_repeated_vocabulary_token():
+    art = small_artifact()
+    tokens = art.vocab.tokens
+    blob = _with_section(serialize_model(art), b"VOCB",
+                         _vocab_payload((*tokens, tokens[2])))
+    with pytest.raises(ModelFormatError, match=re.escape(f"repeats token {tokens[2]!r}")):
+        deserialize_model(blob)
+
+
+def test_container_rejects_a_vocabulary_without_pad_and_unk_first():
+    art = small_artifact()
+    pad, unk, *rest = art.vocab.tokens
+    blob = serialize_model(art)
+    assert deserialize_model(_with_section(blob, b"VOCB", _vocab_payload(
+        (pad, unk, *rest)))).vocab == art.vocab
+    for tokens in ((unk, pad, *rest), (pad, *rest, unk), (pad,), ()):
+        with pytest.raises(ModelFormatError, match="VOCB starts with"):
+            deserialize_model(_with_section(blob, b"VOCB", _vocab_payload(tokens)))
 
 
 def test_container_fuzz_raises_only_model_format_error():

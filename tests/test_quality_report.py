@@ -65,8 +65,7 @@ def scoring_pass(artifact, records):
     gated = rows.data * deterministic_mask(keep, config.gate_mode)[:, None]
     block = np.zeros((len(samples), config.max_statements, rows.data.shape[1]))
     block[np.arange(config.max_statements)[None, :] < lengths[:, None]] = gated
-    probs = classifier_forward(ad.constant(block.reshape(len(samples), -1)),
-                               params.classifier).data
+    probs = classifier_forward(ad.constant(block), params.classifier).data
     ends = np.cumsum(lengths)
     return samples, [keep[e - n:e] for e, n in zip(ends, lengths)], probs
 

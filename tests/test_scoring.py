@@ -38,7 +38,8 @@ from leo.train import (
 )
 
 from oracles import (dense_mahalanobis, full_block_representations,
-                     nearest_rank, padded_block, sample_mean_cov)
+                     nearest_rank, padded_block, sample_mean_cov,
+                     slot_mask_representations)
 
 SMALL = dict(max_statements=4, embed_dim=3, vocab_max=100, selector_hidden=(4,),
              classifier_hidden=(5,), batch_size=2, clusters=1)
@@ -129,6 +130,32 @@ def test_live_row_pass_matches_full_block_oracle(gate_mode, scoring_mode):
     reps, msp = masked_representations(lean, samples, cfg)
     assert msp is None
     np.testing.assert_allclose(reps, want_reps, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("embed_dim", [1, 2, 3, 32])
+@pytest.mark.parametrize("scoring_mode", ["pooled-d", "concat-diagonal"])
+def test_shared_block_reps_match_the_slot_mask_oracle_bit_for_bit(scoring_mode,
+                                                                   embed_dim):
+    """Representations read off the training pass's gated block carry the
+    bits of the per-function slice sums and of the max_statements slot
+    mask, over batches that hold a function without statements and one
+    past max_statements. At embed_dim 1 numpy pair-sums the block's
+    contiguous rows, so there they agree within 1e-12."""
+    cfg = TrainConfig(seed=0, scoring_mode=scoring_mode, **{
+        **SMALL, "embed_dim": embed_dim, "max_statements": 12, "batch_size": 4})
+    rng = np.random.default_rng(embed_dim)
+    funcs = [[rng.integers(2, 9, size=rng.integers(1, 5)).tolist()
+              for _ in range(rng.integers(1, 12))] for _ in range(10)]
+    funcs[2] = []
+    funcs[5] = [[2, 3], [4]] * 8
+    params = init_model(cfg, 9, np.random.default_rng(5))
+    samples = samples_of(funcs)
+    reps, _ = masked_representations(params, samples, cfg)
+    want = slot_mask_representations(params, samples, cfg)
+    if embed_dim == 1:
+        np.testing.assert_allclose(reps, want, rtol=1e-12, atol=0)
+    else:
+        np.testing.assert_array_equal(reps, want)
 
 
 def test_selector_scores_live_rows_only(monkeypatch):
@@ -420,8 +447,8 @@ def test_msp_score_examples():
     samples = prepare_samples(records, artifact.vocab, artifact.config)
     x, lengths = encode_batch([s.statements for s in samples], params.encoder, 4)
     gates = selector_forward(x, params.selector).data
-    flat = padded_block(x.data * gates[:, None], lengths, 4).reshape(len(samples), -1)
-    probs = classifier_forward(ad.constant(flat), params.classifier).data
+    block = padded_block(x.data * gates[:, None], lengths, 4)
+    probs = classifier_forward(ad.constant(block), params.classifier).data
     np.testing.assert_allclose(scores, 1.0 - probs.max(axis=1), atol=1e-15, rtol=0)
 
     artifact.tensors["classifier/head_w"][:] = 0.0

@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 import leo.autodiff as ad
+from leo import losses
 from leo.autodiff import GraphError
-from leo.losses import gated_classifier, init_classifier_params
 from leo.optim import ParameterStore
 from leo.selector import (
     deterministic_mask,
@@ -241,16 +241,12 @@ def test_deterministic_mask_modes():
 
 
 # ---------------------------------------------------------------------------
-# masking: gated_classifier scales each statement row by its gate and
+# masking: losses.gated_block scales each statement row by its gate and
 # places the rows in a zero (batch, longest, dim) block
 
 
 def gated_block(rows, gates, lengths):
-    store = ParameterStore()
-    clf = init_classifier_params(store, 5 * rows.shape[-1], np.random.default_rng(16),
-                                 hidden_sizes=(4,))
-    block, _ = gated_classifier(ad.constant(rows), ad.constant(gates), lengths, clf)
-    return block.data
+    return losses.gated_block(ad.constant(rows), ad.constant(gates), lengths).data
 
 
 def test_apply_mask_identity_and_zero():
