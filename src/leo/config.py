@@ -122,6 +122,8 @@ def parse_config_text(text: str) -> dict:
             raise ValueError(f"config line {lineno}: expected 'key = value'")
         key, _, raw = stripped.partition("=")
         key = key.strip()
+        if key in values:
+            raise ValueError(f"config line {lineno}: repeated key '{key}'")
         try:
             values[key] = _parse_value(key, raw)
         except ValueError as exc:

@@ -89,8 +89,6 @@ def _embed_ids(id_matrix: np.ndarray, params: EncoderParams) -> Tensor:
     gradient."""
     emb = ad.gather_rows(params.embedding, id_matrix)
     mask = (id_matrix != PAD_ID).astype(np.float64)[..., None]
-    if mask.all():
-        return emb
     return ad.mul(emb, ad.constant(mask, name="pad_mask"))
 
 

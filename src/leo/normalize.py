@@ -6,11 +6,11 @@ a function when its next token is an opening parenthesis). String and
 character literals, and include targets, all collapse to the single token
 "str".
 
-normalize_source makes three passes over plain tuples. One finditer scan
+normalize_source makes two passes over plain tuples. One finditer scan
 drops non-token bytes, whitespace and comments, raises on an unterminated
-comment or literal, collapses literals and records each token's line. One
-pass folds include targets and renames identifiers. A heuristic splitter
-then cuts the token stream into statements.
+comment or literal, collapses literals and records each token's line. A
+heuristic splitter then cuts the token stream into statements, folding
+include targets and renaming identifiers as it places them.
 
 The output is deterministic, ASCII-only, and stable under re-normalization
 of its own rendering.
@@ -163,39 +163,13 @@ def _lex(text: str) -> list[tuple[str, bool, int, bool]]:
     return tokens
 
 
-def _rename(tokens) -> tuple[list[tuple[str, int, bool]], dict[str, str]]:
-    """Rename user identifiers and fold the <...> target of an include
-    directive into one "str" token, mirroring the quoted-target rule.
-    Returns (text, line, first on its line) per token and the rename map."""
-    out = []
-    rename: dict[str, str] = {}
-    counts = {"var": 0, "func": 0}
-    prev = None
-    i, n = 0, len(tokens)
-    while i < n:
-        text, ident, line, first = tokens[i]
-        i += 1
-        if ident and text not in ALLOWLIST:
-            name = rename.get(text)
-            if name is None:
-                kind = "func" if i < n and tokens[i][0] == "(" else "var"
-                counts[kind] += 1
-                name = rename[text] = f"{kind}{counts[kind]}"
-            text = name
-        elif text == "include" and prev == "#" and i < n and tokens[i][0] == "<":
-            j = i
-            while j < n and tokens[j][0] != ">" and tokens[j][2] == line:
-                j += 1
-            if j < n and tokens[j][0] == ">":
-                out.append((text, line, first))
-                text, first, i = "str", False, j + 1
-        out.append((text, line, first))
-        prev = text
-    return out, rename
+def _split(tokens) -> tuple[list[list[str]], dict[str, str]]:
+    """Rename user identifiers and cut _lex's token stream into statements,
+    in one walk. Returns the statements and the rename map.
 
-
-def _split(tokens) -> list[list[str]]:
-    """Cut a (text, line, first on its line) token stream into statements.
+    An identifier is renamed just before it is placed, as a function when
+    the next token is "(". The <...> target of an include directive folds
+    into one "str" token, mirroring the quoted-target rule.
 
     Boundaries: after ';' at paren depth 0; before and after '{' / '}' at
     paren depth 0 (each brace is its own statement); after the ')' that
@@ -204,21 +178,38 @@ def _split(tokens) -> list[list[str]]:
     """
     statements: list[list[str]] = []
     current: list[str] = []
+    rename: dict[str, str] = {}
+    counts = {"var": 0, "func": 0}
     depth = 0
     control = False  # a control header opened at paren depth 0
     pp_line = None
     i, n = 0, len(tokens)
     while i < n:
-        text, line, first = tokens[i]
+        text, ident, line, first = tokens[i]
         i += 1
-        if pp_line is not None:
-            if line == pp_line:
-                current.append(text)
-                continue
+        if pp_line is not None and line != pp_line:
             statements.append(current)  # the directive, from its "#"
             current = []
             pp_line = None
-        if text == "#" and first:
+        if ident:
+            if text not in ALLOWLIST:
+                name = rename.get(text)
+                if name is None:
+                    kind = "func" if i < n and tokens[i][0] == "(" else "var"
+                    counts[kind] += 1
+                    name = rename[text] = f"{kind}{counts[kind]}"
+                text = name
+            elif (text == "include" and i > 1 and tokens[i - 2][0] == "#"
+                  and i < n and tokens[i][0] == "<"):
+                j = i
+                while j < n and tokens[j][0] != ">" and tokens[j][2] == line:
+                    j += 1
+                if j < n and tokens[j][0] == ">":
+                    current.append(text)
+                    text, i = "str", j + 1
+        if pp_line is not None:
+            current.append(text)
+        elif text == "#" and first:
             if current:
                 statements.append(current)
             current = [text]
@@ -254,7 +245,7 @@ def _split(tokens) -> list[list[str]]:
                 control = False
     if current:
         statements.append(current)
-    return statements
+    return statements, rename
 
 
 def normalize_source(source_text: str) -> NormalizedFunction:
@@ -263,8 +254,8 @@ def normalize_source(source_text: str) -> NormalizedFunction:
     and split into statements."""
     text = source_text.encode("ascii", errors="ignore").decode("ascii")
     text = text.replace("\r\n", "\n").replace("\\\n", " ")
-    tokens, rename_map = _rename(_lex(text))
-    return NormalizedFunction(statements=_split(tokens), rename_map=rename_map)
+    statements, rename_map = _split(_lex(text))
+    return NormalizedFunction(statements=statements, rename_map=rename_map)
 
 
 # ---------------------------------------------------------------------------

@@ -187,13 +187,7 @@ def clip_gradients(grads: list[np.ndarray], max_norm: float) -> float:
     Returns the pre-clip norm."""
     if max_norm <= 0:
         raise GraphError("max_norm must be positive")
-    # one square buffer for all: for a C-contiguous g, the bits of g * g
-    scratch = np.empty(max((g.size for g in grads), default=0))
-    total = 0.0
-    for g in grads:
-        sq = scratch[:g.size].reshape(g.shape) if g.flags.c_contiguous else None
-        total += float(np.sum(np.multiply(g, g, out=sq)))
-    norm = math.sqrt(total)
+    norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
     if norm > max_norm:
         factor = max_norm / norm
         for g in grads:

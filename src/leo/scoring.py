@@ -105,20 +105,15 @@ def fit_cluster_statistics(representations: np.ndarray, k: int,
         members = reps[result.labels == c]
         counts[c] = len(members)
         means[c] = members.mean(axis=0)
-        if len(members) > 1:
-            centered = members - means[c]
-            if diagonal:
-                var = (centered * centered).sum(axis=0) / (len(members) - 1)
-            else:
-                cov = centered.T @ centered / (len(members) - 1)
-        else:
-            var = np.zeros(dim)
-            cov = np.zeros((dim, dim))
+        centered = members - means[c]
+        dof = max(len(members) - 1, 1)
         if diagonal:
+            var = (centered * centered).sum(axis=0) / dof
             eps = max(eps_scale * var.sum() / dim, eps_floor)
             inverses[c] = 1.0 / (var + eps)
             eps_used[c] = eps
         else:
+            cov = centered.T @ centered / dof
             eps = max(eps_scale * np.trace(cov) / dim, eps_floor)
             inverses[c], eps_used[c] = _invert_spd(cov, eps)
     return ClusterStatistics(means=means, inverses=inverses, counts=counts,

@@ -111,6 +111,15 @@ def test_include_target_collapses():
     assert statements_of('#include "local.h"') == [["#", "include", "str"]]
 
 
+def test_include_fold_closes_an_earlier_directive_line_first():
+    # the "#" line ends before the folded include is placed on the next one
+    assert statements_of("#\ninclude <a.h>") == [["#"], ["include", "str"]]
+    # mid-line "#" opens no directive, but the target still folds
+    assert statements_of("x # include <a> ;") == [["var1", "#", "include", "str", ";"]]
+    assert statements_of("# /*c*/ include <b> // t\nz;") == [
+        ["#", "include", "str"], ["var1", ";"]]
+
+
 def test_define_is_one_statement():
     got = statements_of("#define MAX 10\nint a = MAX;")
     assert got[0] == ["#", "define", "var1", "10"]

@@ -113,6 +113,11 @@ def test_config_requires_seed_and_known_keys(tmp_path):
         parse_config_text("seed: 4")
 
 
+def test_config_rejects_a_repeated_key():
+    with pytest.raises(ValueError, match="config line 3: repeated key 'seed'"):
+        parse_config_text("seed = 1\nembed_dim = 4\nseed = 2")
+
+
 def test_config_validation_rejects_bad_values():
     for kw in (dict(dropout_retain=0.0), dict(val_fraction=1.0),
                dict(clusters=0), dict(scoring_mode="avg"),
@@ -395,6 +400,16 @@ def test_container_rejects_a_vocabulary_without_pad_and_unk_first():
     for tokens in ((unk, pad, *rest), (pad, *rest, unk), (pad,), ()):
         with pytest.raises(ModelFormatError, match="VOCB starts with"):
             deserialize_model(_with_section(blob, b"VOCB", _vocab_payload(tokens)))
+
+
+def test_container_rejects_a_config_that_repeats_a_key():
+    art = small_artifact()
+    conf = art.config.render() + "scoring_mode = concat-diagonal\n"
+    line = conf.count("\n")
+    blob = _with_section(serialize_model(art), b"CONF", conf.encode())
+    with pytest.raises(ModelFormatError,
+                       match=f"config line {line}: repeated key 'scoring_mode'"):
+        deserialize_model(blob)
 
 
 def test_container_fuzz_raises_only_model_format_error():
@@ -902,6 +917,11 @@ def test_cli_error_paths(tmp_path, capsys):
     bad_cfg.write_text("seed = 1\nwhatever = 2\n")
     assert main(["train", "--data", "nope.jsonl", "--model", "m",
                  "--config", str(bad_cfg)]) == 2
+    repeated_cfg = tmp_path / "repeated.cfg"
+    repeated_cfg.write_text("seed = 1\nclusters = 2\nseed = 3\n")
+    assert main(["train", "--data", "nope.jsonl", "--model", "m",
+                 "--config", str(repeated_cfg)]) == 2
+    assert "config line 3: repeated key 'seed'" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
