@@ -179,8 +179,8 @@ def sqrt(a: Tensor) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     # stable in both tails
-    data = np.where(a.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(a.data))),
-                    np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))))
+    e = np.exp(-np.abs(a.data))
+    data = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def backward(g):
         return (g * data * (1.0 - data),)

@@ -46,8 +46,9 @@ class TrainConfig:
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
         for name, kind in _FIELD_TYPES.items():
-            if kind == "int" and name != "seed" and getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+            least = 2 if name == "vocab_max" else 1  # room for <pad>, <unk>
+            if kind == "int" and name != "seed" and getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}")
         for name in ("relax_temp", "contrastive_temp", "learning_rate",
                      "clip_norm"):
             if getattr(self, name) <= 0:

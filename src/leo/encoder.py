@@ -1,19 +1,21 @@
-"""Statement encoder: embeddings -> dropout -> 1-D convolution -> max pool.
+"""Statement encoder: embeddings -> dropout -> 1-D conv -> max pool -> ReLU.
 
 Each statement's token ids are embedded, padding positions are forced to
 zero, dropout is applied when a dropout rng is given (training), and a
-valid convolution followed by ReLU and a max over time yields one fixed-size
-vector per statement. A batch comes out as the packed (statements x dim)
-rows of its real statements, function after function, with the
-per-function statement counts.
+valid convolution followed by a max over time and a ReLU yields one
+fixed-size vector per statement. A batch comes out as the packed
+(statements x dim) rows of its real statements, function after function,
+with the per-function statement counts.
 
 encode_batch lays every real statement of a batch end to end in one token
 stream, each over max(L, k) positions (a statement shorter than the kernel
 is zero-padded to one window), and runs one shared convolution over only
 the windows that lie inside a statement. A statement's windows are
 consecutive rows of the conv output, so one segment max over those rows
-pools the ReLU'd windows per statement, and each statement gets exactly the
-vector a lone convolution over it would give. Training dropout draws one
+pools the raw windows per statement, and each statement gets exactly the
+vector a lone convolution over it would give. ReLU commutes with the max,
+so it rectifies only the pooled (statements x dim) rows; the tape path and
+the folded path share that one pool and ReLU. Training dropout draws one
 uniform per element of that stream, sum(max(L, k)) x dim in all. With
 frozen parameters (a model rebuilt from an artifact) there is no dropout or
 tape, and the embedding is folded into the convolution: the batch's
@@ -83,20 +85,12 @@ def init_encoder_params(store: ParameterStore, vocab_size: int, embed_dim: int,
     )
 
 
-def _embed_ids(id_matrix: np.ndarray, params: EncoderParams) -> Tensor:
-    """Embed an integer id array of any shape to (..., dim), with padding
-    positions multiplied by a structural zero so they carry no value and no
-    gradient."""
-    emb = ad.gather_rows(params.embedding, id_matrix)
-    mask = (id_matrix != PAD_ID).astype(np.float64)[..., None]
-    return ad.mul(emb, ad.constant(mask, name="pad_mask"))
-
-
 def _encode_packed(statements: list, params: EncoderParams,
                    rng: np.random.Generator | None, folded: bool) -> Tensor:
     """S statements (token id sequences) laid end to end, each over
-    max(L, k) positions, through one conv over their valid windows ->
-    (S, dim) statement vectors; `folded` runs the conv tape-free."""
+    max(L, k) positions, through one conv over their valid windows and one
+    segment max per statement, rectified -> (S, dim) statement vectors;
+    `folded` runs the conv tape-free."""
     lengths = np.array([len(s) for s in statements], dtype=np.int64)
     if lengths.min() < 1:
         raise GraphError("cannot encode an empty statement")
@@ -112,15 +106,19 @@ def _encode_packed(statements: list, params: EncoderParams,
     # each statement's windows are consecutive rows, the first at pos 0
     runs = np.flatnonzero(pos[starts] == 0)
     if folded:
-        return ad.constant(_folded_conv_max(ids, starts, runs, params))
-    emb = ad.dropout(_embed_ids(ids, params), params.dropout_retain, rng)
-    h = ad.maximum_const(ad.conv1d(emb, params.conv_kernel, params.conv_bias,
-                                   starts), 0.0)
-    return ad.segment_max(h, runs)
+        h = ad.constant(_folded_conv(ids, starts, params))
+    else:
+        # padding positions times a structural zero: no value, no gradient
+        pad_mask = ad.constant((ids != PAD_ID).astype(np.float64)[:, None],
+                               name="pad_mask")
+        emb = ad.mul(ad.gather_rows(params.embedding, ids), pad_mask)
+        h = ad.conv1d(ad.dropout(emb, params.dropout_retain, rng),
+                      params.conv_kernel, params.conv_bias, starts)
+    return ad.maximum_const(ad.segment_max(h, runs), 0.0)
 
 
-def _folded_conv_max(ids, starts, runs, params: EncoderParams) -> np.ndarray:
-    """conv1d -> ReLU -> segment_max, tape-free: window s is sum_j
+def _folded_conv(ids, starts, params: EncoderParams) -> np.ndarray:
+    """conv1d's (windows, dim) rows, tape-free: window s is sum_j
     E[ids[s + j]] @ K_j + b, and E[id] @ K_j is computed once per id."""
     k, dim, f = params.conv_kernel.data.shape
     uniq, inv = np.unique(ids, return_inverse=True)
@@ -134,7 +132,7 @@ def _folded_conv_max(ids, starts, runs, params: EncoderParams) -> np.ndarray:
     h += params.conv_bias.data
     if ad.CHECK_FINITE and not np.all(np.isfinite(h)):
         raise NumericError("non-finite values in the folded conv windows")
-    return np.maximum.reduceat(np.maximum(h, 0.0, out=h), runs, axis=0)
+    return h
 
 
 def encode_batch(batch: list[list], params: EncoderParams, max_statements: int,

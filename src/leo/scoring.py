@@ -9,7 +9,7 @@ out-of-distribution exactly when its score exceeds the threshold.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ class ClusterStatistics:
     eps_used: np.ndarray
     diagonal_covariance: bool = False
     mode: str = "pooled-d"
-    notes: list[str] = field(default_factory=list)
 
     @property
     def k(self) -> int:
@@ -55,22 +54,6 @@ def representation_dim(config) -> int:
     return config.max_statements * config.embed_dim
 
 
-def _invert_spd(cov: np.ndarray, eps: float) -> tuple[np.ndarray, float]:
-    """Inverse of cov + eps*I via its triangular factor; on factorization
-    failure the shrinkage grows tenfold, at most three times."""
-    dim = cov.shape[0]
-    attempt = eps
-    for _ in range(4):
-        try:
-            lower = np.linalg.cholesky(cov + attempt * np.eye(dim))
-        except np.linalg.LinAlgError:
-            attempt *= 10.0
-            continue
-        lower_inv = np.linalg.inv(lower)
-        return lower_inv.T @ lower_inv, attempt
-    raise ValueError("covariance could not be regularized to positive definite")
-
-
 def fit_cluster_statistics(representations: np.ndarray, k: int,
                            rng: np.random.Generator, *,
                            mode: str = "pooled-d",
@@ -79,7 +62,8 @@ def fit_cluster_statistics(representations: np.ndarray, k: int,
     """Cluster the training representations and fit per-cluster moments.
 
     Covariance is the unbiased sample covariance (zero for singleton
-    clusters); shrinkage per cluster is max(eps_scale*trace/dim, eps_floor).
+    clusters); shrinkage per cluster is max(eps_scale*trace/dim, eps_floor),
+    far above rounding, so cov + shrinkage*I always has a Cholesky inverse.
     In concat-diagonal mode only the covariance diagonal is kept (the
     concatenated representation is too wide for a dense matrix).
     Requesting more clusters than points reduces k with a warning.
@@ -90,10 +74,8 @@ def fit_cluster_statistics(representations: np.ndarray, k: int,
     if mode not in SCORING_MODES:
         raise ValueError(f"unknown scoring mode '{mode}'")
     diagonal = mode == "concat-diagonal"
-    notes = []
     if k > len(reps):
-        notes.append(f"cluster count reduced from {k} to {len(reps)}")
-        warnings.warn(notes[-1])
+        warnings.warn(f"cluster count reduced from {k} to {len(reps)}")
     result = minibatch_kmeans(reps, k, rng, max_iters=kmeans_iters)
     dim = reps.shape[1]
     means = np.zeros((result.k_effective, dim))
@@ -109,16 +91,17 @@ def fit_cluster_statistics(representations: np.ndarray, k: int,
         dof = max(len(members) - 1, 1)
         if diagonal:
             var = (centered * centered).sum(axis=0) / dof
-            eps = max(eps_scale * var.sum() / dim, eps_floor)
-            inverses[c] = 1.0 / (var + eps)
-            eps_used[c] = eps
+            eps_used[c] = max(eps_scale * var.sum() / dim, eps_floor)
+            inverses[c] = 1.0 / (var + eps_used[c])
         else:
             cov = centered.T @ centered / dof
-            eps = max(eps_scale * np.trace(cov) / dim, eps_floor)
-            inverses[c], eps_used[c] = _invert_spd(cov, eps)
+            eps_used[c] = max(eps_scale * np.trace(cov) / dim, eps_floor)
+            lower_inv = np.linalg.inv(
+                np.linalg.cholesky(cov + eps_used[c] * np.eye(dim)))
+            inverses[c] = lower_inv.T @ lower_inv
     return ClusterStatistics(means=means, inverses=inverses, counts=counts,
                              eps_used=eps_used, diagonal_covariance=diagonal,
-                             mode=mode, notes=notes)
+                             mode=mode)
 
 
 def mahalanobis_scores(reps: np.ndarray, stats: ClusterStatistics) -> np.ndarray:

@@ -12,7 +12,9 @@ function by function, against whose bits the shared gated block is checked;
 `padded_losses` are both training losses over every slot, against which
 the packed rows and the narrow classifier input are checked;
 `dense_affine_grads` is the full-width backward the row-prefix one is
-checked against.
+checked against; `rectify_then_pool_encoding` is the taped encoder with the
+ReLU before the segment max, against whose bits the pool-then-ReLU one is
+checked.
 `kmeans_inertia_history` re-runs `minibatch_kmeans` with 0, 1, ... Lloyd
 rounds to recover the inertia after each round, which the package does not
 keep.
@@ -37,6 +39,7 @@ from leo.losses import (
     minibatch_kmeans,
     peer_weights,
 )
+from leo.normalize import PAD_ID
 from leo.scoring import representation_dim
 from leo.selector import (
     deterministic_mask,
@@ -282,6 +285,28 @@ def encode_function_reference(statements, embedding, kernel, bias,
     for i, ids in enumerate(statements[:max_statements]):
         out[i] = encode_statement_reference(ids, embedding, kernel, bias, pad_id)
     return out
+
+
+def rectify_then_pool_encoding(statements, params, rng) -> ad.Tensor:
+    """The taped encoder with the ReLU on every window before the pool,
+    conv1d -> maximum_const -> segment_max. It lays the
+    statements out as encode_batch does (each over max(L, k) positions) and
+    draws the same dropout uniforms from `rng`, so encode_batch's
+    pool-then-rectify rows and gradients can be checked against it bit for
+    bit."""
+    k = params.kernel_size
+    ids, starts, runs = [], [], []
+    for stmt in statements:
+        span = max(len(stmt), k)
+        runs.append(len(starts))
+        starts.extend(range(len(ids), len(ids) + span - k + 1))
+        ids.extend(list(stmt) + [PAD_ID] * (span - len(stmt)))
+    ids = np.array(ids, dtype=np.int64)
+    pad_mask = ad.constant((ids != PAD_ID).astype(np.float64)[:, None])
+    emb = ad.mul(ad.gather_rows(params.embedding, ids), pad_mask)
+    h = ad.conv1d(ad.dropout(emb, params.dropout_retain, rng),
+                  params.conv_kernel, params.conv_bias, np.array(starts))
+    return ad.segment_max(ad.maximum_const(h, 0.0), np.array(runs))
 
 
 def family_d_records(n: int, rng: np.random.Generator) -> list[DatasetRecord]:

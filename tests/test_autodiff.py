@@ -646,11 +646,11 @@ def test_clip_zero_gradients_unchanged():
 
 
 def test_clip_norm_is_bit_identical_to_a_fresh_square_per_gradient():
-    """The reused square buffer sums each gradient as np.sum(g * g) does:
+    """The pre-clip norm sums each gradient's squares as np.sum(g * g) does:
     1-, 2- and 3-D gradients, a classifier/w0-shaped one at the default
     shape (15,000 x 300) ahead of smaller ones, and a transposed view. The
     entries span many magnitudes, so a square sum taken in another order
-    (the buffer read as the wrong layout) moves its last bits."""
+    (a transposed view read in memory order, say) moves its last bits."""
     rng = np.random.default_rng(5)
     grads = [rng.normal(size=shape) * np.exp(3.0 * rng.normal(size=shape))
              for shape in ((15000, 300), (37,), (129, 65), (3, 150, 150), (40, 7))]

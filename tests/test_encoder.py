@@ -14,6 +14,7 @@ from oracles import (
     encode_statement_reference,
     finite_difference_check,
     padded_block,
+    rectify_then_pool_encoding,
 )
 
 
@@ -300,6 +301,48 @@ def test_folded_packed_encoder_matches_statement_oracle():
             out, none = encode_batch(empty, params, cap)
             assert out.data.shape == (0, 5)
             np.testing.assert_array_equal(none, [0] * len(empty))
+
+
+RECTIFY_CASES = {
+    # bias -40 on channel 0: that channel is <= 0 in every window
+    "channel negative everywhere": [[[2, 3, 4, 5, 6], [7, 8, 2]], [[3, 3, 9, 4]]],
+    # token 4 has a zero row, so its windows tie exactly even under dropout
+    "tied windows": [[[4] * 7, [5] * 6], [[4, 4, 4, 4, 2, 4, 4]]],
+    "shorter than the kernel": [[[2], [3, 5], [6]], [[9, 8]]],
+    "one window each": [[[2, 3, 6], [5, 5, 5]], [[7, 9, 4]]],
+}
+
+
+@pytest.mark.parametrize("retain", [0.8, 1.0])
+@pytest.mark.parametrize("case", list(RECTIFY_CASES))
+def test_pool_then_relu_matches_relu_then_pool_bit_for_bit(case, retain):
+    """ReLU after the segment max gives the rows and encoder gradients of
+    ReLU on every window before it, bit for bit, under training dropout:
+    a channel at or below zero in every window gets no gradient in either
+    order, and where the max is positive the first maximal window is the
+    same before and after the ReLU."""
+    batch = RECTIFY_CASES[case]
+    store, params = make_params(vocab=10, dim=5, kernel=3, seed=4, retain=retain)
+    params.embedding.data[4] = 0.0
+    params.conv_bias.data = np.random.default_rng(8).normal(0.0, 0.3, size=5)
+    if case == "channel negative everywhere":
+        params.conv_bias.data[0] = -40.0
+    flat = [s for fn in batch for s in fn]
+    coeff = ad.constant(np.random.default_rng(9).normal(size=(len(flat), 5)))
+    results = []
+    for encode in (lambda rng: encode_batch(batch, params, 3, rng=rng)[0],
+                   lambda rng: rectify_then_pool_encoding(flat, params, rng)):
+        store.zero_grads()
+        rows = encode(np.random.default_rng(31))
+        ad.backward(ad.reduce_sum(ad.mul(rows, coeff)))
+        results.append({"rows": rows.data,
+                        **{name: t.grad.copy() for name, t in store.items()}})
+    if case == "channel negative everywhere":
+        assert np.all(results[0]["rows"][:, 0] == 0.0)
+        assert results[0]["encoder/conv_bias"][0] == 0.0
+    assert results[0].keys() == results[1].keys()
+    for key, got in results[0].items():
+        np.testing.assert_array_equal(got, results[1][key], err_msg=key)
 
 
 def test_packed_encoding_is_inference_only_and_records_no_tape():

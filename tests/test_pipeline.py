@@ -118,6 +118,12 @@ def test_config_rejects_a_repeated_key():
         parse_config_text("seed = 1\nembed_dim = 4\nseed = 2")
 
 
+def test_config_rejects_vocab_max_below_two_by_name():
+    with pytest.raises(ValueError, match="vocab_max must be at least 2"):
+        TrainConfig(seed=1, vocab_max=1)
+    assert TrainConfig(seed=1, vocab_max=2).vocab_max == 2
+
+
 def test_config_validation_rejects_bad_values():
     for kw in (dict(dropout_retain=0.0), dict(val_fraction=1.0),
                dict(clusters=0), dict(scoring_mode="avg"),
@@ -409,6 +415,15 @@ def test_container_rejects_a_config_that_repeats_a_key():
     blob = _with_section(serialize_model(art), b"CONF", conf.encode())
     with pytest.raises(ModelFormatError,
                        match=f"config line {line}: repeated key 'scoring_mode'"):
+        deserialize_model(blob)
+
+
+def test_container_rejects_a_config_with_vocab_max_below_two():
+    art = small_artifact()
+    conf = re.sub(r"(?m)^vocab_max = \d+$", "vocab_max = 1", art.config.render())
+    assert "vocab_max = 1\n" in conf
+    blob = _with_section(serialize_model(art), b"CONF", conf.encode())
+    with pytest.raises(ModelFormatError, match="vocab_max must be at least 2"):
         deserialize_model(blob)
 
 
@@ -922,6 +937,14 @@ def test_cli_error_paths(tmp_path, capsys):
     assert main(["train", "--data", "nope.jsonl", "--model", "m",
                  "--config", str(repeated_cfg)]) == 2
     assert "config line 3: repeated key 'seed'" in capsys.readouterr().err
+
+
+def test_cli_rejects_a_config_file_with_vocab_max_below_two(tmp_path, capsys):
+    cfg = tmp_path / "vocab.cfg"
+    cfg.write_text("seed = 1\nvocab_max = 1\n")
+    assert main(["train", "--data", "nope.jsonl", "--model", "m",
+                 "--config", str(cfg)]) == 2
+    assert "vocab_max must be at least 2" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

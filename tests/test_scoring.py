@@ -207,12 +207,36 @@ def test_singleton_cluster_inverse_is_identity_over_floor():
         assert stats.eps_used[c] == 1e-6
 
 
+def _degenerate_clusters():
+    rng = np.random.default_rng(11)
+    line = np.outer(rng.normal(size=40), [1.0, -2.0, 0.5])
+    stretched = rng.normal(size=(40, 3)) * np.array([1.0, 1e8, 1.0])
+    return {"duplicates": np.tile([[3.0, -1.0, 2.0]], (25, 1)),
+            "rank-1": line + np.array([0.5, 0.0, -4.0]),
+            "one axis x 1e8": stretched}
+
+
+@pytest.mark.parametrize("name", list(_degenerate_clusters()))
+def test_degenerate_cluster_shrinkage_and_inverse(name):
+    """Duplicates, a rank-1 cloud and one axis scaled by 1e8 all invert
+    through the shrinkage alone: eps is max(1e-3 * trace / dim, 1e-6) and
+    the stored inverse is that of cov + eps * I."""
+    points = _degenerate_clusters()[name]
+    stats = fit_cluster_statistics(points, 1, np.random.default_rng(0))
+    _, cov = sample_mean_cov(points)
+    eps = max(1e-3 * np.trace(cov) / 3, 1e-6)
+    np.testing.assert_allclose(stats.eps_used, [eps], rtol=1e-12)
+    want = np.linalg.inv(cov + stats.eps_used[0] * np.eye(3))
+    np.testing.assert_allclose(stats.inverses[0], want, rtol=1e-9,
+                               atol=1e-9 * np.abs(want).max())
+    assert np.all(np.isfinite(mahalanobis_scores(points, stats)))
+
+
 def test_more_clusters_than_points_reduces_k_with_warning():
     points = np.array([[0.0, 0.0], [1.0, 1.0]])
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match="reduced from 5 to 2"):
         stats = fit_cluster_statistics(points, 5, np.random.default_rng(2))
     assert stats.k == 2
-    assert stats.notes
 
 
 def test_diagonal_mode_inverts_per_dimension_variances():
