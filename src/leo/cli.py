@@ -14,26 +14,13 @@ import sys
 
 import numpy as np
 
-from .config import load_config
+from .config import CONTRASTIVE_VARIANTS, TrainConfig, load_config
 from .data import load_dataset
-from .metrics import render_report, render_score_dump
+from .metrics import METRIC_NAMES, render_report, render_score_dump
 from .model import ModelFormatError, load_model, save_model
 from .normalize import NormalizeError, build_vocabulary
 from .synth import write_corpus
 from .train import TrainingError, _normalize, evaluate, score_records, train
-
-
-def _config_overrides(args) -> dict:
-    """CLI flags that shadow config file keys; None values are dropped."""
-    return {
-        "seed": args.seed,
-        "clusters": getattr(args, "k", None),
-        "contrastive_weight": getattr(args, "contrastive_weight", None),
-        "contrastive_temp": getattr(args, "tau", None),
-        "relax_temp": getattr(args, "nu", None),
-        "contrastive_variant": getattr(args, "variant", None),
-        "ablate_cd": True if getattr(args, "ablate_cd", False) else None,
-    }
 
 
 def _add_train_arguments(p: argparse.ArgumentParser):
@@ -41,14 +28,16 @@ def _add_train_arguments(p: argparse.ArgumentParser):
     p.add_argument("--model", required=True, help="output model path")
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--seed", type=int, help="training seed")
-    p.add_argument("--k", type=int, help="cluster count")
+    p.add_argument("--k", dest="clusters", metavar="K", type=int, help="cluster count")
     p.add_argument("--lambda", dest="contrastive_weight", type=float,
                    help="contrastive loss weight")
-    p.add_argument("--tau", type=float, help="contrastive temperature")
-    p.add_argument("--nu", type=float, help="gate relaxation temperature")
-    p.add_argument("--variant", choices=("cluster", "supervised-class"),
+    p.add_argument("--tau", dest="contrastive_temp", metavar="TAU", type=float,
+                   help="contrastive temperature")
+    p.add_argument("--nu", dest="relax_temp", metavar="NU", type=float,
+                   help="gate relaxation temperature")
+    p.add_argument("--variant", dest="contrastive_variant", choices=CONTRASTIVE_VARIANTS,
                    help="contrastive grouping variant")
-    p.add_argument("--ablate-cd", action="store_true", dest="ablate_cd",
+    p.add_argument("--ablate-cd", action="store_const", const=True,
                    help="disable the distribution step and contrastive term")
     p.add_argument("--id-test", help="optional ID test set to evaluate after training")
     p.add_argument("--ood-test", help="optional OOD test set to evaluate after training")
@@ -100,11 +89,9 @@ def _write_eval_outputs(report, rows, out_path) -> None:
     sys.stdout.write(text)
 
 
-def _cmd_train(args, force_ablation: bool = False) -> int:
-    overrides = _config_overrides(args)
-    if force_ablation:
-        overrides["ablate_cd"] = True
-    config = load_config(args.config, overrides)
+def _cmd_train(args) -> int:
+    config = load_config(args.config, {f.name: getattr(args, f.name, None)
+                                       for f in dataclasses.fields(TrainConfig)})
     if args.repeats < 1:
         raise ValueError("--repeats must be at least 1")
     records = load_dataset(args.data)
@@ -124,7 +111,7 @@ def _cmd_train(args, force_ablation: bool = False) -> int:
                 _write_eval_outputs(report, rows, args.out)
     if len(reports) > 1:
         print(f"averages over {len(reports)} runs:")
-        for name in ("fpr_at_tpr95", "auroc", "aupr"):
+        for name in METRIC_NAMES:
             mean = float(np.mean([getattr(r, name) for r in reports]))
             print(f"{name},{mean!r}")
     return 0
@@ -178,6 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="train with the ablation forced on")
     _add_train_arguments(p)
+    p.set_defaults(ablate_cd=True)
 
     p = sub.add_parser("eval", help="evaluate a model on ID + OOD test sets")
     p.add_argument("--model", required=True)
@@ -213,7 +201,7 @@ def main(argv=None) -> int:
         "normalize": _cmd_normalize,
         "vocab": _cmd_vocab,
         "train": _cmd_train,
-        "ablate": lambda a: _cmd_train(a, force_ablation=True),
+        "ablate": _cmd_train,
         "eval": _cmd_eval,
         "score": _cmd_score,
     }

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -82,10 +82,14 @@ class EvalReport:
     dump_path: str = ""
 
     def __post_init__(self):
-        for name in ("fpr_at_tpr95", "auroc", "aupr"):
+        for name in METRIC_NAMES:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v} outside [0, 1]")
+
+
+# The float fields, a string annotation each under postponed evaluation.
+METRIC_NAMES = tuple(f.name for f in fields(EvalReport) if f.type == "float")
 
 
 def build_report(scores: ScoreSet, fingerprint: str = "",
@@ -126,36 +130,47 @@ _REPORT_HEADER = ["metric", "value"]
 _DUMP_HEADER = ["id", "population", "score", "decision"]
 
 
+# Each row's text form and reader, by its EvalReport annotation.
+_RENDERERS = {"float": repr, "int": str, "str": str}
+_READERS = {"float": float, "int": int, "str": str}
+
+
 def render_report(report: EvalReport) -> str:
-    """Comma-separated table, one metric per row. Float values use the
-    shortest round-tripping decimal form."""
-    rows = [
-        ("fpr_at_tpr95", repr(report.fpr_at_tpr95)),
-        ("auroc", repr(report.auroc)),
-        ("aupr", repr(report.aupr)),
-        ("n_id", str(report.n_id)),
-        ("n_ood", str(report.n_ood)),
-        ("fingerprint", report.fingerprint),
-        ("dump_path", report.dump_path),
-    ]
+    """Comma-separated table, one EvalReport field per row in field order.
+    Float values use the shortest round-tripping decimal form."""
+    rows = [(f.name, _RENDERERS[f.type](getattr(report, f.name)))
+            for f in fields(EvalReport)]
     return "".join(_csv_line(row) for row in [_REPORT_HEADER, *rows])
 
 
 def parse_report(text: str) -> EvalReport:
-    values = dict(_csv_rows(text, _REPORT_HEADER, "report"))
-    missing = [name for name in ("fpr_at_tpr95", "auroc", "aupr", "n_id", "n_ood")
-               if name not in values]
+    """The report render_report writes. Rows naming no field are ignored;
+    a repeated row or a value its field's type cannot read is an error."""
+    values = {}
+    for lineno, (name, raw) in enumerate(
+            _csv_rows(text, _REPORT_HEADER, "report"), start=2):
+        if name in values:
+            raise ValueError(f"report record {lineno}: repeated row '{name}'")
+        values[name] = raw
+    missing = [f.name for f in fields(EvalReport)
+               if f.default is MISSING and f.name not in values]
     if missing:
         raise ValueError(f"report is missing metric rows: {', '.join(missing)}")
-    return EvalReport(
-        fpr_at_tpr95=float(values["fpr_at_tpr95"]),
-        auroc=float(values["auroc"]),
-        aupr=float(values["aupr"]),
-        n_id=int(values["n_id"]),
-        n_ood=int(values["n_ood"]),
-        fingerprint=values.get("fingerprint", ""),
-        dump_path=values.get("dump_path", ""),
-    )
+    parsed = {}
+    for f in fields(EvalReport):
+        if f.name in values:
+            try:
+                parsed[f.name] = _READERS[f.type](values[f.name])
+            except ValueError as exc:
+                raise ValueError(f"report row '{f.name}': {exc}") from exc
+    return EvalReport(**parsed)
+
+
+def _check_labels(population, decision) -> None:
+    if population not in ("id", "ood"):
+        raise ValueError(f"population must be 'id' or 'ood', got {population!r}")
+    if decision not in ("ID", "OOD"):
+        raise ValueError(f"decision must be 'ID' or 'OOD', got {decision!r}")
 
 
 def render_score_dump(rows) -> str:
@@ -163,13 +178,20 @@ def render_score_dump(rows) -> str:
     decision (ID|OOD)."""
     out = [_csv_line(_DUMP_HEADER)]
     for sample_id, population, score, decision in rows:
-        if population not in ("id", "ood"):
-            raise ValueError(f"population must be 'id' or 'ood', got {population!r}")
+        _check_labels(population, decision)
         out.append(_csv_line((sample_id, population, repr(float(score)), decision)))
     return "".join(out)
 
 
 def parse_score_dump(text: str):
-    return [(sample_id, population, float(score), decision)
-            for sample_id, population, score, decision
-            in _csv_rows(text, _DUMP_HEADER, "dump")]
+    """The records render_score_dump writes; a bad population, score or
+    decision is an error naming its record."""
+    parsed = []
+    for lineno, (sample_id, population, score, decision) in enumerate(
+            _csv_rows(text, _DUMP_HEADER, "dump"), start=2):
+        try:
+            _check_labels(population, decision)
+            parsed.append((sample_id, population, float(score), decision))
+        except ValueError as exc:
+            raise ValueError(f"dump record {lineno}: {exc}") from exc
+    return parsed

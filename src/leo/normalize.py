@@ -169,7 +169,10 @@ def _split(tokens) -> tuple[list[list[str]], dict[str, str]]:
 
     An identifier is renamed just before it is placed, as a function when
     the next token is "(". The <...> target of an include directive folds
-    into one "str" token, mirroring the quoted-target rule.
+    into one "str" token, mirroring the quoted-target rule. The target scan
+    stays on the include's line, but a ">" that is the first token past
+    that line still closes it: "#include <a\\n>" gives one statement,
+    ["#", "include", "str"]. That quirk is kept: normalized output is frozen.
 
     Boundaries: after ';' at paren depth 0; before and after '{' / '}' at
     paren depth 0 (each brace is its own statement); after the ')' that

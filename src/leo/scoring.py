@@ -71,6 +71,8 @@ def fit_cluster_statistics(representations: np.ndarray, k: int,
     reps = np.asarray(representations, dtype=np.float64)
     if reps.ndim != 2 or len(reps) == 0:
         raise ValueError("need a non-empty (n, dim) representation matrix")
+    if not np.isfinite(reps).all():
+        raise ValueError("representations must be finite")
     if mode not in SCORING_MODES:
         raise ValueError(f"unknown scoring mode '{mode}'")
     diagonal = mode == "concat-diagonal"

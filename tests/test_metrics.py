@@ -190,6 +190,22 @@ def test_report_parse_names_missing_metric_row(missing):
         parse_report("".join(lines))
 
 
+def test_report_parse_rejects_a_repeated_row():
+    text = render_report(build_report(sset([0.1, 0.7], [0.5])))
+    with pytest.raises(ValueError, match="report record 9: repeated row 'auroc'"):
+        parse_report(text + "auroc,0.7\n")
+
+
+@pytest.mark.parametrize("row, value", [("n_id", "1.5"), ("auroc", "high"),
+                                        ("n_ood", "")])
+def test_report_parse_names_the_row_it_cannot_read(row, value):
+    text = render_report(build_report(sset([0.1, 0.7], [0.5])))
+    lines = [f"{row},{value}\n" if ln.startswith(row + ",") else ln
+             for ln in text.splitlines(keepends=True)]
+    with pytest.raises(ValueError, match=f"report row '{row}': "):
+        parse_report("".join(lines))
+
+
 def test_score_dump_round_trip():
     rows = [("fn_001", "id", 0.125, "ID"), ("fn_755", "ood", 3.5, "OOD")]
     text = render_score_dump(rows)
@@ -220,6 +236,22 @@ def test_report_round_trips_any_text_fields(fingerprint, dump_path):
                      dump_path=dump_path)
     again = parse_report(render_report(r))
     assert (again.fingerprint, again.dump_path) == (fingerprint, dump_path)
+
+
+def test_score_dump_render_rejects_a_bad_decision():
+    with pytest.raises(ValueError, match="decision must be 'ID' or 'OOD', got 'maybe'"):
+        render_score_dump([("x", "id", 1.0, "maybe")])
+
+
+@pytest.mark.parametrize("record, message", [
+    ("a,xx,1.0,ID", "population must be 'id' or 'ood', got 'xx'"),
+    ("a,id,1.0,maybe", "decision must be 'ID' or 'OOD', got 'maybe'"),
+    ("a,ood,notanumber,OOD", "could not convert string to float"),
+])
+def test_score_dump_parse_names_the_bad_record(record, message):
+    text = render_score_dump([("ok", "id", 0.5, "ID")]) + "\n" + record + "\n"
+    with pytest.raises(ValueError, match=f"dump record 3: {message}"):
+        parse_score_dump(text)
 
 
 def test_score_dump_validates_population():

@@ -111,6 +111,13 @@ def test_include_target_collapses():
     assert statements_of('#include "local.h"') == [["#", "include", "str"]]
 
 
+def test_include_target_closes_on_a_greater_than_first_past_its_line():
+    assert statements_of("#include <a\n>") == [["#", "include", "str"]]
+    # a token between the line end and the ">" leaves the target unfolded
+    assert statements_of("#include <a\nb>") == [["#", "include", "<", "var1"],
+                                                 ["var2", ">"]]
+
+
 def test_include_fold_closes_an_earlier_directive_line_first():
     # the "#" line ends before the folded include is placed on the next one
     assert statements_of("#\ninclude <a.h>") == [["#"], ["include", "str"]]

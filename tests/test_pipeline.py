@@ -1,5 +1,6 @@
 """Configuration, ingestion, the synthetic generator, the model container,
 the training loop contracts, and the CLI."""
+import argparse
 import dataclasses
 import logging
 import os
@@ -12,7 +13,7 @@ import pytest
 
 import leo.train as train_module
 from leo.autodiff import NumericError, backward
-from leo.cli import main
+from leo.cli import build_parser, main
 from leo.config import TrainConfig, load_config, parse_config_text
 from leo.data import DatasetRecord, load_dataset, split_dataset, write_dataset
 from leo.encoder import encode_batch
@@ -922,6 +923,59 @@ def test_cli_ablate_forces_flag(tmp_path):
     assert main(["ablate", "--data", str(corpus / "train.jsonl"),
                  "--model", model_path, "--config", str(cfg_path)]) == 0
     assert load_model(model_path).config.ablate_cd is True
+
+
+CLI_ONLY_DESTS = {"data", "model", "config", "id_test", "ood_test", "out",
+                  "repeats", "help"}
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_cli_training_options_store_under_config_keys(command):
+    """Training flags reach the config by dest name alone, so a dest that
+    is neither a TrainConfig field nor a CLI-only option would be dropped."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in sub.choices[command]._actions}
+    keys = {f.name for f in dataclasses.fields(TrainConfig)}
+    assert dests - keys - CLI_ONLY_DESTS == set()
+
+
+@pytest.fixture(scope="module")
+def cli_corpus(tmp_path_factory):
+    """A small synthetic corpus and a 1-epoch tiny config file that sets
+    ablate_cd = false."""
+    root = tmp_path_factory.mktemp("cli")
+    main(["synth", "--out", str(root), "--n", "40", "--n-ood", "8",
+          "--seed", "2"])
+    _write_tiny_config(root / "run.cfg")
+    assert "ablate_cd = false" in (root / "run.cfg").read_text()
+    return root
+
+
+def _train_cli(cli_corpus, tmp_path, command, *flags):
+    model_path = str(tmp_path / "m.leo")
+    assert main([command, "--data", str(cli_corpus / "train.jsonl"),
+                 "--model", model_path, "--config", str(cli_corpus / "run.cfg"),
+                 *flags]) == 0
+    return load_model(model_path).config
+
+
+def test_cli_training_flags_reach_the_saved_config(cli_corpus, tmp_path):
+    config = _train_cli(cli_corpus, tmp_path, "train", "--seed", "5",
+                        "--k", "3", "--lambda", "0.25", "--tau", "0.7",
+                        "--nu", "0.4", "--variant", "supervised-class")
+    assert (config.seed, config.clusters, config.contrastive_weight,
+            config.contrastive_temp, config.relax_temp,
+            config.contrastive_variant) == (5, 3, 0.25, 0.7, 0.4,
+                                            "supervised-class")
+
+
+@pytest.mark.parametrize("command, flags, ablated", [
+    ("train", [], False), ("train", ["--ablate-cd"], True),
+    ("ablate", [], True), ("ablate", ["--ablate-cd"], True)])
+def test_cli_ablation_over_a_config_that_turns_it_off(cli_corpus, tmp_path,
+                                                      command, flags, ablated):
+    assert _train_cli(cli_corpus, tmp_path, command, *flags).ablate_cd is ablated
 
 
 def test_cli_error_paths(tmp_path, capsys):

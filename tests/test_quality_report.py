@@ -1,8 +1,13 @@
 """Quality report: can the evaluation tell a worse model from a better one?
 
-Three A5-shape models train for 3 epochs on `generate_synthetic(200, 200,
-seed)`: the full model, the same with `ablate_cd`, and an untrained
-control (`learning_rate=1e-12`). Each prints one line per seed:
+Five A5-shape models train on `generate_synthetic(200, 200, seed)`: the
+full model for 3 epochs, the same with `ablate_cd`, an untrained control
+(`learning_rate=1e-12`), and two step-matched controls. The full model
+takes two Adam steps per batch (the distribution step and the joint step)
+and `ablate_cd` takes one, so `ablate_cd@6` trains for 6 epochs, the full
+model's step count at 3. `lambda=0` is the full model with
+`contrastive_weight=0`: it keeps the distribution step and drops the
+contrastive term. Each prints one line per seed:
 
 - max-softmax (MSP) AUROC and FPR@95 of the ID test split against family C
   and against the held-out family D (`oracles.family_d_records`, drawn from
@@ -42,14 +47,17 @@ from leo.train import prepare_samples, score_records, train
 from oracles import family_d_records
 
 MODELS = (("trained", {}), ("ablate_cd", {"ablate_cd": True}),
-          ("untrained", {"learning_rate": 1e-12}))
+          ("untrained", {"learning_rate": 1e-12}),
+          ("ablate_cd@6", {"ablate_cd": True, "epochs": 6}),
+          ("lambda=0", {"contrastive_weight": 0.0}))
 
 
 def report_config(seed, **over):
-    """The A5 acceptance shape, cut to 3 epochs."""
-    return TrainConfig(seed=seed, max_statements=40, embed_dim=32, clusters=3,
-                       contrastive_weight=0.1, contrastive_temp=0.5,
-                       relax_temp=0.5, epochs=3, batch_size=64, **over)
+    """The A5 acceptance shape, cut to 3 epochs; `over` replaces any field."""
+    shape = dict(max_statements=40, embed_dim=32, clusters=3,
+                 contrastive_weight=0.1, contrastive_temp=0.5, relax_temp=0.5,
+                 epochs=3, batch_size=64)
+    return TrainConfig(seed=seed, **{**shape, **over})
 
 
 def scoring_pass(artifact, records):
@@ -107,7 +115,7 @@ def quality_lines(seed):
                                            == [r.label for r in id_test]))
         values["guard-gate auroc"] = guard_gate_auroc(artifact, id_test, twins)
         lines.append((name, values, (
-            f"seed {seed} {name:<9} | MSP C auroc {values['C auroc']:.3f} "
+            f"seed {seed} {name:<11} | MSP C auroc {values['C auroc']:.3f} "
             f"fpr95 {values['C fpr95']:.3f} | MSP D auroc {values['D auroc']:.3f} "
             f"fpr95 {values['D fpr95']:.3f} | twin acc {values['twin acc']:.3f} | "
             f"guard-gate auroc {values['guard-gate auroc']:.3f} | Mahalanobis "

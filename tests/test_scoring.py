@@ -271,6 +271,14 @@ def test_fit_rejects_bad_inputs():
                                mode="full")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_rejects_non_finite_representations(bad):
+    points = np.random.default_rng(0).normal(size=(30, 3))
+    points[7, 1] = bad
+    with pytest.raises(ValueError, match="representations must be finite"):
+        fit_cluster_statistics(points, 1, np.random.default_rng(0))
+
+
 # --- mahalanobis_scores -------------------------------------------------------
 
 def test_score_zero_at_cluster_mean():
