@@ -20,7 +20,11 @@ uniform per element of that stream, sum(max(L, k)) x dim in all. With
 frozen parameters (a model rebuilt from an artifact) there is no dropout or
 tape, and the embedding is folded into the convolution: the batch's
 distinct ids go through the kernel taps in one small product, each window
-sums its k gathered tap rows, and no im2col matrix is built.
+sums its k gathered tap rows, and no im2col matrix is built. That path also
+encodes each distinct statement (token id sequence) of the batch once:
+identifier renaming makes most statements repeats, and the distinct
+statements hold the same ids as all of them, so the tap product and every
+window sum, and hence every row, keep their bits.
 """
 from __future__ import annotations
 
@@ -136,7 +140,7 @@ def _folded_conv(ids, starts, params: EncoderParams) -> np.ndarray:
 
 
 def encode_batch(batch: list[list], params: EncoderParams, max_statements: int,
-                 rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None, *, distinct: bool = False):
     """Encode a batch of functions (each a list of token id sequences) and
     return the (S, dim) rows of the S kept statements plus the per-function
     true lengths.
@@ -147,7 +151,12 @@ def encode_batch(batch: list[list], params: EncoderParams, max_statements: int,
     single embedding lookup and convolution. Embedding dropout draws from
     `rng`; without one there is no dropout. When no encoder parameter
     requires a gradient the encoding is tape-free and folds the conv taps,
-    and a dropout rng is an error.
+    a dropout rng is an error, and each distinct statement is encoded once.
+
+    With `distinct` the result is (rows, lengths, index): kept statement s
+    is row index[s] of rows, the distinct statements in first-occurrence
+    order. index is None when rows are already one per kept statement: on
+    the taped path, or when no kept statement repeats.
     """
     folded = not any(t.requires_grad for t in
                      (params.embedding, params.conv_kernel, params.conv_bias))
@@ -156,6 +165,19 @@ def encode_batch(batch: list[list], params: EncoderParams, max_statements: int,
     kept = [statements[:max_statements] for statements in batch]
     true_lengths = np.array([len(k) for k in kept], dtype=np.int64)
     flat = [s for k in kept for s in k]
-    if not flat:
-        return ad.constant(np.zeros((0, params.dim))), true_lengths
-    return _encode_packed(flat, params, rng, folded), true_lengths
+    index = None
+    if folded:
+        keys = list(map(tuple, flat))
+        row = dict.fromkeys(keys)
+        if len(row) < len(keys):
+            row = {key: i for i, key in enumerate(row)}
+            index = np.fromiter(map(row.__getitem__, keys), dtype=np.int64,
+                                count=len(keys))
+            flat = list(row)
+    rows = (_encode_packed(flat, params, rng, folded) if flat
+            else ad.constant(np.zeros((0, params.dim))))
+    if distinct:
+        return rows, true_lengths, index
+    if index is not None:
+        rows = ad.constant(rows.data[index])
+    return rows, true_lengths

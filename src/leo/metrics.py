@@ -144,11 +144,14 @@ def render_report(report: EvalReport) -> str:
 
 
 def parse_report(text: str) -> EvalReport:
-    """The report render_report writes. Rows naming no field are ignored;
+    """The report render_report writes. A row naming no EvalReport field,
     a repeated row or a value its field's type cannot read is an error."""
+    known = {f.name for f in fields(EvalReport)}
     values = {}
     for lineno, (name, raw) in enumerate(
             _csv_rows(text, _REPORT_HEADER, "report"), start=2):
+        if name not in known:
+            raise ValueError(f"report record {lineno}: unknown row '{name}'")
         if name in values:
             raise ValueError(f"report record {lineno}: repeated row '{name}'")
         values[name] = raw

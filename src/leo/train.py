@@ -84,8 +84,10 @@ def masked_representations(params: ModelParams, samples, config: TrainConfig,
                            *, msp: bool = False):
     """Deterministic-gate scoring representations, batched, without
     dropout, and with `msp` the classifier's max-softmax complement (None
-    without). Each batch's real statement rows are gated by the selector and
-    placed by training's gated_block into one (batch, longest, dim) block.
+    without). The selector scores each batch's real statement rows, each
+    distinct statement once under frozen parameters; the rows and gates,
+    one per kept statement again, are placed by training's gated_block into
+    one (batch, longest, dim) block.
     pooled-d is the mean of a function's gated rows (zero without
     statements); concat-diagonal is the block flattened row-major, zero past
     longest * dim; `msp` runs training's classifier_forward on the block."""
@@ -97,10 +99,13 @@ def masked_representations(params: ModelParams, samples, config: TrainConfig,
     msp_out = np.zeros(n) if msp else None
     for start in range(0, n, config.batch_size):
         chunk = samples[start:start + config.batch_size]
-        x, lengths = encode_batch([s.statements for s in chunk],
-                                  params.encoder, config.max_statements)
+        x, lengths, index = encode_batch([s.statements for s in chunk],
+                                         params.encoder, config.max_statements,
+                                         distinct=True)
         probs = selector_forward(x, params.selector).data
         gates = deterministic_mask(probs, config.gate_mode)
+        if index is not None:
+            x, gates = ad.constant(x.data[index]), gates[index]
         block = gated_block(x, ad.constant(gates), lengths)
         b = len(chunk)
         if config.scoring_mode == "pooled-d":

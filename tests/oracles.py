@@ -14,7 +14,9 @@ the packed rows and the narrow classifier input are checked;
 `dense_affine_grads` is the full-width backward the row-prefix one is
 checked against; `rectify_then_pool_encoding` is the taped encoder with the
 ReLU before the segment max, against whose bits the pool-then-ReLU one is
-checked.
+checked; `occurrence_encoding` and `all_rows_representations` encode and
+gate every kept statement, repeats included, against which the frozen
+pass over distinct statements is checked.
 `kmeans_inertia_history` re-runs `minibatch_kmeans` with 0, 1, ... Lloyd
 rounds to recover the inertia after each round, which the package does not
 keep.
@@ -36,6 +38,7 @@ from leo.losses import (
     batch_cross_entropy,
     classifier_forward,
     cluster_contrastive_loss,
+    gated_block,
     minibatch_kmeans,
     peer_weights,
 )
@@ -307,6 +310,64 @@ def rectify_then_pool_encoding(statements, params, rng) -> ad.Tensor:
     h = ad.conv1d(ad.dropout(emb, params.dropout_retain, rng),
                   params.conv_kernel, params.conv_bias, np.array(starts))
     return ad.segment_max(ad.maximum_const(h, 0.0), np.array(runs))
+
+
+def occurrence_encoding(batch, params, max_statements) -> np.ndarray:
+    """Frozen statement rows the long way: every kept statement, repeats
+    included, is padded to max(L, k) tokens, convolved window by window,
+    max-pooled and rectified, in kept order. The kernel taps come from the
+    one product the folded encoder takes, over the sorted distinct ids of
+    the kept statements (PAD_ID among them when one is shorter than the
+    kernel), and each window adds its taps in kernel order and then the
+    bias, so the rows can be checked against the folded encoder bit for
+    bit."""
+    k, dim, f = params.conv_kernel.data.shape
+    kept = [list(s) for fn in batch for s in fn[:max_statements]]
+    padded = [s + [PAD_ID] * (k - len(s)) for s in kept]
+    uniq = np.array(sorted({t for s in padded for t in s}), dtype=np.int64)
+    rows = params.embedding.data[uniq]
+    rows[uniq == PAD_ID] = 0.0
+    taps = (rows @ params.conv_kernel.data.transpose(1, 0, 2).reshape(dim, k * f)
+            ).reshape(-1, k, f)
+    tap_row = {int(t): i for i, t in enumerate(uniq)}
+    out = np.zeros((len(kept), f))
+    for i, s in enumerate(padded):
+        best = None
+        for w in range(len(s) - k + 1):
+            h = taps[tap_row[s[w]], 0].copy()
+            for j in range(1, k):
+                h = h + taps[tap_row[s[w + j]], j]
+            h = h + params.conv_bias.data
+            best = h if best is None else np.maximum(best, h)
+        out[i] = np.maximum(best, 0.0)
+    return out
+
+
+def all_rows_representations(params, samples, config):
+    """Scoring representations and max-softmax complements with the
+    selector run on every kept statement's row, repeats included, before
+    the rows are gated and placed by gated_block; the classifier runs
+    when the model has one (msp is None without)."""
+    n = len(samples)
+    reps = np.zeros((n, representation_dim(config)))
+    msp = np.zeros(n) if params.classifier is not None else None
+    for start in range(0, n, config.batch_size):
+        chunk = samples[start:start + config.batch_size]
+        x, lengths = encode_batch([s.statements for s in chunk],
+                                  params.encoder, config.max_statements)
+        gates = deterministic_mask(selector_forward(x, params.selector).data,
+                                   config.gate_mode)
+        block = gated_block(x, ad.constant(gates), lengths).data
+        b = len(chunk)
+        if config.scoring_mode == "pooled-d":
+            reps[start:start + b] = (block.sum(axis=1)
+                                     / np.maximum(lengths, 1)[:, None])
+        else:
+            reps[start:start + b, :block[0].size] = block.reshape(b, -1)
+        if msp is not None:
+            probs = classifier_forward(ad.constant(block), params.classifier).data
+            msp[start:start + b] = 1.0 - probs.max(axis=1)
+    return reps, msp
 
 
 def family_d_records(n: int, rng: np.random.Generator) -> list[DatasetRecord]:

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 import leo.autodiff as ad
-from leo.autodiff import GraphError
+import leo.encoder as encoder_module
+from leo.autodiff import GraphError, NumericError
 from leo.config import TrainConfig
 from leo.encoder import encode_batch, init_encoder_params
 from leo.normalize import PAD_ID
@@ -13,6 +14,7 @@ from oracles import (
     encode_function_reference,
     encode_statement_reference,
     finite_difference_check,
+    occurrence_encoding,
     padded_block,
     rectify_then_pool_encoding,
 )
@@ -301,6 +303,93 @@ def test_folded_packed_encoder_matches_statement_oracle():
             out, none = encode_batch(empty, params, cap)
             assert out.data.shape == (0, 5)
             np.testing.assert_array_equal(none, [0] * len(empty))
+
+
+REPEAT_CASES = {
+    "repeats within one function": [[[2, 3, 4], [5, 6], [2, 3, 4], [2, 3, 4]]],
+    "repeats across functions": [[[2, 3, 4], [5]], [[5], [6, 7]], [[2, 3, 4]]],
+    "shorter than the kernel": [[[2], [3, 4], [2]], [[3, 4], [2], [PAD_ID]]],
+    "one a prefix of another": [[[2, 3], [2, 3, 4, 5]], [[2, 3, 4], [2, 3]]],
+    "all identical": [[[4, 5, 6]] * 5, [[4, 5, 6]] * 3],
+    # cap 3: [2, 3] repeats only past it, [4] across the kept rows
+    "repeats cut by max_statements": [[[2, 3], [4], [5], [2, 3], [2, 3]],
+                                      [[6], [4], [7], [4]]],
+    "no repeat": [[[2, 3], [3, 2]], [[2], [3]]],
+}
+
+
+def distinct_kept(batch, cap):
+    return list(dict.fromkeys(tuple(s) for fn in batch for s in fn[:cap]))
+
+
+@pytest.mark.parametrize("kernel", [1, 2, 3])
+@pytest.mark.parametrize("case", list(REPEAT_CASES))
+def test_frozen_rows_match_the_occurrence_oracle_bit_for_bit(case, kernel):
+    """Frozen parameters encode each distinct kept statement once; the rows
+    of every kept statement carry the bits of encoding every occurrence,
+    and with `distinct` index maps each kept statement to its row among
+    the distinct ones, first occurrence first."""
+    batch, cap = REPEAT_CASES[case], 3
+    _, params = make_params(vocab=9, dim=5, kernel=kernel, seed=kernel)
+    params.embedding.data[PAD_ID] = np.random.default_rng(0).normal(size=5)
+    frozen(params)
+    want = occurrence_encoding(batch, params, cap)
+    rows, lengths = encode_batch(batch, params, cap)
+    np.testing.assert_array_equal(lengths, [min(len(fn), cap) for fn in batch])
+    np.testing.assert_array_equal(rows.data, want)
+    distinct, lengths, index = encode_batch(batch, params, cap, distinct=True)
+    keys = distinct_kept(batch, cap)
+    assert distinct.data.shape == (len(keys), 5)
+    if len(keys) == len(want):
+        assert index is None
+        np.testing.assert_array_equal(distinct.data, want)
+    else:
+        kept = [tuple(s) for fn in batch for s in fn[:cap]]
+        np.testing.assert_array_equal(index, [keys.index(s) for s in kept])
+        np.testing.assert_array_equal(distinct.data[index], want)
+
+
+def test_taped_encoder_keeps_a_row_per_kept_statement():
+    """Trainable parameters are encoded occurrence by occurrence, so the
+    taped rows stay one per kept statement and carry no index."""
+    _, params = make_params(dim=4)
+    batch = REPEAT_CASES["all identical"]
+    rows, lengths, index = encode_batch(batch, params, 8, distinct=True)
+    assert index is None and rows.requires_grad
+    assert rows.data.shape == (int(lengths.sum()), 4) == (8, 4)
+
+
+def test_frozen_encoder_convolves_distinct_statements_only(monkeypatch):
+    """One folded conv per batch, over the windows of its distinct kept
+    statements: sum of max(L - k + 1, 1) over them."""
+    windows = []
+    real_conv = encoder_module._folded_conv
+
+    def spy(ids, starts, params):
+        windows.append(len(starts))
+        return real_conv(ids, starts, params)
+
+    monkeypatch.setattr(encoder_module, "_folded_conv", spy)
+    for kernel in (1, 3):
+        _, params = make_params(dim=4, kernel=kernel, seed=kernel)
+        for batch in REPEAT_CASES.values():
+            windows.clear()
+            encode_batch(batch, frozen(params), 3)
+            assert windows == [sum(max(len(s) - kernel + 1, 1)
+                                   for s in distinct_kept(batch, 3))]
+
+
+def test_a_non_finite_row_reached_only_through_a_repeat_still_raises():
+    """Token 8 appears only in a statement that repeats; its NaN embedding
+    row still stops the frozen encoding."""
+    _, params = make_params(dim=4)
+    params.embedding.data[8] = np.nan
+    batch = [[[2, 3], [8, 4]], [[8, 4], [5]], [[2, 3]]]
+    with pytest.raises(NumericError, match="folded conv"):
+        encode_batch(batch, frozen(params), 3)
+    with pytest.raises(NumericError, match="folded conv"):
+        encode_batch(batch, params, 3, distinct=True)
+    encode_batch([[[2, 3]], [[5]]], params, 3)
 
 
 RECTIFY_CASES = {

@@ -196,6 +196,13 @@ def test_report_parse_rejects_a_repeated_row():
         parse_report(text + "auroc,0.7\n")
 
 
+def test_report_parse_rejects_an_unknown_row_by_name():
+    text = render_report(build_report(sset([0.1, 0.7], [0.5]), fingerprint="seed=1"))
+    misspelled = text.replace("fingerprint,seed=1", "fingerprnt,seed=1")
+    with pytest.raises(ValueError, match="report record 7: unknown row 'fingerprnt'"):
+        parse_report(misspelled)
+
+
 @pytest.mark.parametrize("row, value", [("n_id", "1.5"), ("auroc", "high"),
                                         ("n_ood", "")])
 def test_report_parse_names_the_row_it_cannot_read(row, value):

@@ -37,9 +37,9 @@ from leo.train import (
     score_records,
 )
 
-from oracles import (dense_mahalanobis, full_block_representations,
-                     nearest_rank, padded_block, sample_mean_cov,
-                     slot_mask_representations)
+from oracles import (all_rows_representations, dense_mahalanobis,
+                     full_block_representations, nearest_rank, padded_block,
+                     sample_mean_cov, slot_mask_representations)
 
 SMALL = dict(max_statements=4, embed_dim=3, vocab_max=100, selector_hidden=(4,),
              classifier_hidden=(5,), batch_size=2, clusters=1)
@@ -519,6 +519,74 @@ def test_msp_needs_the_classifier():
     assert lean.classifier is None
     with pytest.raises(ValueError, match="classifier"):
         masked_representations(lean, samples, artifact.config, msp=True)
+
+
+def test_frozen_selector_scores_distinct_rows_only(monkeypatch):
+    """Under a rebuilt model the selector sees each batch's distinct kept
+    statements once: FUNCS repeats [2, 3] and [8], and cuts [8] * 6 at
+    max_statements."""
+    artifact, _ = small_artifact()
+    seen = []
+
+    def spy(x, params, rng=None):
+        seen.append(x.data.shape[0])
+        return selector_forward(x, params, rng)
+
+    monkeypatch.setattr(train_module, "selector_forward", spy)
+    samples = samples_of(FUNCS + FUNCS)
+    masked_representations(model_from_artifact(artifact), samples, artifact.config)
+    # batches of two functions, 4, 4, 1, 3 and 4 kept statements:
+    # {[2, 3], [4, 5, 6], [7]}, {[8]}, {[3, 4, 5, 6, 7], [2, 3]},
+    # {[2, 3], [4, 5, 6], [7]}, {[8], [3, 4, 5, 6, 7]}
+    assert seen == [3, 1, 2, 3, 2]
+
+
+def scoring_pair(records, **over):
+    """Representations and max-softmax scores of a rebuilt small model:
+    masked_representations' and the all-rows oracle's."""
+    artifact, _ = small_artifact(records, **over)
+    samples = prepare_samples(records, artifact.vocab, artifact.config)
+    params = model_from_artifact(artifact)
+    return (artifact, samples,
+            masked_representations(params, samples, artifact.config, msp=True),
+            all_rows_representations(params, samples, artifact.config))
+
+
+@pytest.mark.parametrize("scoring_mode", ["pooled-d", "concat-diagonal"])
+def test_a_batch_without_repeats_keeps_the_all_rows_bits(scoring_mode):
+    """No kept statement repeats within a batch (CODE's five functions,
+    one per batch of one), so the distinct pass is the all-rows pass."""
+    records = [DatasetRecord(f"r{i}", code, i % 2) for i, code in enumerate(CODE)]
+    _, samples, (reps, msp), (want_reps, want_msp) = scoring_pair(
+        records, scoring_mode=scoring_mode, batch_size=1, max_statements=3)
+    for s in samples:
+        kept = s.statements[:3]
+        assert len({tuple(x) for x in kept}) == len(kept)
+    np.testing.assert_array_equal(reps, want_reps)
+    np.testing.assert_array_equal(msp, want_msp)
+
+
+@pytest.mark.parametrize("scoring_mode", ["pooled-d", "concat-diagonal"])
+@pytest.mark.parametrize("gate_mode", ["expected", "hard"])
+def test_repeated_statements_move_scores_by_rounding_only(gate_mode, scoring_mode):
+    """Synthetic functions repeat most of their renamed statements; gating
+    each distinct one once keeps Mahalanobis and max-softmax scores within
+    1e-12 of the all-rows pass and every decision where it was."""
+    records, _, _ = generate_synthetic(20, 0, seed=3)
+    artifact, samples, (reps, msp), (want_reps, want_msp) = scoring_pair(
+        records, scoring_mode=scoring_mode, gate_mode=gate_mode,
+        max_statements=20, batch_size=16)
+    kept = [tuple(s) for f in samples for s in f.statements[:20]]
+    assert len(set(kept)) < 0.25 * len(kept)
+    scores = mahalanobis_scores(reps, artifact.stats)
+    want = mahalanobis_scores(want_reps, artifact.stats)
+    np.testing.assert_allclose(scores, want, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(msp, want_msp, rtol=1e-12, atol=0)
+    for got, ref in ((scores, want), (msp, want_msp)):
+        levels = np.unique(ref)
+        cut = len(levels) * 4 // 5
+        threshold = (levels[cut - 1] + levels[cut]) / 2
+        np.testing.assert_array_equal(got > threshold, ref > threshold)
 
 
 def test_mahalanobis_scoring_never_runs_or_widens_the_classifier(monkeypatch):
