@@ -21,10 +21,12 @@ frozen parameters (a model rebuilt from an artifact) there is no dropout or
 tape, and the embedding is folded into the convolution: the batch's
 distinct ids go through the kernel taps in one small product, each window
 sums its k gathered tap rows, and no im2col matrix is built. That path also
-encodes each distinct statement (token id sequence) of the batch once:
-identifier renaming makes most statements repeats, and the distinct
-statements hold the same ids as all of them, so the tap product and every
-window sum, and hence every row, keep their bits.
+encodes each distinct statement (token id sequence) of the batch once,
+and returns which row each kept statement reads. Identifier renaming makes
+repeats common (on the synthetic corpus 6.9% of a 64-function request's
+kept statements are distinct; real C code is not measured), and the
+distinct statements hold the same ids as all of them, so the tap product
+and every window sum, and hence every row, keep their bits.
 """
 from __future__ import annotations
 
@@ -140,10 +142,10 @@ def _folded_conv(ids, starts, params: EncoderParams) -> np.ndarray:
 
 
 def encode_batch(batch: list[list], params: EncoderParams, max_statements: int,
-                 rng: np.random.Generator | None = None, *, distinct: bool = False):
+                 rng: np.random.Generator | None = None):
     """Encode a batch of functions (each a list of token id sequences) and
-    return the (S, dim) rows of the S kept statements plus the per-function
-    true lengths.
+    return (rows, lengths, index): the statement rows, the per-function true
+    lengths, and which row each kept statement reads.
 
     The first min(count, max_statements) statements of each function are
     kept, in order, function after function: function f owns rows
@@ -153,10 +155,9 @@ def encode_batch(batch: list[list], params: EncoderParams, max_statements: int,
     requires a gradient the encoding is tape-free and folds the conv taps,
     a dropout rng is an error, and each distinct statement is encoded once.
 
-    With `distinct` the result is (rows, lengths, index): kept statement s
-    is row index[s] of rows, the distinct statements in first-occurrence
-    order. index is None when rows are already one per kept statement: on
-    the taped path, or when no kept statement repeats.
+    Kept statement s is row index[s] of rows, the distinct statements in
+    first-occurrence order. index is None when rows are one per kept
+    statement: on the taped path, or when no kept statement repeats.
     """
     folded = not any(t.requires_grad for t in
                      (params.embedding, params.conv_kernel, params.conv_bias))
@@ -176,8 +177,4 @@ def encode_batch(batch: list[list], params: EncoderParams, max_statements: int,
             flat = list(row)
     rows = (_encode_packed(flat, params, rng, folded) if flat
             else ad.constant(np.zeros((0, params.dim))))
-    if distinct:
-        return rows, true_lengths, index
-    if index is not None:
-        rows = ad.constant(rows.data[index])
-    return rows, true_lengths
+    return rows, true_lengths, index

@@ -100,8 +100,7 @@ def masked_representations(params: ModelParams, samples, config: TrainConfig,
     for start in range(0, n, config.batch_size):
         chunk = samples[start:start + config.batch_size]
         x, lengths, index = encode_batch([s.statements for s in chunk],
-                                         params.encoder, config.max_statements,
-                                         distinct=True)
+                                         params.encoder, config.max_statements)
         probs = selector_forward(x, params.selector).data
         gates = deterministic_mask(probs, config.gate_mode)
         if index is not None:
@@ -165,9 +164,9 @@ def _train_parameters(config: TrainConfig, vocab_size: int, train_samples,
             labels = labels_all[idx]
             try:
                 if not config.ablate_cd:
-                    x1, lengths1 = encode_batch(batch, params.encoder,
-                                                config.max_statements,
-                                                rng=dropout_rng)
+                    x1, lengths1, _ = encode_batch(batch, params.encoder,
+                                                   config.max_statements,
+                                                   rng=dropout_rng)
                     loss1 = data_distribution_loss(
                         x1, lengths1, labels, params.classifier,
                         relax_temp=config.relax_temp, rng=dd_rng,
@@ -176,9 +175,9 @@ def _train_parameters(config: TrainConfig, vocab_size: int, train_samples,
                     dd_losses.append(float(loss1.data))
                     del x1, loss1  # step 1's activations end before step 2
 
-                x2, lengths2 = encode_batch(batch, params.encoder,
-                                            config.max_statements,
-                                            rng=dropout_rng)
+                x2, lengths2, _ = encode_batch(batch, params.encoder,
+                                               config.max_statements,
+                                               rng=dropout_rng)
                 parts = joint_loss(
                     x2, lengths2, labels, params.selector, params.classifier,
                     relax_temp=config.relax_temp,

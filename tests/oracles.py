@@ -16,7 +16,8 @@ checked against; `rectify_then_pool_encoding` is the taped encoder with the
 ReLU before the segment max, against whose bits the pool-then-ReLU one is
 checked; `occurrence_encoding` and `all_rows_representations` encode and
 gate every kept statement, repeats included, against which the frozen
-pass over distinct statements is checked.
+pass over distinct statements is checked, and `kept_rows` expands
+encode_batch's distinct rows to one per kept statement.
 `kmeans_inertia_history` re-runs `minibatch_kmeans` with 0, 1, ... Lloyd
 rounds to recover the inertia after each round, which the package does not
 keep.
@@ -312,6 +313,15 @@ def rectify_then_pool_encoding(statements, params, rng) -> ad.Tensor:
     return ad.segment_max(ad.maximum_const(h, 0.0), np.array(runs))
 
 
+def kept_rows(encoded):
+    """encode_batch's (rows, lengths, index) as (rows, lengths) with one
+    row per kept statement: distinct rows are expanded by the index."""
+    rows, lengths, index = encoded
+    if index is not None:
+        rows = ad.constant(rows.data[index])
+    return rows, lengths
+
+
 def occurrence_encoding(batch, params, max_statements) -> np.ndarray:
     """Frozen statement rows the long way: every kept statement, repeats
     included, is padded to max(L, k) tokens, convolved window by window,
@@ -353,8 +363,8 @@ def all_rows_representations(params, samples, config):
     msp = np.zeros(n) if params.classifier is not None else None
     for start in range(0, n, config.batch_size):
         chunk = samples[start:start + config.batch_size]
-        x, lengths = encode_batch([s.statements for s in chunk],
-                                  params.encoder, config.max_statements)
+        x, lengths = kept_rows(encode_batch([s.statements for s in chunk],
+                                            params.encoder, config.max_statements))
         gates = deterministic_mask(selector_forward(x, params.selector).data,
                                    config.gate_mode)
         block = gated_block(x, ad.constant(gates), lengths).data
@@ -427,8 +437,8 @@ def full_block_representations(params, samples, config):
     msp = np.zeros(n)
     for start in range(0, n, config.batch_size):
         chunk = samples[start:start + config.batch_size]
-        rows, lengths = encode_batch([s.statements for s in chunk],
-                                     params.encoder, m)
+        rows, lengths = kept_rows(encode_batch([s.statements for s in chunk],
+                                               params.encoder, m))
         x = padded_block(rows.data, lengths, m)
         b = len(chunk)
         probs = selector_forward(ad.constant(x.reshape(b * m, -1)),
@@ -456,8 +466,8 @@ def slot_mask_representations(params, samples, config):
     slots = np.arange(config.max_statements)
     for start in range(0, len(samples), config.batch_size):
         chunk = samples[start:start + config.batch_size]
-        x, lengths = encode_batch([s.statements for s in chunk],
-                                  params.encoder, config.max_statements)
+        x, lengths = kept_rows(encode_batch([s.statements for s in chunk],
+                                            params.encoder, config.max_statements))
         probs = selector_forward(x, params.selector).data
         masked = x.data * deterministic_mask(probs, config.gate_mode)[:, None]
         if config.scoring_mode == "pooled-d":

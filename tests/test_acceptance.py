@@ -165,7 +165,7 @@ def _joint_toy():
     labels = [0, 1, 1, 0]
 
     def loss_fn():
-        x, lengths = encode_batch(batch, enc, 5)
+        x, lengths, _ = encode_batch(batch, enc, 5)
         parts = joint_loss(x, lengths, labels, sel, cls, relax_temp=0.5,
                            temperature=0.5, contrastive_weight=0.1,
                            clusters=1, rng=np.random.default_rng(43))

@@ -14,6 +14,7 @@ from oracles import (
     encode_function_reference,
     encode_statement_reference,
     finite_difference_check,
+    kept_rows,
     occurrence_encoding,
     padded_block,
     rectify_then_pool_encoding,
@@ -48,7 +49,7 @@ def encode_one(statements, params, max_statements=None):
     """encode_batch on a batch of one function -> its (max_statements, dim)
     statement matrix, zero rows after its statements."""
     max_statements = max_statements or max(len(statements), 1)
-    out, lengths = encode_batch([statements], params, max_statements)
+    out, lengths, _ = encode_batch([statements], params, max_statements)
     return padded_block(out.data, lengths, max_statements)[0]
 
 
@@ -114,7 +115,7 @@ def test_embed_rejects_empty_and_out_of_range():
     with pytest.raises(GraphError):
         encode_batch([[[7]]], params, max_statements=2)
     # without a dropout rng there is no dropout (retain is 0.8 here)
-    out, _ = encode_batch([[[2]]], params, max_statements=2, rng=None)
+    out, _, _ = encode_batch([[[2]]], params, max_statements=2, rng=None)
     np.testing.assert_allclose(out.data, oracle([[2]], params, 2)[:1],
                                atol=1e-12, rtol=0)
 
@@ -128,7 +129,7 @@ def test_embed_dropout_monte_carlo_mean():
     batch = [[[2]] * 200]
     total = np.zeros(4)
     for _ in range(500):
-        out, _ = encode_batch(batch, params, 200, rng=rng)
+        out, _, _ = encode_batch(batch, params, 200, rng=rng)
         total += out.data.sum(axis=0)
     mean = total / (200 * 500)
     assert np.all(np.abs(mean - reference) <= 0.02 * np.abs(reference))
@@ -188,15 +189,15 @@ def test_encode_short_statement_matches_manual_zero_pad():
 def test_encode_function_padding_and_truncation():
     _, params = make_params(dim=4)
     m = encode_one([[2, 3], [4], [5, 6, 7]], params, max_statements=8)
-    _, lengths = encode_batch([[[2, 3], [4], [5, 6, 7]]], params, 8)
+    _, lengths, _ = encode_batch([[[2, 3], [4], [5, 6, 7]]], params, 8)
     assert m.shape == (8, 4) and lengths.tolist() == [3]
     assert np.all(m[3:] == 0.0)
     assert np.any(m[:3] != 0.0)
 
-    out, lengths = encode_batch([[[2, 3]] * 12], params, max_statements=8)
+    out, lengths, _ = encode_batch([[[2, 3]] * 12], params, max_statements=8)
     assert lengths.tolist() == [8] and out.data.shape == (8, 4)
 
-    empty, lengths = encode_batch([[]], params, max_statements=8)
+    empty, lengths, _ = encode_batch([[]], params, max_statements=8)
     assert lengths.tolist() == [0] and empty.data.shape == (0, 4)
 
 
@@ -226,7 +227,7 @@ RAGGED_BATCH = [
 def test_encode_batch_matches_per_function():
     for kernel in (1, 2, 3, 5):
         _, params = make_params(dim=4, kernel=kernel, seed=kernel)
-        out, lengths = encode_batch(RAGGED_BATCH, params, max_statements=3)
+        out, lengths, _ = encode_batch(RAGGED_BATCH, params, max_statements=3)
         assert out.data.shape == (7, 4)
         np.testing.assert_array_equal(lengths, [3, 0, 3, 1])
         block = padded_block(out.data, lengths, 3)
@@ -239,7 +240,7 @@ def test_encode_batch_zero_rows_past_true_length():
     """No row stands for a slot past a function's true length: the rows are
     the kept statements and nothing else."""
     _, params = make_params(dim=4)
-    out, lengths = encode_batch(RAGGED_BATCH, params, max_statements=6)
+    out, lengths, _ = encode_batch(RAGGED_BATCH, params, max_statements=6)
     np.testing.assert_array_equal(lengths, [len(fn) for fn in RAGGED_BATCH])
     assert out.data.shape == (sum(map(len, RAGGED_BATCH)), 4)
     assert np.all(out.data.any(axis=1))
@@ -247,9 +248,9 @@ def test_encode_batch_zero_rows_past_true_length():
 
 def test_encode_batch_empty_inputs():
     _, params = make_params(dim=4)
-    out, lengths = encode_batch([], params, max_statements=3)
+    out, lengths, _ = encode_batch([], params, max_statements=3)
     assert out.data.shape == (0, 4) and lengths.shape == (0,)
-    out2, lengths2 = encode_batch([[], []], params, max_statements=3)
+    out2, lengths2, _ = encode_batch([[], []], params, max_statements=3)
     assert out2.data.shape == (0, 4)
     np.testing.assert_array_equal(lengths2, [0, 0])
 
@@ -263,8 +264,9 @@ def test_frozen_encoder_rows_match_the_taped_rows():
     for make, rtol in ((identity_params, 0.0), (lambda: make_params(dim=4), 1e-12)):
         _, taped = make()
         _, folded = make()
-        rows, lengths = encode_batch(batch, taped, max_statements=3)
-        frozen_rows, frozen_lengths = encode_batch(batch, frozen(folded), 3)
+        rows, lengths, _ = encode_batch(batch, taped, max_statements=3)
+        frozen_rows, frozen_lengths = kept_rows(
+            encode_batch(batch, frozen(folded), 3))
         assert rows.requires_grad and not frozen_rows.requires_grad
         np.testing.assert_array_equal(lengths, [3, 0, 3, 1, 3])
         np.testing.assert_array_equal(frozen_lengths, lengths)
@@ -290,7 +292,7 @@ def test_folded_packed_encoder_matches_statement_oracle():
         _, params = make_params(vocab=12, dim=5, kernel=kernel, seed=kernel)
         params.embedding.data[PAD_ID] = rng.normal(size=5)
         params.conv_bias.data = rng.normal(0.0, 0.1, size=5)
-        rows, lengths = encode_batch(batch, frozen(params), cap)
+        rows, lengths = kept_rows(encode_batch(batch, frozen(params), cap))
         np.testing.assert_array_equal(lengths, [3, 0, 3, 6, 1])
         kept = [s for fn in batch for s in fn[:cap]]
         assert rows.data.shape == (len(kept), 5)
@@ -300,7 +302,7 @@ def test_folded_packed_encoder_matches_statement_oracle():
                                               params.conv_bias.data, PAD_ID)
             np.testing.assert_allclose(row, want, rtol=1e-12, atol=0)
         for empty in ([], [[], []]):
-            out, none = encode_batch(empty, params, cap)
+            out, none, _ = encode_batch(empty, params, cap)
             assert out.data.shape == (0, 5)
             np.testing.assert_array_equal(none, [0] * len(empty))
 
@@ -325,28 +327,26 @@ def distinct_kept(batch, cap):
 @pytest.mark.parametrize("kernel", [1, 2, 3])
 @pytest.mark.parametrize("case", list(REPEAT_CASES))
 def test_frozen_rows_match_the_occurrence_oracle_bit_for_bit(case, kernel):
-    """Frozen parameters encode each distinct kept statement once; the rows
-    of every kept statement carry the bits of encoding every occurrence,
-    and with `distinct` index maps each kept statement to its row among
-    the distinct ones, first occurrence first."""
+    """Frozen parameters encode each distinct kept statement once, first
+    occurrence first; index maps each kept statement to its row (None when
+    nothing repeats), and the rows so read carry the bits of encoding every
+    occurrence."""
     batch, cap = REPEAT_CASES[case], 3
     _, params = make_params(vocab=9, dim=5, kernel=kernel, seed=kernel)
     params.embedding.data[PAD_ID] = np.random.default_rng(0).normal(size=5)
     frozen(params)
     want = occurrence_encoding(batch, params, cap)
-    rows, lengths = encode_batch(batch, params, cap)
+    encoded = encode_batch(batch, params, cap)
+    distinct, lengths, index = encoded
     np.testing.assert_array_equal(lengths, [min(len(fn), cap) for fn in batch])
-    np.testing.assert_array_equal(rows.data, want)
-    distinct, lengths, index = encode_batch(batch, params, cap, distinct=True)
     keys = distinct_kept(batch, cap)
     assert distinct.data.shape == (len(keys), 5)
     if len(keys) == len(want):
         assert index is None
-        np.testing.assert_array_equal(distinct.data, want)
     else:
         kept = [tuple(s) for fn in batch for s in fn[:cap]]
         np.testing.assert_array_equal(index, [keys.index(s) for s in kept])
-        np.testing.assert_array_equal(distinct.data[index], want)
+    np.testing.assert_array_equal(kept_rows(encoded)[0].data, want)
 
 
 def test_taped_encoder_keeps_a_row_per_kept_statement():
@@ -354,7 +354,7 @@ def test_taped_encoder_keeps_a_row_per_kept_statement():
     taped rows stay one per kept statement and carry no index."""
     _, params = make_params(dim=4)
     batch = REPEAT_CASES["all identical"]
-    rows, lengths, index = encode_batch(batch, params, 8, distinct=True)
+    rows, lengths, index = encode_batch(batch, params, 8)
     assert index is None and rows.requires_grad
     assert rows.data.shape == (int(lengths.sum()), 4) == (8, 4)
 
@@ -387,8 +387,6 @@ def test_a_non_finite_row_reached_only_through_a_repeat_still_raises():
     batch = [[[2, 3], [8, 4]], [[8, 4], [5]], [[2, 3]]]
     with pytest.raises(NumericError, match="folded conv"):
         encode_batch(batch, frozen(params), 3)
-    with pytest.raises(NumericError, match="folded conv"):
-        encode_batch(batch, params, 3, distinct=True)
     encode_batch([[[2, 3]], [[5]]], params, 3)
 
 
@@ -441,7 +439,7 @@ def test_packed_encoding_is_inference_only_and_records_no_tape():
     frozen(params)
     with pytest.raises(GraphError):
         encode_batch(RAGGED_BATCH, params, 3, rng=np.random.default_rng(0))
-    rows, _ = encode_batch(RAGGED_BATCH, params, 3)
+    rows, _, _ = encode_batch(RAGGED_BATCH, params, 3)
     assert not rows.requires_grad and rows._parents == () and rows._backward is None
 
 
@@ -458,8 +456,8 @@ def test_packed_encoding_raises_on_a_non_finite_reached_row():
 def test_encode_batch_statement_order_permutes_rows():
     _, params = make_params(dim=4)
     s1, s2, s3 = [2, 3], [4, 5, 6], [7]
-    a, _ = encode_batch([[s1, s2, s3]], params, max_statements=4)
-    b, _ = encode_batch([[s3, s1, s2]], params, max_statements=4)
+    a, _, _ = encode_batch([[s1, s2, s3]], params, max_statements=4)
+    b, _, _ = encode_batch([[s3, s1, s2]], params, max_statements=4)
     np.testing.assert_allclose(a.data[0], b.data[1], atol=1e-12, rtol=0)
     np.testing.assert_allclose(a.data[1], b.data[2], atol=1e-12, rtol=0)
     np.testing.assert_allclose(a.data[2], b.data[0], atol=1e-12, rtol=0)
@@ -467,12 +465,12 @@ def test_encode_batch_statement_order_permutes_rows():
 
 def test_encode_batch_train_mode_deterministic_given_seed():
     _, params = make_params(dim=4)
-    a, _ = encode_batch(RAGGED_BATCH, params, max_statements=3,
-                        rng=np.random.default_rng(7))
-    b, _ = encode_batch(RAGGED_BATCH, params, max_statements=3,
-                        rng=np.random.default_rng(7))
-    c, _ = encode_batch(RAGGED_BATCH, params, max_statements=3,
-                        rng=np.random.default_rng(8))
+    a, _, _ = encode_batch(RAGGED_BATCH, params, max_statements=3,
+                           rng=np.random.default_rng(7))
+    b, _, _ = encode_batch(RAGGED_BATCH, params, max_statements=3,
+                           rng=np.random.default_rng(7))
+    c, _, _ = encode_batch(RAGGED_BATCH, params, max_statements=3,
+                           rng=np.random.default_rng(8))
     np.testing.assert_array_equal(a.data, b.data)
     assert not np.array_equal(a.data, c.data)
 
@@ -517,7 +515,7 @@ def test_encode_batch_short_exact_and_capped_statements_in_one_batch():
 
 def test_pad_embedding_row_gets_no_gradient():
     store, params = make_params(dim=4)
-    out, _ = encode_batch(RAGGED_BATCH, params, max_statements=3)
+    out, _, _ = encode_batch(RAGGED_BATCH, params, max_statements=3)
     loss = ad.reduce_sum(ad.mul(out, out))
     ad.backward(loss)
     grad = params.embedding.grad
@@ -536,7 +534,7 @@ def test_finite_difference_through_batched_encode():
     coeff = ad.constant(np.random.default_rng(11).normal(size=(4, 3)))
 
     def loss_fn():
-        out, _ = encode_batch(batch, params, max_statements=3)
+        out, _, _ = encode_batch(batch, params, max_statements=3)
         return ad.reduce_sum(ad.mul(out, coeff))
 
     report = finite_difference_check(loss_fn, dict(store.items()),
@@ -550,8 +548,8 @@ def test_finite_difference_through_train_mode_encode():
     coeff = ad.constant(np.random.default_rng(12).normal(size=(4, 3)))
 
     def loss_fn():
-        out, _ = encode_batch(batch, params, max_statements=3,
-                              rng=np.random.default_rng(99))
+        out, _, _ = encode_batch(batch, params, max_statements=3,
+                                 rng=np.random.default_rng(99))
         return ad.reduce_sum(ad.mul(out, coeff))
 
     report = finite_difference_check(loss_fn, dict(store.items()),

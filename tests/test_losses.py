@@ -196,7 +196,7 @@ def test_distribution_loss_never_touches_selector():
     sel = init_selector_params(store, 3, rng, hidden_sizes=(4, 4, 4))
     clf = init_classifier_params(store, 4 * 3, rng, hidden_sizes=(5, 4))
     batch = [[[2, 3], [4, 5, 6]], [[7]]]
-    x, lengths = encode_batch(batch, enc, max_statements=4)
+    x, lengths, _ = encode_batch(batch, enc, max_statements=4)
     loss = data_distribution_loss(x, lengths, [0, 1], clf, relax_temp=0.5,
                                   rng=np.random.default_rng(13))
     ad.backward(loss)
@@ -595,7 +595,7 @@ def test_joint_loss_full_stack_gradient_through_encoder():
     labels = np.array([1, 1])
 
     def loss_fn():
-        x, n = encode_batch(batch, enc, max_statements=4)
+        x, n, _ = encode_batch(batch, enc, max_statements=4)
         parts = joint_loss(x, n, labels, sel, clf, relax_temp=0.5,
                            temperature=0.5, contrastive_weight=0.1, clusters=2,
                            rng=np.random.default_rng(23))
@@ -637,11 +637,11 @@ def test_packed_losses_match_the_dense_padded_oracle(capped, dropout_seed):
 
     def packed(seed=dropout_seed):
         drop = dropout_rng(seed)
-        x1, n1 = encode_batch(batch, enc, rows)
+        x1, n1, _ = encode_batch(batch, enc, rows)
         loss1 = data_distribution_loss(x1, n1, labels, clf, relax_temp=0.5,
                                        rng=np.random.default_rng(2),
                                        dropout_rng=drop)
-        x2, n2 = encode_batch(batch, enc, rows)
+        x2, n2, _ = encode_batch(batch, enc, rows)
         parts = joint_loss(x2, n2, labels, sel, clf, relax_temp=0.5,
                            temperature=0.5, contrastive_weight=0.1, clusters=2,
                            rng=np.random.default_rng(5), dropout_rng=drop)
@@ -649,7 +649,7 @@ def test_packed_losses_match_the_dense_padded_oracle(capped, dropout_seed):
         return loss1, parts.total
 
     def padded():
-        x, n = encode_batch(batch, enc, rows)
+        x, n, _ = encode_batch(batch, enc, rows)
         return padded_losses(x, n, labels, sel, clf,
                              dd_rng=np.random.default_rng(2),
                              joint_rng=np.random.default_rng(5),
@@ -726,7 +726,7 @@ def test_one_step_draws_uniforms_only_for_real_statements():
     kept = [s for fn in batch for s in fn[:cap]]
     n = len(kept)
     dropout, gumbel = CountingGenerator(1), CountingGenerator(2)
-    x, lengths = encode_batch(batch, enc, cap, rng=dropout)
+    x, lengths, _ = encode_batch(batch, enc, cap, rng=dropout)
     joint_loss(x, lengths, [1, 0, 1, 1], sel, clf, relax_temp=0.5,
                temperature=0.5, contrastive_weight=0.1, clusters=2,
                rng=gumbel, dropout_rng=dropout)

@@ -615,8 +615,8 @@ def test_step1_never_touches_selector_params():
     adam = Adam(lr=cfg.learning_rate)
 
     before = _values(params)
-    x, lengths = encode_batch([s.statements for s in samples[:16]],
-                              params.encoder, cfg.max_statements)
+    x, lengths, _ = encode_batch([s.statements for s in samples[:16]],
+                                 params.encoder, cfg.max_statements)
     loss = data_distribution_loss(
         x, lengths, [s.label for s in samples[:16]], params.classifier,
         relax_temp=cfg.relax_temp, rng=np.random.default_rng(1))
@@ -639,7 +639,7 @@ def test_statementless_batch_leaves_encoder_and_its_moments_alone():
     adam = Adam(lr=cfg.learning_rate)
 
     def step(batch, labels):
-        x, lengths = encode_batch(batch, params.encoder, cfg.max_statements)
+        x, lengths, _ = encode_batch(batch, params.encoder, cfg.max_statements)
         parts = joint_loss(
             x, lengths, np.array(labels), params.selector, params.classifier,
             relax_temp=cfg.relax_temp, temperature=cfg.contrastive_temp,

@@ -44,7 +44,7 @@ from leo.selector import deterministic_mask, selector_forward
 from leo.synth import generate_synthetic
 from leo.train import prepare_samples, score_records, train
 
-from oracles import family_d_records
+from oracles import family_d_records, kept_rows
 
 MODELS = (("trained", {}), ("ablate_cd", {"ablate_cd": True}),
           ("untrained", {"learning_rate": 1e-12}),
@@ -67,8 +67,8 @@ def scoring_pass(artifact, records):
     config = artifact.config
     params = model_from_artifact(artifact)
     samples = prepare_samples(records, artifact.vocab, config)
-    rows, lengths = encode_batch([s.statements for s in samples],
-                                 params.encoder, config.max_statements)
+    rows, lengths = kept_rows(encode_batch([s.statements for s in samples],
+                                           params.encoder, config.max_statements))
     keep = selector_forward(rows, params.selector).data
     gated = rows.data * deterministic_mask(keep, config.gate_mode)[:, None]
     block = np.zeros((len(samples), config.max_statements, rows.data.shape[1]))

@@ -38,8 +38,8 @@ from leo.train import (
 )
 
 from oracles import (all_rows_representations, dense_mahalanobis,
-                     full_block_representations, nearest_rank, padded_block,
-                     sample_mean_cov, slot_mask_representations)
+                     full_block_representations, kept_rows, nearest_rank,
+                     padded_block, sample_mean_cov, slot_mask_representations)
 
 SMALL = dict(max_statements=4, embed_dim=3, vocab_max=100, selector_hidden=(4,),
              classifier_hidden=(5,), batch_size=2, clusters=1)
@@ -100,7 +100,7 @@ def test_concat_mode_flattens_row_major():
     """The gated (functions, 4, 3) block of the scoring encoding (the packed
     rows), flattened row-major."""
     concat, params = representations("concat-diagonal")
-    rows, lengths = encode_batch(FUNCS, params.encoder, 4)
+    rows, lengths = kept_rows(encode_batch(FUNCS, params.encoder, 4))
     gates = selector_forward(rows, params.selector).data
     gated = padded_block(rows.data * gates[:, None], lengths, 4)
     np.testing.assert_array_equal(concat, gated.reshape(len(FUNCS), 12))
@@ -477,7 +477,8 @@ def test_msp_score_examples():
     scores, _ = score_records(artifact, records, use_msp=True)
     params = model_from_artifact(artifact)
     samples = prepare_samples(records, artifact.vocab, artifact.config)
-    x, lengths = encode_batch([s.statements for s in samples], params.encoder, 4)
+    x, lengths = kept_rows(encode_batch([s.statements for s in samples],
+                                         params.encoder, 4))
     gates = selector_forward(x, params.selector).data
     block = padded_block(x.data * gates[:, None], lengths, 4)
     probs = classifier_forward(ad.constant(block), params.classifier).data
@@ -697,7 +698,7 @@ def test_rebuilt_model_records_no_tape():
     artifact, records = small_artifact()
     params = model_from_artifact(artifact)
     samples = prepare_samples(records, artifact.vocab, artifact.config)
-    x, _ = encode_batch([s.statements for s in samples], params.encoder, 4)
+    x, _, _ = encode_batch([s.statements for s in samples], params.encoder, 4)
     probs = selector_forward(x, params.selector)
     assert not probs.requires_grad
     assert probs._parents == () and probs._backward is None
