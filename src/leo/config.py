@@ -3,6 +3,7 @@ format, and the fingerprint string stamped into evaluation reports.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .scoring import SCORING_MODES
@@ -41,13 +42,25 @@ class TrainConfig:
         self.selector_hidden = tuple(int(w) for w in self.selector_hidden)
         self.classifier_hidden = tuple(int(w) for w in self.classifier_hidden)
         self.validate()
+        # an int in a float field is kept as the float its CONF text reads back
+        for name, kind in _FIELD_TYPES.items():
+            if kind == "float":
+                setattr(self, name, float(getattr(self, name)))
 
     def validate(self):
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        """Every value must be one its CONF text reads back: a bool only in
+        a bool field, an int in an int field, a finite int or float in a
+        float field. Then each field's range."""
         for name, kind in _FIELD_TYPES.items():
-            least = 2 if name == "vocab_max" else 1  # room for <pad>, <unk>
-            if kind == "int" and name != "seed" and getattr(self, name) < least:
+            value = getattr(self, name)
+            if (not isinstance(value, _ACCEPTED[kind])
+                    or isinstance(value, bool) != (kind == "bool")):
+                raise ValueError(f"{name} must be of type {kind}, not {value!r}")
+            if kind == "float" and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, not {value!r}")
+            # vocab_max leaves room for <pad> and <unk>
+            least = 0 if name == "seed" else 2 if name == "vocab_max" else 1
+            if kind == "int" and value < least:
                 raise ValueError(f"{name} must be at least {least}")
         for name in ("relax_temp", "contrastive_temp", "learning_rate",
                      "clip_norm"):
@@ -101,6 +114,10 @@ def _parse_bool(raw: str) -> bool:
 
 # Each key's type is its TrainConfig annotation, a string under postponed evaluation.
 _FIELD_TYPES = {f.name: f.type for f in fields(TrainConfig)}
+# The Python types each annotation accepts; bool, an int subclass, is
+# told apart in validate.
+_ACCEPTED = {"int": int, "float": (int, float), "str": str, "bool": bool,
+             "tuple": tuple}
 _PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool,
             "tuple": lambda raw: tuple(int(w) for w in raw.split(",") if w.strip())}
 

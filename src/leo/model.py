@@ -65,7 +65,6 @@ class ModelArtifact:
     threshold: float
     quantile: float = 0.95
     log_digest: str = ""
-    version: int = VERSION
 
 
 @dataclass
@@ -281,7 +280,7 @@ def serialize_model(artifact: ModelArtifact) -> bytes:
         b"THRS": struct.pack("<dd", artifact.threshold, artifact.quantile),
         b"LOGD": artifact.log_digest.encode("utf-8"),
     }
-    body = [MAGIC, struct.pack("<I", artifact.version)]
+    body = [MAGIC, struct.pack("<I", VERSION)]
     for tag in _SECTION_ORDER:
         payload = sections[tag]
         body.append(tag + struct.pack("<I", len(payload)) + payload)
@@ -335,7 +334,6 @@ def deserialize_model(blob: bytes) -> ModelArtifact:
             threshold=threshold,
             quantile=quantile,
             log_digest=str(sections[b"LOGD"], "utf-8"),
-            version=version,
         )
     except ModelFormatError:
         raise

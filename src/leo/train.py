@@ -7,12 +7,12 @@ and never reaches the selector; the second trains the selector, classifier,
 and encoder jointly on the gated cross-entropy plus the weighted
 cluster-contrastive term. Dropout and relaxed gates are sampled only here,
 where a dropout rng is passed; every forward pass without one is
-deterministic. After the final epoch the parameters are rounded to their
-stored float32 form and rebuilt frozen, without the classifier, by
+deterministic. An epoch's log line and log digest row reduce over one record
+per batch. After the final epoch the parameters are rounded to their stored
+float32 form and rebuilt frozen, without the classifier, by
 model_from_artifact, the same rebuild Mahalanobis scoring uses: cluster
-statistics are fit on the training split's masked representations under
-that model, and the decision threshold is calibrated on the validation
-split.
+statistics are fit on the training split's masked representations under that
+model, and the decision threshold is calibrated on the validation split.
 """
 from __future__ import annotations
 
@@ -46,9 +46,7 @@ class TrainingError(RuntimeError):
 
 @dataclass
 class PreparedSample:
-    sample_id: str
     label: int
-    cwe: str
     statements: list
 
 
@@ -70,7 +68,7 @@ def prepare_samples(records, vocab: Vocabulary, config: TrainConfig):
         ids = encode_tokens(list(chain.from_iterable(capped)), vocab)
         ends = accumulate(map(len, capped))
         statements = [ids[end - len(stmt):end] for stmt, end in zip(capped, ends)]
-        samples.append(PreparedSample(r.sample_id, r.label, r.cwe, statements))
+        samples.append(PreparedSample(r.label, statements))
     return samples
 
 
@@ -156,12 +154,12 @@ def _train_parameters(config: TrainConfig, vocab_size: int, train_samples,
     digest_lines = ["epoch,distribution_loss,gated_ce,contrastive"]
     for epoch in range(config.epochs):
         order = order_rng.permutation(n)
-        dd_losses, ce_losses, ccl_losses, norms1, norms2 = [], [], [], [], []
-        gate_total, live_total, clusters, anchors = 0.0, 0, [], []
+        records = []
         for batch_no, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start:start + config.batch_size]
             batch = [train_samples[i].statements for i in idx]
             labels = labels_all[idx]
+            record = {}  # Python numbers only: no step's arrays outlive it
             try:
                 if not config.ablate_cd:
                     x1, lengths1, _ = encode_batch(batch, params.encoder,
@@ -171,8 +169,8 @@ def _train_parameters(config: TrainConfig, vocab_size: int, train_samples,
                         x1, lengths1, labels, params.classifier,
                         relax_temp=config.relax_temp, rng=dd_rng,
                         dropout_rng=dropout_rng)
-                    norms1.append(update(loss1, "distribution loss"))
-                    dd_losses.append(float(loss1.data))
+                    record["norm1"] = update(loss1, "distribution loss")
+                    record["distribution"] = float(loss1.data)
                     del x1, loss1  # step 1's activations end before step 2
 
                 x2, lengths2, _ = encode_batch(batch, params.encoder,
@@ -185,25 +183,29 @@ def _train_parameters(config: TrainConfig, vocab_size: int, train_samples,
                     contrastive_weight=weight, clusters=config.clusters,
                     rng=joint_rng, variant=config.contrastive_variant,
                     kmeans_iters=config.kmeans_iters, dropout_rng=dropout_rng)
-                norms2.append(update(parts.total, "joint loss"))
+                record["norm2"] = update(parts.total, "joint loss")
             except NumericError as exc:
                 raise TrainingError(
                     f"aborting: epoch {epoch} batch {batch_no}: {exc}") from exc
-            ce_losses.append(float(parts.cross_entropy.data))
-            ccl_losses.append(float(parts.contrastive.data))
-            gate_total += float(parts.gates.data.sum())
-            live_total += int(lengths2.sum())
-            clusters.append(parts.assignment.k_effective if parts.assignment else 0)
-            anchors.append(parts.anchors)
-        digest_lines.append(
-            f"{epoch},{_mean(dd_losses)!r},{_mean(ce_losses)!r},{_mean(ccl_losses)!r}")
-        log.info("epoch %d: distribution %.4f, gated CE %.4f, contrastive %.4f, "
-                 "mean step-2 gate over live statements %.4f, "
-                 "mean step-2 k-means clusters %.2f, contrastive anchors %.2f, "
-                 "mean pre-clip gradient norm step 1 %.4f, step 2 %.4f",
-                 epoch, _mean(dd_losses), _mean(ce_losses), _mean(ccl_losses),
-                 gate_total / max(live_total, 1), _mean(clusters),
-                 _mean(anchors), _mean(norms1), _mean(norms2))
+            records.append(dict(
+                record, gated_ce=float(parts.cross_entropy.data),
+                contrastive=float(parts.contrastive.data),
+                gate_sum=float(parts.gates.data.sum()), live=int(lengths2.sum()),
+                k_effective=parts.assignment.k_effective if parts.assignment else 0,
+                anchors=parts.anchors))
+        means = {key: _mean([r[key] for r in records if key in r])
+                 for key in ("distribution", "gated_ce", "contrastive",
+                             "k_effective", "anchors", "norm1", "norm2")}
+        means["live_gate"] = (sum(r["gate_sum"] for r in records)
+                              / max(sum(r["live"] for r in records), 1))
+        digest_lines.append(f"{epoch},{means['distribution']!r},"
+                            f"{means['gated_ce']!r},{means['contrastive']!r}")
+        log.info("epoch %(epoch)d: distribution %(distribution).4f, gated CE "
+                 "%(gated_ce).4f, contrastive %(contrastive).4f, mean step-2 "
+                 "gate over live statements %(live_gate).4f, mean step-2 "
+                 "k-means clusters %(k_effective).2f, contrastive anchors "
+                 "%(anchors).2f, mean pre-clip gradient norm step 1 "
+                 "%(norm1).4f, step 2 %(norm2).4f", dict(means, epoch=epoch))
     tensors = {name: t.data.astype(np.float32) for name, t in params.store.items()}
     return tensors, "\n".join(digest_lines) + "\n"
 

@@ -10,11 +10,14 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import leo.train as train_module
 from leo.autodiff import NumericError, backward
 from leo.cli import build_parser, main
-from leo.config import TrainConfig, load_config, parse_config_text
+from leo.config import (CONTRASTIVE_VARIANTS, GATE_MODES, TrainConfig,
+                        load_config, parse_config_text)
 from leo.data import DatasetRecord, load_dataset, split_dataset, write_dataset
 from leo.encoder import encode_batch
 from leo.losses import data_distribution_loss, joint_loss
@@ -28,7 +31,7 @@ from leo.model import (
 )
 from leo.normalize import UNK_ID, encode_tokens, normalize_source
 from leo.optim import Adam, clip_store_gradients
-from leo.scoring import calibrate_threshold, mahalanobis_scores
+from leo.scoring import SCORING_MODES, calibrate_threshold, mahalanobis_scores
 from leo.synth import generate_family, generate_pair, generate_synthetic, write_corpus
 from leo.train import (
     TrainingError,
@@ -134,6 +137,45 @@ def test_config_validation_rejects_bad_values():
             TrainConfig(seed=1, **kw)
     with pytest.raises(ValueError):
         TrainConfig(seed=-1)
+    # values the CONF text could not read back as themselves
+    for kw in (dict(seed=True), dict(seed=7.0), dict(embed_dim=True),
+               dict(epochs=2.5), dict(learning_rate=True),
+               dict(dropout_retain=True), dict(ablate_cd="no"),
+               dict(ablate_cd=1)):
+        name = next(iter(kw))
+        with pytest.raises(ValueError, match=f"^{name} must be of type"):
+            TrainConfig(**{"seed": 1, **kw})
+    for name in ("clip_norm", "learning_rate", "relax_temp",
+                 "contrastive_temp", "contrastive_weight", "dropout_retain",
+                 "val_fraction"):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                TrainConfig(seed=1, **{name: bad})
+
+
+CONFIG_VALUES = st.one_of(
+    st.booleans(), st.integers(-2, 10**6),
+    st.floats(allow_nan=True, allow_infinity=True), st.floats(0.0, 2.0),
+    st.sampled_from(SCORING_MODES + CONTRASTIVE_VARIANTS + GATE_MODES
+                    + ("", "no", "true")),
+    st.lists(st.integers(0, 400), max_size=3).map(tuple))
+
+
+@settings(max_examples=300, deadline=None)
+@example({"clip_norm": 5, "learning_rate": 1})  # int float fields: stored as floats
+@given(st.dictionaries(st.sampled_from(sorted(EVERY_FIELD)), CONFIG_VALUES,
+                       max_size=3))
+def test_every_accepted_config_reads_back_equal_from_its_render(over):
+    """Whatever TrainConfig accepts, its CONF text reads back as the same
+    config, with the same text and fingerprint. (A hidden-width value that
+    is not iterable fails in tuple(), with a TypeError.)"""
+    try:
+        cfg = TrainConfig(**{"seed": 1, **over})
+    except (ValueError, TypeError):
+        return
+    again = TrainConfig(**parse_config_text(cfg.render()))
+    assert again == cfg
+    assert (again.render(), again.fingerprint()) == (cfg.render(), cfg.fingerprint())
 
 
 def test_config_hidden_sizes_and_bool_parsing():
@@ -569,6 +611,9 @@ def test_epoch_log_reports_mean_clusters_and_anchors(caplog, monkeypatch, ablate
             anchors.append(int(sizes[sizes >= 2].sum()))
             assert parts.anchors == anchors[-1]
         assert (max(clusters) == 0) == ablate
+        if ablate:  # step 1 leaves no record: its fields reduce to 0.0
+            assert ": distribution 0.0000, " in line
+            assert " norm step 1 0.0000, step 2 " in line
         assert (f"mean step-2 k-means clusters {np.mean(clusters):.2f}, "
                 f"contrastive anchors {np.mean(anchors):.2f}, ") in line
     assert all(len(line.split(",")) == 4 for line in art.log_digest.splitlines())
@@ -991,6 +1036,11 @@ def test_cli_error_paths(tmp_path, capsys):
     assert main(["train", "--data", "nope.jsonl", "--model", "m",
                  "--config", str(repeated_cfg)]) == 2
     assert "config line 3: repeated key 'seed'" in capsys.readouterr().err
+    nan_cfg = tmp_path / "nan.cfg"
+    nan_cfg.write_text("seed = 1\nclip_norm = nan\n")
+    assert main(["train", "--data", "nope.jsonl", "--model", "m",
+                 "--config", str(nan_cfg)]) == 2
+    assert "clip_norm must be finite, not nan" in capsys.readouterr().err
 
 
 def test_cli_rejects_a_config_file_with_vocab_max_below_two(tmp_path, capsys):

@@ -69,7 +69,7 @@ def representations(mode):
     """Scoring representations of FUNCS from one fixed random model."""
     cfg = TrainConfig(seed=0, scoring_mode=mode, **SMALL)
     params = init_model(cfg, 9, np.random.default_rng(5))
-    samples = [PreparedSample(f"s{i}", 0, "", f) for i, f in enumerate(FUNCS)]
+    samples = [PreparedSample(0, f) for f in FUNCS]
     return masked_representations(params, samples, cfg)[0], params
 
 
@@ -108,7 +108,7 @@ def test_concat_mode_flattens_row_major():
 
 
 def samples_of(funcs):
-    return [PreparedSample(f"s{i}", 0, "", f) for i, f in enumerate(funcs)]
+    return [PreparedSample(0, f) for f in funcs]
 
 
 @pytest.mark.parametrize("scoring_mode", ["pooled-d", "concat-diagonal"])
