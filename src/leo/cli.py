@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import CONTRASTIVE_VARIANTS, TrainConfig, load_config
 from .data import load_dataset
-from .metrics import METRIC_NAMES, render_report, render_score_dump
+from .metrics import METRIC_NAMES, dump_rows, render_report, render_score_dump
 from .model import ModelFormatError, load_model, save_model
 from .normalize import NormalizeError, build_vocabulary
 from .synth import write_corpus
@@ -79,21 +79,33 @@ def _cmd_vocab(args) -> int:
     return 0
 
 
-def _write_eval_outputs(report, rows, out_path) -> None:
-    text = render_report(report)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        with open(report.dump_path, "w", encoding="utf-8") as fh:
-            fh.write(render_score_dump(rows))
-    sys.stdout.write(text)
+def _evaluate(artifact, args, *, write: bool = True):
+    """The report of evaluate on --id-test and --ood-test. With write, it goes
+    to stdout and to --out if given, with the dump beside it in <out>.scores."""
+    dump = (args.out + ".scores") if args.out else ""
+    report, rows = evaluate(artifact, args.id_test, args.ood_test,
+                            dump_path=dump, use_msp=getattr(args, "msp", False))
+    if write:
+        text = render_report(report)
+        if args.out:
+            _write_output(text, args.out)
+            _write_output(render_score_dump(rows), dump)
+        _write_output(text, None)
+    return report
 
 
 def _cmd_train(args) -> int:
-    config = load_config(args.config, {f.name: getattr(args, f.name, None)
-                                       for f in dataclasses.fields(TrainConfig)})
     if args.repeats < 1:
         raise ValueError("--repeats must be at least 1")
+    evaluating = bool(args.id_test and args.ood_test)
+    stray = [flag for flag, given in (
+        ("--id-test", args.id_test), ("--ood-test", args.ood_test),
+        ("--out", args.out), ("--repeats", args.repeats > 1)) if given]
+    if stray and not evaluating:
+        raise ValueError(f"{', '.join(stray)}: evaluating after training "
+                         "needs both --id-test and --ood-test")
+    config = load_config(args.config, {f.name: getattr(args, f.name, None)
+                                       for f in dataclasses.fields(TrainConfig)})
     records = load_dataset(args.data)
     reports = []
     for i in range(args.repeats):
@@ -102,13 +114,8 @@ def _cmd_train(args) -> int:
         if i == 0:
             save_model(artifact, args.model)
             print(f"model saved: {args.model}")
-        if args.id_test and args.ood_test:
-            dump = (args.out + ".scores") if args.out else ""
-            report, rows = evaluate(artifact, args.id_test, args.ood_test,
-                                    dump_path=dump)
-            reports.append(report)
-            if i == 0:
-                _write_eval_outputs(report, rows, args.out)
+        if evaluating:
+            reports.append(_evaluate(artifact, args, write=i == 0))
     if len(reports) > 1:
         print(f"averages over {len(reports)} runs:")
         for name in METRIC_NAMES:
@@ -118,11 +125,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    artifact = load_model(args.model)
-    dump = (args.out + ".scores") if args.out else ""
-    report, rows = evaluate(artifact, args.id_test, args.ood_test,
-                            dump_path=dump, use_msp=args.msp)
-    _write_eval_outputs(report, rows, args.out)
+    _evaluate(load_model(args.model), args)
     return 0
 
 
@@ -132,9 +135,8 @@ def _cmd_score(args) -> int:
     if not records:
         raise ValueError(f"{args.data} is empty")
     scores, decisions = score_records(artifact, records, use_msp=args.msp)
-    rows = [(r.sample_id, args.population, float(s), str(d))
-            for r, s, d in zip(records, scores, decisions)]
-    _write_output(render_score_dump(rows), args.out)
+    _write_output(render_score_dump(dump_rows(records, args.population,
+                                              scores, decisions)), args.out)
     return 0
 
 

@@ -39,18 +39,18 @@ class TrainConfig:
     ablate_cd: bool = False
 
     def __post_init__(self):
-        self.selector_hidden = tuple(int(w) for w in self.selector_hidden)
-        self.classifier_hidden = tuple(int(w) for w in self.classifier_hidden)
         self.validate()
-        # an int in a float field is kept as the float its CONF text reads back
+        # an int in a float field is kept as the float its CONF text reads
+        # back, and a list of hidden widths as a tuple
         for name, kind in _FIELD_TYPES.items():
-            if kind == "float":
-                setattr(self, name, float(getattr(self, name)))
+            if kind in _STORED:
+                setattr(self, name, _STORED[kind](getattr(self, name)))
 
     def validate(self):
         """Every value must be one its CONF text reads back: a bool only in
         a bool field, an int in an int field, a finite int or float in a
-        float field. Then each field's range."""
+        float field, a tuple or list of ints of at least 1 in a hidden-width
+        field. Then each field's range."""
         for name, kind in _FIELD_TYPES.items():
             value = getattr(self, name)
             if (not isinstance(value, _ACCEPTED[kind])
@@ -58,6 +58,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be of type {kind}, not {value!r}")
             if kind == "float" and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, not {value!r}")
+            if kind == "tuple" and not all(type(w) is int and w >= 1 for w in value):
+                raise ValueError(f"{name} must hold ints of at least 1, not {value!r}")
             # vocab_max leaves room for <pad> and <unk>
             least = 0 if name == "seed" else 2 if name == "vocab_max" else 1
             if kind == "int" and value < least:
@@ -79,8 +81,6 @@ class TrainConfig:
                 f"contrastive_variant must be one of {CONTRASTIVE_VARIANTS}")
         if self.gate_mode not in GATE_MODES:
             raise ValueError(f"gate_mode must be one of {GATE_MODES}")
-        if any(w < 1 for w in self.selector_hidden + self.classifier_hidden):
-            raise ValueError("hidden layer widths must be positive")
 
     def fingerprint(self) -> str:
         """Semicolon-joined key=value pairs in field order; commas are
@@ -117,7 +117,9 @@ _FIELD_TYPES = {f.name: f.type for f in fields(TrainConfig)}
 # The Python types each annotation accepts; bool, an int subclass, is
 # told apart in validate.
 _ACCEPTED = {"int": int, "float": (int, float), "str": str, "bool": bool,
-             "tuple": tuple}
+             "tuple": (tuple, list)}
+# The type each annotation stores its accepted values as.
+_STORED = {"float": float, "tuple": tuple}
 _PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool,
             "tuple": lambda raw: tuple(int(w) for w in raw.split(",") if w.strip())}
 

@@ -186,6 +186,13 @@ def render_score_dump(rows) -> str:
     return "".join(out)
 
 
+def dump_rows(records, population: str, scores, decisions) -> list:
+    """The score-dump rows (sample id, population, float score, str
+    decision) of one scored population; every dump is built of these."""
+    return [(r.sample_id, population, float(s), str(d))
+            for r, s, d in zip(records, scores, decisions)]
+
+
 def parse_score_dump(text: str):
     """The records render_score_dump writes; a bad population, score or
     decision is an error naming its record."""

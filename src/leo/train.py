@@ -29,7 +29,7 @@ from .config import TrainConfig
 from .data import load_dataset, split_dataset
 from .encoder import encode_batch
 from .losses import classifier_forward, data_distribution_loss, gated_block, joint_loss
-from .metrics import ScoreSet, build_report
+from .metrics import ScoreSet, build_report, dump_rows
 from .model import ModelArtifact, ModelParams, init_model, model_from_artifact
 from .normalize import NormalizeError, Vocabulary, build_vocabulary, encode_tokens, normalize_source
 from .optim import Adam, clip_store_gradients
@@ -78,23 +78,19 @@ def build_training_vocabulary(train_records, config: TrainConfig) -> Vocabulary:
                             config.vocab_max)
 
 
-def masked_representations(params: ModelParams, samples, config: TrainConfig,
-                           *, msp: bool = False):
+def masked_representations(params: ModelParams, samples, config: TrainConfig):
     """Deterministic-gate scoring representations, batched, without
-    dropout, and with `msp` the classifier's max-softmax complement (None
-    without). The selector scores each batch's real statement rows, each
-    distinct statement once under frozen parameters; the rows and gates,
-    one per kept statement again, are placed by training's gated_block into
-    one (batch, longest, dim) block.
+    dropout, and the classifier's max-softmax complement when `params` holds
+    the classifier (None for a rebuild without it). The selector scores each
+    batch's real statement rows, each distinct statement once under frozen
+    parameters; the rows and gates, one per kept statement again, are placed
+    by training's gated_block into one (batch, longest, dim) block.
     pooled-d is the mean of a function's gated rows (zero without
     statements); concat-diagonal is the block flattened row-major, zero past
-    longest * dim; `msp` runs training's classifier_forward on the block."""
-    if msp and params.classifier is None:
-        raise ValueError("max-softmax scores need the model's classifier; "
-                         "this one was rebuilt without it")
+    longest * dim; max-softmax runs training's classifier_forward on it."""
     n = len(samples)
     reps = np.zeros((n, representation_dim(config)))
-    msp_out = np.zeros(n) if msp else None
+    msp_out = None if params.classifier is None else np.zeros(n)
     for start in range(0, n, config.batch_size):
         chunk = samples[start:start + config.batch_size]
         x, lengths, index = encode_batch([s.statements for s in chunk],
@@ -111,7 +107,7 @@ def masked_representations(params: ModelParams, samples, config: TrainConfig,
                                      / np.maximum(lengths, 1)[:, None])
         else:
             reps[start:start + b, :block.data[0].size] = block.data.reshape(b, -1)
-        if msp:
+        if msp_out is not None:
             class_probs = classifier_forward(block, params.classifier).data
             msp_out[start:start + b] = 1.0 - class_probs.max(axis=1)
     return reps, msp_out
@@ -238,16 +234,15 @@ def train(config: TrainConfig, records) -> ModelArtifact:
 
 
 def score_records(artifact: ModelArtifact, records, *, use_msp: bool = False):
-    """Outlier scores and ID/OOD decisions for a record list. The stored
-    threshold only applies to the Mahalanobis score, which never runs or
-    rebuilds the classifier; max-softmax runs get decisions from their own
-    scores' quantile at the artifact's calibration quantile and are meant
+    """Outlier scores and ID/OOD decisions for a record list: max-softmax
+    when the model is rebuilt with its classifier (use_msp), else
+    Mahalanobis against the stored threshold. Max-softmax decisions come
+    from the scores' own quantile at the artifact's calibration quantile,
     for metric comparisons, not deployment."""
     params = model_from_artifact(artifact, classifier=use_msp)
     samples = prepare_samples(records, artifact.vocab, artifact.config)
-    reps, msp = masked_representations(params, samples, artifact.config,
-                                       msp=use_msp)
-    if use_msp:
+    reps, msp = masked_representations(params, samples, artifact.config)
+    if msp is not None:
         scores = msp
         threshold = (calibrate_threshold(scores, artifact.quantile)
                      if len(scores) else 0.0)
@@ -259,25 +254,19 @@ def score_records(artifact: ModelArtifact, records, *, use_msp: bool = False):
 
 
 def evaluate(artifact: ModelArtifact, id_test_path: str, ood_test_path: str,
-             *, fingerprint: str = "", dump_path: str = "",
-             use_msp: bool = False):
-    """Score both test populations and build the metrics report plus the
-    per-sample dump rows."""
-    id_records = load_dataset(id_test_path)
-    ood_records = load_dataset(ood_test_path)
-    if not id_records:
-        raise ValueError(f"ID test file {id_test_path} is empty")
-    if not ood_records:
-        raise ValueError(f"OOD test file {ood_test_path} is empty")
-    id_scores, id_decisions = score_records(artifact, id_records,
-                                            use_msp=use_msp)
-    ood_scores, ood_decisions = score_records(artifact, ood_records,
-                                              use_msp=use_msp)
-    report = build_report(ScoreSet(id_scores, ood_scores),
-                          fingerprint=fingerprint or artifact.config.fingerprint(),
-                          dump_path=dump_path)
-    rows = [(r.sample_id, "id", float(s), str(d))
-            for r, s, d in zip(id_records, id_scores, id_decisions)]
-    rows += [(r.sample_id, "ood", float(s), str(d))
-             for r, s, d in zip(ood_records, ood_scores, ood_decisions)]
-    return report, rows
+             *, dump_path: str = "", use_msp: bool = False):
+    """Load both test files and reject an empty one, then score the ID and
+    the OOD population. Returns the metrics report, stamped with the
+    artifact's config fingerprint and `dump_path`, and the score-dump rows,
+    the ID rows before the OOD rows."""
+    records = {"id": load_dataset(id_test_path), "ood": load_dataset(ood_test_path)}
+    for population, path in (("id", id_test_path), ("ood", ood_test_path)):
+        if not records[population]:
+            raise ValueError(f"{population.upper()} test file {path} is empty")
+    scores, rows = [], []
+    for population, recs in records.items():
+        scored, decisions = score_records(artifact, recs, use_msp=use_msp)
+        scores.append(scored)
+        rows += dump_rows(recs, population, scored, decisions)
+    fingerprint = artifact.config.fingerprint()
+    return build_report(ScoreSet(*scores), fingerprint, dump_path), rows

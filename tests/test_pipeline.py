@@ -135,6 +135,20 @@ def test_config_validation_rejects_bad_values():
                dict(contrastive_weight=-0.1), dict(selector_hidden=(0,))):
         with pytest.raises(ValueError):
             TrainConfig(seed=1, **kw)
+    # hidden widths: a tuple or list of ints of at least 1, stored as a tuple
+    for kw in (dict(selector_hidden=(2.7, True)), dict(selector_hidden=(4, 0)),
+               dict(classifier_hidden=(True,)), dict(classifier_hidden=[3, -1]),
+               dict(selector_hidden=(np.int64(3),))):
+        name = next(iter(kw))
+        with pytest.raises(ValueError, match=f"^{name} must hold ints of at least 1"):
+            TrainConfig(seed=1, **kw)
+    for kw in (dict(classifier_hidden=False), dict(selector_hidden=12),
+               dict(selector_hidden="12"), dict(classifier_hidden=None)):
+        name = next(iter(kw))
+        with pytest.raises(ValueError, match=f"^{name} must be of type tuple"):
+            TrainConfig(seed=1, **kw)
+    cfg = TrainConfig(seed=1, selector_hidden=[3, 4], classifier_hidden=(5,))
+    assert (cfg.selector_hidden, cfg.classifier_hidden) == ((3, 4), (5,))
     with pytest.raises(ValueError):
         TrainConfig(seed=-1)
     # values the CONF text could not read back as themselves
@@ -158,7 +172,8 @@ CONFIG_VALUES = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True), st.floats(0.0, 2.0),
     st.sampled_from(SCORING_MODES + CONTRASTIVE_VARIANTS + GATE_MODES
                     + ("", "no", "true")),
-    st.lists(st.integers(0, 400), max_size=3).map(tuple))
+    st.lists(st.one_of(st.integers(0, 400), st.booleans(), st.floats(0.0, 9.0)),
+             max_size=3).flatmap(lambda ws: st.sampled_from((ws, tuple(ws)))))
 
 
 @settings(max_examples=300, deadline=None)
@@ -167,11 +182,11 @@ CONFIG_VALUES = st.one_of(
                        max_size=3))
 def test_every_accepted_config_reads_back_equal_from_its_render(over):
     """Whatever TrainConfig accepts, its CONF text reads back as the same
-    config, with the same text and fingerprint. (A hidden-width value that
-    is not iterable fails in tuple(), with a TypeError.)"""
+    config, with the same text and fingerprint; whatever it rejects raises
+    a ValueError."""
     try:
         cfg = TrainConfig(**{"seed": 1, **over})
-    except (ValueError, TypeError):
+    except ValueError:
         return
     again = TrainConfig(**parse_config_text(cfg.render()))
     assert again == cfg
@@ -846,7 +861,7 @@ def test_representation_dimensions_and_gating():
     vocab = build_training_vocabulary(train_recs, cfg)
     samples = prepare_samples(train_recs, vocab, cfg)
     params = init_model(cfg, vocab.size, np.random.default_rng(0))
-    reps, msp = masked_representations(params, samples, cfg, msp=True)
+    reps, msp = masked_representations(params, samples, cfg)
     assert reps.shape == (len(samples), cfg.embed_dim)
     assert msp.shape == (len(samples),)
     assert np.all((msp >= 0.0) & (msp <= 0.5))
@@ -1023,10 +1038,24 @@ def test_cli_ablation_over_a_config_that_turns_it_off(cli_corpus, tmp_path,
     assert _train_cli(cli_corpus, tmp_path, command, *flags).ablate_cd is ablated
 
 
-def test_cli_error_paths(tmp_path, capsys):
+def test_cli_error_paths(cli_corpus, tmp_path, capsys):
     assert main(["eval", "--model", str(tmp_path / "missing.leo"),
                  "--id-test", "x", "--ood-test", "y"]) == 2
     assert "error:" in capsys.readouterr().err
+    # evaluation flags training would otherwise ignore: one test set,
+    # --out or --repeats above 1 without both test sets
+    model = tmp_path / "never.leo"
+    for command, flags, named in (
+            ("train", ["--id-test", "x", "--out", "r"], "--id-test, --out"),
+            ("ablate", ["--ood-test", "y"], "--ood-test"),
+            ("train", ["--out", "r"], "--out"),
+            ("train", ["--repeats", "3"], "--repeats")):
+        assert main([command, "--data", str(cli_corpus / "train.jsonl"),
+                     "--model", str(model), "--config",
+                     str(cli_corpus / "run.cfg"), *flags]) == 2
+        assert (f"error: {named}: evaluating after training needs both "
+                "--id-test and --ood-test") in capsys.readouterr().err
+        assert not model.exists()
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_text("seed = 1\nwhatever = 2\n")
     assert main(["train", "--data", "nope.jsonl", "--model", "m",
@@ -1041,6 +1070,35 @@ def test_cli_error_paths(tmp_path, capsys):
     assert main(["train", "--data", "nope.jsonl", "--model", "m",
                  "--config", str(nan_cfg)]) == 2
     assert "clip_norm must be finite, not nan" in capsys.readouterr().err
+
+
+def test_cli_eval_and_score_outputs_read_back_exactly(cli_corpus, tmp_path):
+    """The report and dump `leo eval --out` writes parse back to evaluate's
+    report and rows, and the dump `leo score --out` writes to score_records'
+    scores and decisions, under either score."""
+    _train_cli(cli_corpus, tmp_path, "train")
+    model = str(tmp_path / "m.leo")
+    artifact = load_model(model)
+    id_path = str(cli_corpus / "id_test.jsonl")
+    ood_path = str(cli_corpus / "ood_test.jsonl")
+    report_path, score_path = tmp_path / "report.csv", tmp_path / "scores.csv"
+    dump_path = tmp_path / "report.csv.scores"
+    for flags, use_msp in (([], False), (["--msp"], True)):
+        assert main(["eval", "--model", model, "--id-test", id_path,
+                     "--ood-test", ood_path, "--out", str(report_path),
+                     *flags]) == 0
+        report, rows = evaluate(artifact, id_path, ood_path, use_msp=use_msp,
+                                dump_path=str(dump_path))
+        assert parse_report(report_path.read_text()) == report
+        assert parse_score_dump(dump_path.read_text()) == rows
+        assert main(["score", "--model", model, "--data", ood_path,
+                     "--population", "ood", "--out", str(score_path),
+                     *flags]) == 0
+        records = load_dataset(ood_path)
+        scores, decisions = score_records(artifact, records, use_msp=use_msp)
+        assert parse_score_dump(score_path.read_text()) == [
+            (r.sample_id, "ood", float(s), str(d))
+            for r, s, d in zip(records, scores, decisions)]
 
 
 def test_cli_rejects_a_config_file_with_vocab_max_below_two(tmp_path, capsys):

@@ -122,7 +122,7 @@ def test_live_row_pass_matches_full_block_oracle(gate_mode, scoring_mode):
     samples = samples_of(FUNCS + FUNCS[::-1] + [[], []])
     full = model_from_artifact(artifact)
     want_reps, want_msp = full_block_representations(full, samples, cfg)
-    reps, msp = masked_representations(full, samples, cfg, msp=True)
+    reps, msp = masked_representations(full, samples, cfg)
     np.testing.assert_allclose(reps, want_reps, rtol=1e-12, atol=0)
     np.testing.assert_allclose(msp, want_msp, rtol=1e-12, atol=0)
     assert np.any(msp > 0)
@@ -513,15 +513,6 @@ def test_msp_decisions_use_the_artifact_quantile():
     assert abs(list(decisions).count("OOD") - len(records) / 2) <= 1
 
 
-def test_msp_needs_the_classifier():
-    artifact, records = small_artifact()
-    samples = prepare_samples(records, artifact.vocab, artifact.config)
-    lean = model_from_artifact(artifact, classifier=False)
-    assert lean.classifier is None
-    with pytest.raises(ValueError, match="classifier"):
-        masked_representations(lean, samples, artifact.config, msp=True)
-
-
 def test_frozen_selector_scores_distinct_rows_only(monkeypatch):
     """Under a rebuilt model the selector sees each batch's distinct kept
     statements once: FUNCS repeats [2, 3] and [8], and cuts [8] * 6 at
@@ -549,7 +540,7 @@ def scoring_pair(records, **over):
     samples = prepare_samples(records, artifact.vocab, artifact.config)
     params = model_from_artifact(artifact)
     return (artifact, samples,
-            masked_representations(params, samples, artifact.config, msp=True),
+            masked_representations(params, samples, artifact.config),
             all_rows_representations(params, samples, artifact.config))
 
 
