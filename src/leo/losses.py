@@ -11,7 +11,7 @@ every scoring mode, go through the same gate-masking pass, gated_block: it
 gates the packed (S, dim) statement rows and places them into one (batch,
 longest, dim) block, longest being the batch's longest function, which
 classifier_forward, the clustering and the contrastive similarities all
-read.
+read. On the frozen read path it gates each distinct statement row once.
 
 Cluster assignments are recomputed from the current masked representations
 every batch and treated as constants by the gradient.
@@ -41,21 +41,38 @@ def init_classifier_params(store: ParameterStore, input_dim: int,
                            rng, dropout_retain)
 
 
-def gated_block(x: Tensor, z: Tensor, true_lengths) -> Tensor:
+def gated_block(x: Tensor, z: Tensor, true_lengths, index=None) -> Tensor:
     """The gate-masking pass training and scoring share: scale statement
     row s of the packed (S, dim) rows by its gate z[s] and place function
     f's gated rows at the top of block row f of a zero (batch, longest,
-    dim) block, longest the batch's longest function."""
+    dim) block, longest the batch's longest function.
+
+    With encode_batch's `index` (the frozen read path, no tape) x and z
+    hold the distinct rows and their gates: only those rows are multiplied,
+    and kept statement s's slot takes a copy of gated row index[s], the
+    product it would have had on its own."""
     lengths = np.asarray(true_lengths, dtype=np.int64)
     n = int(lengths.sum())
-    if x.data.ndim != 2 or x.data.shape[0] != n or z.data.shape != (n,):
+    m = n if index is None else len(x.data)
+    if (x.data.ndim != 2 or x.data.shape[0] != m or z.data.shape != (m,)
+            or (index is not None and np.shape(index) != (n,))):
         raise GraphError(f"gated_block expects the {n} statement rows of "
-                         f"the lengths and one gate each, got {x.data.shape} "
-                         f"rows and {z.data.shape} gates")
-    gated = ad.mul(x, ad.reshape(z, (n, 1)))
+                         f"the lengths, or an index of them into the rows, "
+                         f"and one gate per row, got {x.data.shape} rows and "
+                         f"{z.data.shape} gates")
+    gated = ad.mul(x, ad.reshape(z, (m, 1)))
+    func = np.repeat(np.arange(len(lengths)), lengths)
     slot = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    return ad.scatter_rows(gated, np.repeat(np.arange(len(lengths)), lengths),
-                           slot, len(lengths), int(lengths.max(initial=0)))
+    longest = int(lengths.max(initial=0))
+    if index is None:
+        return ad.scatter_rows(gated, func, slot, len(lengths), longest)
+    if gated.requires_grad:
+        raise GraphError("gated_block takes an index on the frozen read path only")
+    # every slot reads one row: its gated row, or an appended zero row
+    rows = np.full((len(lengths), longest), m)
+    rows[func, slot] = index
+    padded = np.concatenate([gated.data, np.zeros((1, x.data.shape[1]))])
+    return ad.constant(padded[rows])
 
 
 def classifier_forward(block: Tensor, params: MLPParams,

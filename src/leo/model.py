@@ -75,6 +75,14 @@ class ModelParams:
     classifier: MLPParams | None  # None in a model rebuilt without it
 
 
+def _declare_classifier(store: ParameterStore, config: TrainConfig,
+                        rng: np.random.Generator | None) -> MLPParams:
+    return init_classifier_params(
+        store, config.max_statements * config.embed_dim, rng,
+        hidden_sizes=config.classifier_hidden,
+        dropout_retain=config.dropout_retain)
+
+
 def _declare_model(store: ParameterStore, config: TrainConfig, vocab_size: int,
                    rng: np.random.Generator | None,
                    classifier: bool = True) -> ModelParams:
@@ -86,12 +94,8 @@ def _declare_model(store: ParameterStore, config: TrainConfig, vocab_size: int,
     selector = init_selector_params(store, config.embed_dim, rng,
                                     hidden_sizes=config.selector_hidden,
                                     dropout_retain=config.dropout_retain)
-    if not classifier:
-        return ModelParams(store, encoder, selector, None)
-    return ModelParams(store, encoder, selector, init_classifier_params(
-        store, config.max_statements * config.embed_dim, rng,
-        hidden_sizes=config.classifier_hidden,
-        dropout_retain=config.dropout_retain))
+    return ModelParams(store, encoder, selector,
+                       _declare_classifier(store, config, rng) if classifier else None)
 
 
 def init_model(config: TrainConfig, vocab_size: int,
@@ -100,36 +104,50 @@ def init_model(config: TrainConfig, vocab_size: int,
     return _declare_model(ParameterStore(), config, vocab_size, rng)
 
 
-def _check_tensors(artifact: ModelArtifact) -> None:
-    """ModelFormatError unless the artifact holds exactly the tensors its
-    config declares, each with its declared shape. The declaration runs on
-    zero-stride float64 stand-ins, so the check widens and copies nothing."""
-    store = ParameterStore(stored={name: np.broadcast_to(0.0, np.shape(arr))
-                                   for name, arr in artifact.tensors.items()})
+def _stand_ins(tensors: dict, prefix: str = "") -> dict:
+    """Zero-stride float64 stand-ins of the tensors named with `prefix`:
+    their shapes, with nothing widened or copied."""
+    return {name: np.broadcast_to(0.0, np.shape(arr))
+            for name, arr in tensors.items() if name.startswith(prefix)}
+
+
+def _check_tensors(artifact: ModelArtifact, stored: dict | None = None,
+                   classifier: bool = True) -> ModelParams:
+    """The model declared over `stored`, by default zero-stride float64
+    stand-ins of every tensor, which widen and copy nothing. Without
+    `classifier` its tensors are declared over stand-ins in a store that is
+    not kept. ModelFormatError unless the artifact holds exactly the
+    tensors its config declares, each with its declared shape."""
+    stored = _stand_ins(artifact.tensors) if stored is None else stored
+    config, checked = artifact.config, []
     try:
-        _declare_model(store, artifact.config, artifact.vocab.size, None)
+        params = _declare_model(ParameterStore(stored=stored), config,
+                                artifact.vocab.size, None, classifier)
+        if not classifier:
+            check = ParameterStore(stored=_stand_ins(artifact.tensors, "classifier/"))
+            _declare_classifier(check, config, None)
+            checked = check.names()
     except GraphError as exc:
         raise ModelFormatError(f"tensors do not match the config: {exc}") from exc
-    extra = sorted(set(artifact.tensors) - set(store.names()))
+    extra = sorted(set(artifact.tensors) - set(params.store.names()) - set(checked))
     if extra:
         raise ModelFormatError(
             f"tensors the config does not declare: {', '.join(extra)}")
+    return params
 
 
 def model_from_artifact(artifact: ModelArtifact, *,
                         classifier: bool = True) -> ModelParams:
-    """Live parameters of an artifact, frozen, with no random draws. The
-    full tensor set is checked against the config; each tensor the model
-    is built from is widened once from float32 to float64, a copy the
-    artifact does not share. Without `classifier` the classifier/ tensors
-    are neither widened nor held, and params.classifier is None."""
-    _check_tensors(artifact)
-    store = ParameterStore(stored={
+    """Live parameters of an artifact, frozen, with no random draws. Each
+    tensor the model is built from is widened once from float32 to
+    float64, a copy the artifact does not share, and declared once, which
+    checks the full tensor set against the config. Without `classifier`
+    the classifier/ tensors are checked over stand-ins but neither widened
+    nor held, and params.classifier is None."""
+    return _check_tensors(artifact, {
         name: np.array(arr, dtype=np.float64)
         for name, arr in artifact.tensors.items()
-        if classifier or not name.startswith("classifier/")})
-    return _declare_model(store, artifact.config, artifact.vocab.size, None,
-                          classifier)
+        if classifier or not name.startswith("classifier/")}, classifier)
 
 
 def _pack_str(text: str) -> bytes:

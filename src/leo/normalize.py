@@ -6,11 +6,14 @@ a function when its next token is an opening parenthesis). String and
 character literals, and include targets, all collapse to the single token
 "str".
 
-normalize_source makes two passes over plain tuples. One finditer scan
-drops non-token bytes, whitespace and comments, raises on an unterminated
-comment or literal, collapses literals and records each token's line. A
-heuristic splitter then cuts the token stream into statements, folding
-include targets and renaming identifiers as it places them.
+normalize_source makes two C-level regex scans and one walk over plain
+strings. The first scan rewrites comments and literals, leftmost first,
+and raises on an unterminated one: a literal becomes "str", a comment a
+space, and a comment that spans lines one line mark. The second returns the
+token strings, newlines and marks included; whitespace and bytes that start
+no token fall away. A heuristic splitter then walks those strings once,
+cutting them into statements and folding include targets and renaming
+identifiers as it places them.
 
 The output is deterministic, ASCII-only, and stable under re-normalization
 of its own rendering.
@@ -83,42 +86,53 @@ ALLOWLIST = C_KEYWORDS | PREPROCESSOR_WORDS | STDLIB_NAMES
 
 CONTROL_KEYWORDS = frozenset({"if", "for", "while", "switch"})
 
-# Order matters: longest operators first so the alternation is greedy.
-_OPERATORS = [
-    "<<=", ">>=", "...", "->*", "::", "->", "++", "--", "<<", ">>", "<=",
-    ">=", "==", "!=", "&&", "||", "+=", "-=", "*=", "/=", "%=", "&=", "|=",
-    "^=", "##", "+", "-", "*", "/", "%", "<", ">", "=", "!", "&", "|", "^",
-    "~", "?", ":", ".", "#",
-]
+# Comments and literals are rewritten before tokens are scanned, leftmost
+# first: a literal to " str ", a comment to a space (so neither joins its
+# neighbours) and a comment that spans lines to _MARK, a character that is
+# not ASCII, so the stripped input cannot hold it; it tells the splitter the
+# line changed. No token holds a quote, and the only tokens with a slash,
+# "/" and "/=", start no comment, so these are the matches a token scan
+# would meet. No group captures: with groups the regex engine drops its
+# first-character search, and the scan took about eight times as long on
+# synthetic functions.
+_MARK = "\u2028"
 
-# One match per token. The prefix skips horizontal whitespace and // comments
-# atomically (a lookahead capture re-matched by backreference), so a token
-# never starts inside a comment; \Z lets whitespace or a comment end the
-# text. A byte that starts no token (a stray backslash, @, $, `) matches
-# nothing and is skipped by finditer. Alternatives that share a first
-# character keep their priority: a complete comment or literal before its
-# lone opener (which is then unterminated) and before the "/" operator, a
-# number before ".", and longer operators before shorter ones.
-_TOKEN_RE = re.compile(
+_SKIP_RE = re.compile(
     r"""
-    (?=((?:[^\S\n]+|//[^\n]*)*))\1
-    (?:
-        (?P<IDENT>[A-Za-z_]\w*)
-      | (?P<NEWLINE>\n)
-      | (?P<COMMENT>/\*.*?\*/)
-      | (?P<LITERAL>"(?:\\.|[^"\\\n])*"|'(?:\\.|[^'\\\n])*')
-      | (?P<OPEN>/\*|"|')
-      | (?P<OTHER>
-            [(){}\[\],;]
-          | 0[xX][0-9a-fA-F]+[uUlL]*
-          | (?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?[uUlLfF]*
-          | """ + "|".join(re.escape(op) for op in _OPERATORS) + r"""
-        )
-      | \Z
-    )
+        //[^\n]*
+      | /\*.*?\*/
+      | "(?:\\.|[^"\\\n])*" | '(?:\\.|[^'\\\n])*'
+      | /\* | " | '
     """,
     re.VERBOSE | re.DOTALL,
 )
+
+# One match per token, "\n" and _MARK included; whitespace and a byte that
+# starts no token (a stray backslash, @, $, `) match nothing and are skipped
+# by findall. Alternatives that share a first character keep their
+# priority: a hex number before a decimal one, a number before ".", and,
+# for each leading character, longer operators before shorter ones.
+_TOKEN_RE = re.compile(
+    r"""
+        [A-Za-z_]\w*
+      | [(){}\[\],;\n""" + _MARK + r"""]
+      | 0[xX][0-9a-fA-F]+[uUlL]*
+      | (?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?[uUlLfF]*
+      | <<= | << | <= | <        | >>= | >> | >= | >
+      | ->\* | -> | -- | -= | -  | \+\+ | \+= | \+
+      | \.\.\. | \.  | :: | :  | == | =  | != | !
+      | && | &= | &  | \|\| | \|= | \|  | \*= | \*  | /= | /
+      | %= | %  | \^= | \^  | \#\# | \#  | ~  | \?
+    """,
+    re.VERBOSE | re.ASCII,
+)
+
+_BREAKS = frozenset(("\n", _MARK))
+
+# The tokens _split places by their own rule; every other token is a word,
+# number or operator, renamed when it is a user identifier.
+_ROLES = {"\n": "break", _MARK: "break", "#": "#", "(": "open", "[": "open",
+          ")": "close", "]": "close", "{": "brace", "}": "brace", ";": ";"}
 
 _UNTERMINATED = {
     "/*": "unterminated block comment",
@@ -139,40 +153,63 @@ class NormalizedFunction:
         return "\n".join(" ".join(stmt) for stmt in self.statements)
 
 
-def _lex(text: str) -> list[tuple[str, bool, int, bool]]:
-    """(text, is identifier, line, first on its line) per token, with
-    string and character literals already collapsed to "str"."""
-    tokens = []
-    line = 1
-    first = True
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "IDENT" or kind == "OTHER":
-            tokens.append((m[kind], kind == "IDENT", line, first))
-            first = False
-        elif kind == "NEWLINE":
-            line += 1
-            first = True
-        elif kind == "LITERAL":
-            tokens.append(("str", False, line, first))
-            first = False
-        elif kind == "COMMENT":
-            line += m[kind].count("\n")
-        elif kind == "OPEN":
-            raise NormalizeError(_UNTERMINATED[m[kind]], m.start(kind))
-    return tokens
+def _skip(m: re.Match) -> str:
+    """_SKIP_RE's replacement for one comment or literal. A lone opener
+    matches alone: a complete literal or comment is longer than it."""
+    text = m[0]
+    if text in _UNTERMINATED:
+        raise NormalizeError(_UNTERMINATED[text], m.start())
+    if text[0] != "/":
+        return " str "
+    return _MARK if "\n" in text else " "
 
 
-def _split(tokens) -> tuple[list[list[str]], dict[str, str]]:
-    """Rename user identifiers and cut _lex's token stream into statements,
-    in one walk. Returns the statements and the rename map.
+def _seek(tokens: list[str], i: int, step: int = 1) -> int:
+    """Index of the first token from tokens[i] on, walking by step, that
+    is no line break; out of range when there is none."""
+    while 0 <= i < len(tokens) and tokens[i] in _BREAKS:
+        i += step
+    return i
 
-    An identifier is renamed just before it is placed, as a function when
-    the next token is "(". The <...> target of an include directive folds
-    into one "str" token, mirroring the quoted-target rule. The target scan
-    stays on the include's line, but a ">" that is the first token past
-    that line still closes it: "#include <a\\n>" gives one statement,
-    ["#", "include", "str"]. That quirk is kept: normalized output is frozen.
+
+def _first_on_line(tokens: list[str], i: int) -> bool:
+    """Whether only marks lie between tokens[i] and the last "\\n"."""
+    i -= 1
+    while i >= 0 and tokens[i] == _MARK:
+        i -= 1
+    return i < 0 or tokens[i] == "\n"
+
+
+def _target_end(tokens: list[str], i: int) -> int:
+    """Index of the ">" that closes the <...> target of an include whose
+    "include" is tokens[i - 1], or -1: the "<" must follow it on its line
+    and a "#" precede it. The target stays on the include's line, but a ">"
+    that is the first token past that line still closes it."""
+    k = _seek(tokens, i - 2, -1)
+    if k < 0 or tokens[k] != "#" or i == len(tokens) or tokens[i] != "<":
+        return -1
+    crossed = False
+    for j in range(i + 1, len(tokens)):
+        if tokens[j] == ">":
+            return j
+        if tokens[j] in _BREAKS:
+            crossed = True
+        elif crossed:
+            break
+    return -1
+
+
+def _split(tokens: list[str]) -> tuple[list[list[str]], dict[str, str]]:
+    """Rename user identifiers and cut _TOKEN_RE's token strings into
+    statements, in one walk. Returns the statements and the rename map.
+
+    "\\n" and _MARK both advance the line; only "\\n" starts a new one. An
+    identifier is renamed just before it is placed, as a function when the
+    next token is "(". The <...> target of an include directive folds into
+    one "str" token, mirroring the quoted-target rule; see _target_end for
+    its kept quirk: "#include <a\\n>" gives one statement, ["#", "include",
+    "str"]. Normalized output is frozen. The lookaheads for "(" and ";"
+    skip line breaks.
 
     Boundaries: after ';' at paren depth 0; before and after '{' / '}' at
     paren depth 0 (each brace is its own statement); after the ')' that
@@ -185,64 +222,72 @@ def _split(tokens) -> tuple[list[list[str]], dict[str, str]]:
     counts = {"var": 0, "func": 0}
     depth = 0
     control = False  # a control header opened at paren depth 0
-    pp_line = None
+    line, pp_line = 1, None  # line breaks seen; read only in a directive
     i, n = 0, len(tokens)
     while i < n:
-        text, ident, line, first = tokens[i]
+        text = tokens[i]
         i += 1
+        role = _ROLES.get(text)
+        if role == "break":
+            line += 1
+            continue
         if pp_line is not None and line != pp_line:
             statements.append(current)  # the directive, from its "#"
             current = []
             pp_line = None
-        if ident:
-            if text not in ALLOWLIST:
-                name = rename.get(text)
-                if name is None:
-                    kind = "func" if i < n and tokens[i][0] == "(" else "var"
+        if role is None:  # a word, number or operator: renamed and placed
+            name = rename.get(text)
+            if name is not None:
+                text = name
+            elif text not in ALLOWLIST:
+                if text.isidentifier():
+                    j = _seek(tokens, i)
+                    kind = "func" if j < n and tokens[j] == "(" else "var"
                     counts[kind] += 1
                     name = rename[text] = f"{kind}{counts[kind]}"
-                text = name
-            elif (text == "include" and i > 1 and tokens[i - 2][0] == "#"
-                  and i < n and tokens[i][0] == "<"):
-                j = i
-                while j < n and tokens[j][0] != ">" and tokens[j][2] == line:
-                    j += 1
-                if j < n and tokens[j][0] == ">":
+                    text = name
+            elif text == "include":
+                end = _target_end(tokens, i)
+                if end > 0:
                     current.append(text)
-                    text, i = "str", j + 1
-        if pp_line is not None:
+                    line += sum(t in _BREAKS for t in tokens[i:end])
+                    text, i = "str", end + 1
+            elif (text in CONTROL_KEYWORDS and pp_line is None
+                  and (not current or current == ["else"])):
+                control = True
             current.append(text)
-        elif text == "#" and first:
+        elif pp_line is not None:
+            current.append(text)
+        elif role == "#" and _first_on_line(tokens, i - 1):
             if current:
                 statements.append(current)
             current = [text]
             control = False
             pp_line = line
-        elif text == "(" or text == "[":
+        elif role == "open":
             depth += 1
             current.append(text)
-        elif text == ")" or text == "]":
+        elif role == "close":
             if depth:
                 depth -= 1
             current.append(text)
             if text == ")" and not depth and control:
-                if i < n and tokens[i][0] == ";":
+                j = _seek(tokens, i)
+                if j < n and tokens[j] == ";":
                     current.append(";")
-                    i += 1
+                    i = j + 1
                 statements.append(current)
                 current = []
                 control = False
-        elif not depth and (text == "{" or text == "}"):
+        elif role == "brace" and not depth:
             if current:
                 statements.append(current)
                 current = []
             control = False
             statements.append([text])
         else:
-            if text in CONTROL_KEYWORDS and (not current or current == ["else"]):
-                control = True
             current.append(text)
-            if text == ";" and not depth:
+            if role == ";" and not depth:
                 statements.append(current)
                 current = []
                 control = False
@@ -257,7 +302,8 @@ def normalize_source(source_text: str) -> NormalizedFunction:
     and split into statements."""
     text = source_text.encode("ascii", errors="ignore").decode("ascii")
     text = text.replace("\r\n", "\n").replace("\\\n", " ")
-    statements, rename_map = _split(_lex(text))
+    tokens = _TOKEN_RE.findall(_SKIP_RE.sub(_skip, text))
+    statements, rename_map = _split(tokens)
     return NormalizedFunction(statements=statements, rename_map=rename_map)
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass
-from itertools import accumulate, chain
 
 import numpy as np
 
@@ -59,17 +58,12 @@ def _normalize(record):
 
 
 def prepare_samples(records, vocab: Vocabulary, config: TrainConfig):
-    """Normalize each record and map its statements to token id lists,
-    capped at stmt_token_cap tokens per statement. A function's capped
-    statements are mapped in one encode_tokens pass and split back."""
-    samples = []
-    for r in records:
-        capped = [stmt[:config.stmt_token_cap] for stmt in _normalize(r).statements]
-        ids = encode_tokens(list(chain.from_iterable(capped)), vocab)
-        ends = accumulate(map(len, capped))
-        statements = [ids[end - len(stmt):end] for stmt, end in zip(capped, ends)]
-        samples.append(PreparedSample(r.label, statements))
-    return samples
+    """Normalize each record and map each of its statements to token ids
+    with encode_tokens, capped at stmt_token_cap tokens per statement."""
+    cap = config.stmt_token_cap
+    return [PreparedSample(r.label, [encode_tokens(stmt[:cap], vocab)
+                                     for stmt in _normalize(r).statements])
+            for r in records]
 
 
 def build_training_vocabulary(train_records, config: TrainConfig) -> Vocabulary:
@@ -83,8 +77,10 @@ def masked_representations(params: ModelParams, samples, config: TrainConfig):
     dropout, and the classifier's max-softmax complement when `params` holds
     the classifier (None for a rebuild without it). The selector scores each
     batch's real statement rows, each distinct statement once under frozen
-    parameters; the rows and gates, one per kept statement again, are placed
-    by training's gated_block into one (batch, longest, dim) block.
+    parameters, and training's gated_block gates them and places them into
+    one (batch, longest, dim) block: given encode_batch's index, it gates
+    each distinct row once and copies the product into every slot that
+    reads it.
     pooled-d is the mean of a function's gated rows (zero without
     statements); concat-diagonal is the block flattened row-major, zero past
     longest * dim; max-softmax runs training's classifier_forward on it."""
@@ -97,9 +93,7 @@ def masked_representations(params: ModelParams, samples, config: TrainConfig):
                                          params.encoder, config.max_statements)
         probs = selector_forward(x, params.selector).data
         gates = deterministic_mask(probs, config.gate_mode)
-        if index is not None:
-            x, gates = ad.constant(x.data[index]), gates[index]
-        block = gated_block(x, ad.constant(gates), lengths)
+        block = gated_block(x, ad.constant(gates), lengths, index)
         b = len(chunk)
         if config.scoring_mode == "pooled-d":
             # summed down the rows in row order, as a per-function slice sum

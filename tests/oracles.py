@@ -16,8 +16,10 @@ checked against; `rectify_then_pool_encoding` is the taped encoder with the
 ReLU before the segment max, against whose bits the pool-then-ReLU one is
 checked; `occurrence_encoding` and `all_rows_representations` encode and
 gate every kept statement, repeats included, against which the frozen
-pass over distinct statements is checked, and `kept_rows` expands
-encode_batch's distinct rows to one per kept statement.
+pass over distinct statements and its distinct-row gating are checked, and
+`kept_rows` expands encode_batch's distinct rows to one per kept statement.
+`reference_normalize` is the one-scan lexer leo.normalize replaced, against
+which the two-scan normalizer is checked.
 `kmeans_inertia_history` re-runs `minibatch_kmeans` with 0, 1, ... Lloyd
 rounds to recover the inertia after each round, which the package does not
 keep.
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import copy
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +46,13 @@ from leo.losses import (
     minibatch_kmeans,
     peer_weights,
 )
-from leo.normalize import PAD_ID
+from leo.normalize import (
+    ALLOWLIST,
+    CONTROL_KEYWORDS,
+    PAD_ID,
+    NormalizedFunction,
+    NormalizeError,
+)
 from leo.scoring import representation_dim
 from leo.selector import (
     deterministic_mask,
@@ -353,20 +362,27 @@ def occurrence_encoding(batch, params, max_statements) -> np.ndarray:
     return out
 
 
-def all_rows_representations(params, samples, config):
-    """Scoring representations and max-softmax complements with the
-    selector run on every kept statement's row, repeats included, before
-    the rows are gated and placed by gated_block; the classifier runs
-    when the model has one (msp is None without)."""
+def all_rows_representations(params, samples, config, *, distinct_gates=False):
+    """Scoring representations and max-softmax complements with every kept
+    statement's row, repeats included, gated and placed by gated_block
+    without an index; the classifier runs when the model has one (msp is
+    None without). The selector runs on every kept row, or with
+    `distinct_gates` on the distinct rows once, their gates then expanded
+    with the rows (expand, then gate)."""
     n = len(samples)
     reps = np.zeros((n, representation_dim(config)))
     msp = np.zeros(n) if params.classifier is not None else None
     for start in range(0, n, config.batch_size):
         chunk = samples[start:start + config.batch_size]
-        x, lengths = kept_rows(encode_batch([s.statements for s in chunk],
-                                            params.encoder, config.max_statements))
-        gates = deterministic_mask(selector_forward(x, params.selector).data,
-                                   config.gate_mode)
+        encoded = encode_batch([s.statements for s in chunk], params.encoder,
+                               config.max_statements)
+        x, lengths = kept_rows(encoded)
+        rows, _, index = encoded
+        gates = deterministic_mask(
+            selector_forward(rows if distinct_gates else x, params.selector).data,
+            config.gate_mode)
+        if distinct_gates and index is not None:
+            gates = gates[index]
         block = gated_block(x, ad.constant(gates), lengths).data
         b = len(chunk)
         if config.scoring_mode == "pooled-d":
@@ -600,3 +616,175 @@ def finite_difference_check(loss_fn, params: dict, h: float = 1e-5,
         report.per_param[name] = worst
         report.max_rel_error = max(report.max_rel_error, worst)
     return report
+
+
+# ---------------------------------------------------------------------------
+# normalization: the earlier one-scan lexer, kept as the differential oracle
+# of leo.normalize, which rewrites comments and literals first and then walks
+# plain token strings. This one lexes into (text, is identifier, line, first
+# on its line) tuples with one finditer scan and cuts them into statements in
+# one walk.
+
+# Order matters: longest operators first so the alternation is greedy.
+_REFERENCE_OPERATORS = [
+    "<<=", ">>=", "...", "->*", "::", "->", "++", "--", "<<", ">>", "<=",
+    ">=", "==", "!=", "&&", "||", "+=", "-=", "*=", "/=", "%=", "&=", "|=",
+    "^=", "##", "+", "-", "*", "/", "%", "<", ">", "=", "!", "&", "|", "^",
+    "~", "?", ":", ".", "#",
+]
+
+# One match per token. The prefix skips horizontal whitespace and // comments
+# atomically (a lookahead capture re-matched by backreference), so a token
+# never starts inside a comment; \Z lets whitespace or a comment end the
+# text. A byte that starts no token (a stray backslash, @, $, `) matches
+# nothing and is skipped by finditer. Alternatives that share a first
+# character keep their priority: a complete comment or literal before its
+# lone opener (which is then unterminated) and before the "/" operator, a
+# number before ".", and longer operators before shorter ones.
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    (?=((?:[^\S\n]+|//[^\n]*)*))\1
+    (?:
+        (?P<IDENT>[A-Za-z_]\w*)
+      | (?P<NEWLINE>\n)
+      | (?P<COMMENT>/\*.*?\*/)
+      | (?P<LITERAL>"(?:\\.|[^"\\\n])*"|'(?:\\.|[^'\\\n])*')
+      | (?P<OPEN>/\*|"|')
+      | (?P<OTHER>
+            [(){}\[\],;]
+          | 0[xX][0-9a-fA-F]+[uUlL]*
+          | (?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?[uUlLfF]*
+          | """ + "|".join(re.escape(op) for op in _REFERENCE_OPERATORS) + r"""
+        )
+      | \Z
+    )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+_REFERENCE_UNTERMINATED = {
+    "/*": "unterminated block comment",
+    '"': "unterminated string literal",
+    "'": "unterminated character literal",
+}
+
+
+def _reference_lex(text: str) -> list[tuple[str, bool, int, bool]]:
+    """(text, is identifier, line, first on its line) per token, with
+    string and character literals already collapsed to "str"."""
+    tokens = []
+    line = 1
+    first = True
+    for m in _REFERENCE_TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "IDENT" or kind == "OTHER":
+            tokens.append((m[kind], kind == "IDENT", line, first))
+            first = False
+        elif kind == "NEWLINE":
+            line += 1
+            first = True
+        elif kind == "LITERAL":
+            tokens.append(("str", False, line, first))
+            first = False
+        elif kind == "COMMENT":
+            line += m[kind].count("\n")
+        elif kind == "OPEN":
+            raise NormalizeError(_REFERENCE_UNTERMINATED[m[kind]], m.start(kind))
+    return tokens
+
+
+def _reference_split(tokens) -> tuple[list[list[str]], dict[str, str]]:
+    """Rename user identifiers and cut _reference_lex's token stream into
+    statements, in one walk. Returns the statements and the rename map.
+
+    An identifier is renamed just before it is placed, as a function when
+    the next token is "(". The <...> target of an include directive folds
+    into one "str" token, mirroring the quoted-target rule. The target scan
+    stays on the include's line, but a ">" that is the first token past
+    that line still closes it: "#include <a\\n>" gives one statement,
+    ["#", "include", "str"]. That quirk is kept: normalized output is frozen.
+
+    Boundaries: after ';' at paren depth 0; before and after '{' / '}' at
+    paren depth 0 (each brace is its own statement); after the ')' that
+    closes an if/for/while/switch header, unless a ';' follows immediately;
+    a preprocessor line ('#' first on its line) is one whole statement.
+    """
+    statements: list[list[str]] = []
+    current: list[str] = []
+    rename: dict[str, str] = {}
+    counts = {"var": 0, "func": 0}
+    depth = 0
+    control = False  # a control header opened at paren depth 0
+    pp_line = None
+    i, n = 0, len(tokens)
+    while i < n:
+        text, ident, line, first = tokens[i]
+        i += 1
+        if pp_line is not None and line != pp_line:
+            statements.append(current)  # the directive, from its "#"
+            current = []
+            pp_line = None
+        if ident:
+            if text not in ALLOWLIST:
+                name = rename.get(text)
+                if name is None:
+                    kind = "func" if i < n and tokens[i][0] == "(" else "var"
+                    counts[kind] += 1
+                    name = rename[text] = f"{kind}{counts[kind]}"
+                text = name
+            elif (text == "include" and i > 1 and tokens[i - 2][0] == "#"
+                  and i < n and tokens[i][0] == "<"):
+                j = i
+                while j < n and tokens[j][0] != ">" and tokens[j][2] == line:
+                    j += 1
+                if j < n and tokens[j][0] == ">":
+                    current.append(text)
+                    text, i = "str", j + 1
+        if pp_line is not None:
+            current.append(text)
+        elif text == "#" and first:
+            if current:
+                statements.append(current)
+            current = [text]
+            control = False
+            pp_line = line
+        elif text == "(" or text == "[":
+            depth += 1
+            current.append(text)
+        elif text == ")" or text == "]":
+            if depth:
+                depth -= 1
+            current.append(text)
+            if text == ")" and not depth and control:
+                if i < n and tokens[i][0] == ";":
+                    current.append(";")
+                    i += 1
+                statements.append(current)
+                current = []
+                control = False
+        elif not depth and (text == "{" or text == "}"):
+            if current:
+                statements.append(current)
+                current = []
+            control = False
+            statements.append([text])
+        else:
+            if text in CONTROL_KEYWORDS and (not current or current == ["else"]):
+                control = True
+            current.append(text)
+            if text == ";" and not depth:
+                statements.append(current)
+                current = []
+                control = False
+    if current:
+        statements.append(current)
+    return statements, rename
+
+
+def reference_normalize(source_text: str) -> NormalizedFunction:
+    """normalize_source as the one-scan lexer computed it: the same
+    statements, rename map, NormalizeError message and offset."""
+    text = source_text.encode("ascii", errors="ignore").decode("ascii")
+    text = text.replace("\r\n", "\n").replace("\\\n", " ")
+    statements, rename_map = _reference_split(_reference_lex(text))
+    return NormalizedFunction(statements=statements, rename_map=rename_map)

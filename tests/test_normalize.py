@@ -15,6 +15,7 @@ from leo.normalize import (
     normalize_source,
 )
 from leo.synth import generate_pair, generate_synthetic
+from oracles import reference_normalize
 
 
 def statements_of(src):
@@ -477,3 +478,52 @@ def test_normalizer_digest_frozen():
     assert 200 < errors < len(corpus) // 2  # both paths are exercised
     blob = json.dumps(outcomes, ensure_ascii=True).encode("ascii")
     assert hashlib.sha256(blob).hexdigest() == FROZEN_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# the two-scan normalizer against the one-scan lexer it replaced
+
+# Pieces whose mixes reach every rule the line marks and the lookaheads
+# touch: a multi-line block comment before "#" and inside an include
+# target, "#include <a" + newline + ">", "if (x)" + newline + ";", "//"
+# inside a literal, lone openers after a multi-line comment, CRLF, stray
+# bytes, and U+2028, which the ASCII strip removes before the mark is made.
+_MIX_PIECES = (
+    "/* a\nb */", "/* c */", "#", "#include <a", "#include <", " include",
+    "\n", "\r\n", ">", "<", "if (x)", "while (y)", "f", "(", ")", ";", "{",
+    "}", "else", "define", '"//"', "'/*'", "// c", "/*", '"', "'", "@",
+    "\\", "$", "\u2028", "\u2028x", " ", "x", "é", "\\\n", "\r",
+)
+
+
+def _mixed_corpus(n, seed):
+    rng = np.random.default_rng(seed)
+    return ["".join(_MIX_PIECES[int(i)] for i in
+                    rng.integers(len(_MIX_PIECES), size=int(rng.integers(1, 14))))
+            for _ in range(n)]
+
+
+def _outcome_of(normalize, text):
+    try:
+        fn = normalize(text)
+    except NormalizeError as exc:
+        return ["error", str(exc), exc.offset]
+    return ["ok", fn.statements, fn.rename_map]
+
+
+@pytest.mark.parametrize("corpus", ["digest", "mixed"])
+def test_normalizer_matches_the_one_scan_lexer(corpus):
+    """normalize_source gives the statements, rename map, error message
+    and error offset of the earlier one-scan lexer (tests/oracles.py), on
+    the frozen digest's corpus and on seeded mixes of the cases where the
+    comment and literal rewrite and the line marks could differ from it."""
+    texts = _digest_corpus() if corpus == "digest" else _mixed_corpus(4000, 28)
+    got = [_outcome_of(normalize_source, t) for t in texts]
+    want = [_outcome_of(reference_normalize, t) for t in texts]
+    mismatched = [t for t, g, w in zip(texts, got, want) if g != w]
+    assert not mismatched, f"{len(mismatched)} differ, first {mismatched[0]!r}"
+    if corpus == "mixed":  # errors, folded targets and line marks all occur
+        ok = [(t, o[1]) for t, o in zip(texts, got) if o[0] == "ok"]
+        assert len(ok) < len(texts)
+        assert sum(["#", "include", "str"] in stmts for _, stmts in ok) >= 10
+        assert sum("/* a\nb */" in t for t, _ in ok) >= 100

@@ -635,9 +635,9 @@ def test_epoch_log_reports_mean_clusters_and_anchors(caplog, monkeypatch, ablate
 
 
 def test_prepare_samples_maps_ids_as_encode_tokens_per_statement():
-    """One id lookup per function gives the per-statement encode_tokens
-    mapping, with statements over stmt_token_cap cut and unseen tokens
-    mapped to the unknown id."""
+    """Each statement maps as encode_tokens of its first stmt_token_cap
+    tokens: statements over the cap are cut and unseen tokens map to the
+    unknown id."""
     cfg = tiny_config(stmt_token_cap=4)
     train_recs, id_test, ood_test = tiny_corpus(n=30, n_ood=10)
     records = train_recs + id_test + ood_test

@@ -9,7 +9,8 @@ import leo.train as train_module
 from leo.config import TrainConfig
 from leo.data import DatasetRecord
 from leo.encoder import encode_batch
-from leo.losses import classifier_forward, minibatch_kmeans
+from leo.autodiff import GraphError, NumericError
+from leo.losses import classifier_forward, gated_block, minibatch_kmeans
 from leo.model import (
     ModelArtifact,
     ModelFormatError,
@@ -581,6 +582,62 @@ def test_repeated_statements_move_scores_by_rounding_only(gate_mode, scoring_mod
         np.testing.assert_array_equal(got > threshold, ref > threshold)
 
 
+@pytest.mark.parametrize("scoring_mode", ["pooled-d", "concat-diagonal"])
+def test_distinct_row_gating_matches_expand_then_gate_bit_for_bit(scoring_mode):
+    """Gating the distinct rows once and copying each product into every
+    slot that reads it gives the representations and max-softmax scores of
+    expanding the rows and their gates first, bit for bit."""
+    records, _, _ = generate_synthetic(20, 0, seed=3)
+    artifact, _ = small_artifact(records, scoring_mode=scoring_mode,
+                                 max_statements=20, batch_size=16)
+    samples = prepare_samples(records, artifact.vocab, artifact.config)
+    for classifier in (True, False):
+        params = model_from_artifact(artifact, classifier=classifier)
+        reps, msp = masked_representations(params, samples, artifact.config)
+        want_reps, want_msp = all_rows_representations(
+            params, samples, artifact.config, distinct_gates=True)
+        np.testing.assert_array_equal(reps, want_reps)
+        if classifier:
+            np.testing.assert_array_equal(msp, want_msp)
+        else:
+            assert msp is None and want_msp is None
+
+
+def test_gate_product_sees_distinct_rows_only(monkeypatch):
+    """Under a rebuilt model the one product of rows and gates per batch
+    has one row per distinct kept statement, the selector's count in
+    test_frozen_selector_scores_distinct_rows_only."""
+    artifact, _ = small_artifact()
+    seen = []
+    mul = ad.mul
+
+    def spy(a, b):
+        seen.append(a.data.shape[0])
+        return mul(a, b)
+
+    monkeypatch.setattr(ad, "mul", spy)
+    masked_representations(model_from_artifact(artifact), samples_of(FUNCS + FUNCS),
+                           artifact.config)
+    assert seen == [3, 1, 2, 3, 2]
+
+
+def test_a_non_finite_gate_reached_only_through_a_repeat_still_raises():
+    """Distinct row 1 is read only by the two repeated statements of
+    function 0: its NaN gate still raises, and so does its infinite row in
+    the product node. An index on taped rows is refused."""
+    x = ad.constant(np.arange(6.0).reshape(3, 2))
+    index, lengths = np.array([1, 1, 0, 2]), [2, 2]
+    gated_block(x, ad.constant(np.ones(3)), lengths, index)
+    with pytest.raises(NumericError):
+        gated_block(x, ad.constant(np.array([1.0, np.nan, 1.0])), lengths, index)
+    x.data[1] = np.inf
+    with pytest.raises(NumericError, match="mul"):
+        gated_block(x, ad.constant(np.ones(3)), lengths, index)
+    with pytest.raises(GraphError, match="frozen read path"):
+        gated_block(ad.Tensor(np.ones((3, 2)), requires_grad=True),
+                    ad.constant(np.ones(3)), lengths, index)
+
+
 def test_mahalanobis_scoring_never_runs_or_widens_the_classifier(monkeypatch):
     """classifier/w0 dominates this model; a float64 copy of it alone would
     take 5 MB, and the Mahalanobis path's whole allocation peak stays below
@@ -632,6 +689,29 @@ def test_classifierless_rebuild_checks_the_classifier_tensors(case):
 
 
 # --- the model rebuilt from an artifact (model_from_artifact) ------------------
+
+
+def test_a_lean_rebuild_declares_each_parameter_once(monkeypatch):
+    """model_from_artifact(classifier=False) creates each encoder and
+    selector parameter once, from its widened float64 tensor, and checks
+    each classifier tensor once over a zero-stride stand-in: none of them
+    is widened."""
+    artifact, _ = small_artifact()
+    created = []
+    create = ParameterStore.create
+
+    def spy(self, name, shape, draw=None):
+        created.append(create(self, name, shape, draw))
+        return created[-1]
+
+    monkeypatch.setattr(ParameterStore, "create", spy)
+    params = model_from_artifact(artifact, classifier=False)
+    assert sorted(t.name for t in created) == sorted(artifact.tensors)
+    for t in created:
+        if t.name.startswith("classifier/"):
+            assert not any(t.data.strides) and t.name not in params.store.names()
+        else:
+            assert t.data.flags.owndata and t is params.store[t.name]
 
 
 def test_rebuilt_store_matches_init_layout():
