@@ -3,8 +3,9 @@
 init_model declares every parameter (name, shape, store order)
 through the encoder / selector / classifier constructors and draws fresh
 values; model_from_artifact walks the same constructors over an artifact's
-stored tensors instead, so the layout is stated once. An artifact whose
-tensors are not exactly the ones its config declares is a ModelFormatError.
+stored tensors instead, so the layout is stated once. That walk is the one
+check of the tensor set: an artifact whose tensors are not exactly the ones
+its config declares is a ModelFormatError, at load and at every rebuild.
 Mahalanobis scoring never reads the classifier, so a rebuild for it leaves
 the classifier/ tensors in their stored float32 form.
 
@@ -16,13 +17,15 @@ Binary container layout ("LEO1" format, version 1):
     u32 LE       CRC-32 over everything before it (magic included)
 
 Sections, in fixed order: VOCB (vocabulary), TENS (named float32 tensors),
-CONF (config snapshot as key = value text), CLST (cluster statistics),
-THRS (threshold + quantile), LOGD (training log digest). Parameters are
-stored as little-endian float32; cluster statistics and the threshold are
-float64 because scoring is calibrated after the float32 quantization.
-Unknown or repeated section tags, bytes left over after a section's
-content, a repeated tensor name, a repeated vocabulary token, a vocabulary
-that does not start with the pad and unknown tokens, and CLST or THRS
+CONF (config snapshot as key = value text, naming every TrainConfig field),
+CLST (cluster statistics), THRS (threshold + quantile), LOGD (training log
+digest). Parameters are stored as little-endian float32; cluster statistics
+and the threshold are float64 because scoring is calibrated after the
+float32 quantization. One cursor reads the container body and, in turn,
+each section's payload, and a truncation or leftover bytes name which of
+them it was. Unknown, repeated or missing section tags, a repeated tensor
+name, a repeated vocabulary token, a vocabulary that does not start with
+the pad and unknown tokens, a CONF that leaves a field out, and CLST or THRS
 contents that CONF's scoring could not have fit are rejected; every
 decoding failure raises ModelFormatError.
 """
@@ -32,7 +35,7 @@ import math
 import struct
 import zlib
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -104,50 +107,36 @@ def init_model(config: TrainConfig, vocab_size: int,
     return _declare_model(ParameterStore(), config, vocab_size, rng)
 
 
-def _stand_ins(tensors: dict, prefix: str = "") -> dict:
-    """Zero-stride float64 stand-ins of the tensors named with `prefix`:
-    their shapes, with nothing widened or copied."""
-    return {name: np.broadcast_to(0.0, np.shape(arr))
-            for name, arr in tensors.items() if name.startswith(prefix)}
-
-
-def _check_tensors(artifact: ModelArtifact, stored: dict | None = None,
-                   classifier: bool = True) -> ModelParams:
-    """The model declared over `stored`, by default zero-stride float64
-    stand-ins of every tensor, which widen and copy nothing. Without
-    `classifier` its tensors are declared over stand-ins in a store that is
-    not kept. ModelFormatError unless the artifact holds exactly the
-    tensors its config declares, each with its declared shape."""
-    stored = _stand_ins(artifact.tensors) if stored is None else stored
-    config, checked = artifact.config, []
+def model_from_artifact(artifact: ModelArtifact, *,
+                        classifier: bool = True) -> ModelParams:
+    """Live parameters of an artifact, frozen, with no random draws, and the
+    one check of its tensor set: ModelFormatError unless the artifact holds
+    exactly the tensors its config declares, each with its declared shape.
+    Each tensor the model is built from is widened once from float32 to
+    float64, a copy the artifact does not share, and declared once. Without
+    `classifier` the classifier/ tensors are declared over zero-stride
+    stand-ins, in a store that is not kept, so they are checked but neither
+    widened nor held, and params.classifier is None."""
+    config, tensors = artifact.config, artifact.tensors
+    stored = {name: np.array(arr, dtype=np.float64) for name, arr in tensors.items()
+              if classifier or not name.startswith("classifier/")}
     try:
         params = _declare_model(ParameterStore(stored=stored), config,
                                 artifact.vocab.size, None, classifier)
+        declared = params.store.names()
         if not classifier:
-            check = ParameterStore(stored=_stand_ins(artifact.tensors, "classifier/"))
+            check = ParameterStore(stored={
+                name: np.broadcast_to(0.0, np.shape(arr))
+                for name, arr in tensors.items() if name.startswith("classifier/")})
             _declare_classifier(check, config, None)
-            checked = check.names()
+            declared += check.names()
     except GraphError as exc:
         raise ModelFormatError(f"tensors do not match the config: {exc}") from exc
-    extra = sorted(set(artifact.tensors) - set(params.store.names()) - set(checked))
+    extra = sorted(set(tensors) - set(declared))
     if extra:
         raise ModelFormatError(
             f"tensors the config does not declare: {', '.join(extra)}")
     return params
-
-
-def model_from_artifact(artifact: ModelArtifact, *,
-                        classifier: bool = True) -> ModelParams:
-    """Live parameters of an artifact, frozen, with no random draws. Each
-    tensor the model is built from is widened once from float32 to
-    float64, a copy the artifact does not share, and declared once, which
-    checks the full tensor set against the config. Without `classifier`
-    the classifier/ tensors are checked over stand-ins but neither widened
-    nor held, and params.classifier is None."""
-    return _check_tensors(artifact, {
-        name: np.array(arr, dtype=np.float64)
-        for name, arr in artifact.tensors.items()
-        if classifier or not name.startswith("classifier/")}, classifier)
 
 
 def _pack_str(text: str) -> bytes:
@@ -156,15 +145,15 @@ def _pack_str(text: str) -> bytes:
 
 
 class _Reader:
-    """Cursor over a section payload; `take` hands out views, not copies."""
+    """Cursor over the container body or one section's payload, named by
+    `what` in its errors; `take` hands out views, not copies."""
 
-    def __init__(self, buf: memoryview):
-        self.buf = buf
-        self.pos = 0
+    def __init__(self, buf: memoryview, what: str):
+        self.buf, self.what, self.pos = buf, what, 0
 
     def take(self, n: int) -> memoryview:
         if n < 0 or self.pos + n > len(self.buf):
-            raise ModelFormatError("section payload truncated")
+            raise ModelFormatError(f"{self.what} truncated")
         out = self.buf[self.pos:self.pos + n]
         self.pos += n
         return out
@@ -178,10 +167,10 @@ class _Reader:
     def string(self) -> str:
         return str(self.take(self.u32()), "utf-8")
 
-    def done(self, tag: bytes) -> None:
+    def done(self) -> None:
         if self.pos != len(self.buf):
             raise ModelFormatError(
-                f"section {tag!r} has {len(self.buf) - self.pos} trailing bytes")
+                f"{self.what} has {len(self.buf) - self.pos} trailing bytes")
 
 
 def _encode_vocab(vocab: Vocabulary) -> bytes:
@@ -191,11 +180,10 @@ def _encode_vocab(vocab: Vocabulary) -> bytes:
     return b"".join(parts)
 
 
-def _decode_vocab(payload: memoryview) -> Vocabulary:
-    r = _Reader(payload)
+def _decode_vocab(r: _Reader) -> Vocabulary:
     count = r.u32()
     tokens = tuple(r.string() for _ in range(count))
-    r.done(b"VOCB")
+    r.done()
     if tokens[:2] != (PAD_TOKEN, UNK_TOKEN):
         raise ModelFormatError(f"VOCB starts with {list(tokens[:2])}, not "
                                f"{[PAD_TOKEN, UNK_TOKEN]}")
@@ -216,8 +204,7 @@ def _encode_tensors(tensors: dict) -> bytes:
     return b"".join(parts)
 
 
-def _decode_tensors(payload: memoryview) -> dict:
-    r = _Reader(payload)
+def _decode_tensors(r: _Reader) -> dict:
     count = r.u32()
     tensors = {}
     for _ in range(count):
@@ -226,10 +213,10 @@ def _decode_tensors(payload: memoryview) -> dict:
             raise ModelFormatError(f"TENS repeats tensor {name!r}")
         ndim = r.u8()
         shape = struct.unpack(f"<{ndim}I", r.take(4 * ndim))
-        n_bytes = 4 * int(np.prod(shape, dtype=np.int64)) if ndim else 4
+        n_bytes = 4 * int(np.prod(shape, dtype=np.int64))
         data = np.frombuffer(r.take(n_bytes), dtype="<f4").reshape(shape)
         tensors[name] = data.copy()
-    r.done(b"TENS")
+    r.done()
     return tensors
 
 
@@ -246,8 +233,7 @@ def _encode_stats(stats: ClusterStatistics) -> bytes:
     return b"".join(parts)
 
 
-def _decode_stats(payload: memoryview) -> ClusterStatistics:
-    r = _Reader(payload)
+def _decode_stats(r: _Reader) -> ClusterStatistics:
     diagonal = bool(r.u8())
     mode = r.string()
     k = r.u32()
@@ -258,7 +244,7 @@ def _decode_stats(payload: memoryview) -> ClusterStatistics:
     inverses = np.frombuffer(r.take(8 * inv_count), dtype="<f8").reshape(inv_shape).copy()
     counts = np.frombuffer(r.take(4 * k), dtype="<u4").astype(np.int64)
     eps_used = np.frombuffer(r.take(8 * k), dtype="<f8").copy()
-    r.done(b"CLST")
+    r.done()
     return ClusterStatistics(means=means, inverses=inverses, counts=counts,
                              eps_used=eps_used, diagonal_covariance=diagonal,
                              mode=mode)
@@ -322,43 +308,38 @@ def deserialize_model(blob: bytes) -> ModelArtifact:
     version = struct.unpack("<I", view[4:8])[0]
     if version != VERSION:
         raise ModelFormatError(f"unsupported format version {version}")
-    sections = {}
-    pos = 8
-    end = len(blob) - 4
-    while pos < end:
-        if pos + 8 > end:
-            raise ModelFormatError("truncated section header")
-        tag = bytes(view[pos:pos + 4])
+    body, sections = _Reader(view[8:-4], "container"), {}
+    while body.pos < len(body.buf):
+        tag = bytes(body.take(4))
         if tag not in _SECTION_ORDER:
             raise ModelFormatError(f"unknown section tag {tag!r}")
         if tag in sections:
             raise ModelFormatError(f"duplicate section {tag!r}")
-        length = struct.unpack("<I", view[pos + 4:pos + 8])[0]
-        pos += 8
-        if pos + length > end:
-            raise ModelFormatError(f"section {tag!r} payload truncated")
-        sections[tag] = view[pos:pos + length]
-        pos += length
+        sections[tag] = _Reader(body.take(body.u32()), f"section {tag!r}")
     missing = [t for t in _SECTION_ORDER if t not in sections]
     if missing:
         raise ModelFormatError(f"missing sections: {missing}")
     try:
-        threshold, quantile = struct.unpack("<dd", sections[b"THRS"])
+        conf = parse_config_text(str(sections[b"CONF"].buf, "utf-8"))
+        unnamed = [f.name for f in fields(TrainConfig) if f.name not in conf]
+        if unnamed:
+            raise ModelFormatError(f"CONF does not name {', '.join(unnamed)}")
+        threshold, quantile = struct.unpack("<dd", sections[b"THRS"].buf)
         artifact = ModelArtifact(
             vocab=_decode_vocab(sections[b"VOCB"]),
             tensors=_decode_tensors(sections[b"TENS"]),
-            config=TrainConfig(**parse_config_text(str(sections[b"CONF"], "utf-8"))),
+            config=TrainConfig(**conf),
             stats=_decode_stats(sections[b"CLST"]),
             threshold=threshold,
             quantile=quantile,
-            log_digest=str(sections[b"LOGD"], "utf-8"),
+            log_digest=str(sections[b"LOGD"].buf, "utf-8"),
         )
     except ModelFormatError:
         raise
     except (ValueError, TypeError, struct.error) as exc:  # UnicodeDecodeError is a ValueError
         raise ModelFormatError(f"malformed section content: {exc}") from exc
     _check_calibration(artifact)
-    _check_tensors(artifact)
+    model_from_artifact(artifact, classifier=False)
     return artifact
 
 

@@ -95,6 +95,15 @@ def test_non_finite_forward_raises():
     assert "exp" in str(err.value)
 
 
+def test_backward_rejects_a_non_finite_gradient_into_a_parent():
+    x = t([1e-300], name="x")
+    big = ad.constant(np.array([1e200]))
+    y = ad.mul(ad.mul(x, big), big)     # finite forward, gradient 1e400 into x
+    with np.errstate(over="ignore"), pytest.raises(
+            ad.NumericError, match="non-finite gradient flowing into 'x'"):
+        ad.backward(ad.reduce_sum(y))
+
+
 def test_matmul_shape_mismatch():
     with pytest.raises(ad.GraphError):
         ad.matmul(t(np.ones((2, 3))), t(np.ones((2, 3))))

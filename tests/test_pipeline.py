@@ -115,6 +115,8 @@ def test_config_requires_seed_and_known_keys(tmp_path):
         load_config(str(bad), {})
     with pytest.raises(ValueError, match="key = value"):
         parse_config_text("seed: 4")
+    with pytest.raises(ValueError, match="unknown config key 'mystery'"):
+        load_config(None, {"seed": 1, "mystery": 4})
 
 
 def test_config_rejects_a_repeated_key():
@@ -221,6 +223,9 @@ def test_load_dataset_errors_name_the_line(tmp_path):
         ('{"code": "x", "label": 2}\n', "label"),
         ('{"label": 0}\n', "code"),
         ('{not json}\n', "malformed"),
+        ('[{"code": "x", "label": 0}]\n', "line 1: record must be an object"),
+        ('{"id": "a", "code": "x", "label": 0}\n{"code": "y"}\n',
+         "line 2: missing 'label'"),
         ('{"id": "a", "code": "x", "label": 0}\n{"id": "a", "code": "y", "label": 0}\n',
          "duplicate"),
     ]
@@ -483,6 +488,35 @@ def test_container_rejects_a_config_with_vocab_max_below_two():
     blob = _with_section(serialize_model(art), b"CONF", conf.encode())
     with pytest.raises(ModelFormatError, match="vocab_max must be at least 2"):
         deserialize_model(blob)
+
+
+def test_container_rejects_a_config_that_leaves_fields_out():
+    art = small_artifact()
+    art.config = dataclasses.replace(art.config, stmt_token_cap=5, gate_mode="hard")
+    blob = serialize_model(art)
+    assert deserialize_model(blob).config == art.config
+    conf = "".join(line for line in art.config.render().splitlines(keepends=True)
+                   if not line.startswith(("stmt_token_cap ", "gate_mode ")))
+    with pytest.raises(ModelFormatError,
+                       match="CONF does not name stmt_token_cap, gate_mode$"):
+        deserialize_model(_with_section(blob, b"CONF", conf.encode()))
+
+
+def test_container_truncations_name_what_was_read():
+    blob = serialize_model(small_artifact())
+    body, sections = blob[:-4], _sections(blob)
+    without_logd = b"".join(t + struct.pack("<I", len(p)) + p
+                            for t, p in sections.items() if t != b"LOGD")
+    for bad, message in (
+            (blob[:10], "file too short"),
+            (_with_crc(body[:14]), "container truncated"),  # inside VOCB's length
+            (_with_crc(body[:12] + struct.pack("<I", len(body)) + body[16:]),
+             "container truncated"),
+            (_with_crc(body[:8] + without_logd), "missing sections: [b'LOGD']"),
+            (_with_section(blob, b"TENS", sections[b"TENS"][:-3]),
+             "section b'TENS' truncated")):
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
+            deserialize_model(bad)
 
 
 def test_container_fuzz_raises_only_model_format_error():
@@ -1056,6 +1090,11 @@ def test_cli_error_paths(cli_corpus, tmp_path, capsys):
         assert (f"error: {named}: evaluating after training needs both "
                 "--id-test and --ood-test") in capsys.readouterr().err
         assert not model.exists()
+    assert main(["train", "--data", str(cli_corpus / "train.jsonl"), "--model",
+                 str(model), "--config", str(cli_corpus / "run.cfg"),
+                 "--repeats", "0"]) == 2
+    assert "error: --repeats must be at least 1" in capsys.readouterr().err
+    assert not model.exists()
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_text("seed = 1\nwhatever = 2\n")
     assert main(["train", "--data", "nope.jsonl", "--model", "m",
@@ -1070,6 +1109,19 @@ def test_cli_error_paths(cli_corpus, tmp_path, capsys):
     assert main(["train", "--data", "nope.jsonl", "--model", "m",
                  "--config", str(nan_cfg)]) == 2
     assert "clip_norm must be finite, not nan" in capsys.readouterr().err
+
+
+def test_empty_score_and_id_test_files_are_named(cli_corpus, tmp_path, capsys):
+    _train_cli(cli_corpus, tmp_path, "train")
+    model = str(tmp_path / "m.leo")
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    with pytest.warns(UserWarning):
+        assert main(["score", "--model", model, "--data", str(empty)]) == 2
+    assert f"error: {empty} is empty" in capsys.readouterr().err
+    with pytest.warns(UserWarning), pytest.raises(
+            ValueError, match=re.escape(f"ID test file {empty} is empty")):
+        evaluate(load_model(model), str(empty), str(cli_corpus / "ood_test.jsonl"))
 
 
 def test_cli_eval_and_score_outputs_read_back_exactly(cli_corpus, tmp_path):
