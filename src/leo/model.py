@@ -9,6 +9,12 @@ its config declares is a ModelFormatError, at load and at every rebuild.
 Mahalanobis scoring never reads the classifier, so a rebuild for it leaves
 the classifier/ tensors in their stored float32 form.
 
+A loaded artifact's tensors are read-only float32 views of the file's
+bytes, not copies: each keeps the whole blob alive, and writing into one
+raises ValueError. The load check walks the constructors over zero-stride
+stand-ins of the stored shapes, so it widens and copies no tensor; only a
+rebuild widens, each tensor it builds from, once.
+
 Binary container layout ("LEO1" format, version 1):
 
     bytes 0..3   magic "LEO1"
@@ -107,36 +113,51 @@ def init_model(config: TrainConfig, vocab_size: int,
     return _declare_model(ParameterStore(), config, vocab_size, rng)
 
 
-def model_from_artifact(artifact: ModelArtifact, *,
-                        classifier: bool = True) -> ModelParams:
-    """Live parameters of an artifact, frozen, with no random draws, and the
-    one check of its tensor set: ModelFormatError unless the artifact holds
-    exactly the tensors its config declares, each with its declared shape.
-    Each tensor the model is built from is widened once from float32 to
-    float64, a copy the artifact does not share, and declared once. Without
-    `classifier` the classifier/ tensors are declared over zero-stride
-    stand-ins, in a store that is not kept, so they are checked but neither
-    widened nor held, and params.classifier is None."""
-    config, tensors = artifact.config, artifact.tensors
-    stored = {name: np.array(arr, dtype=np.float64) for name, arr in tensors.items()
-              if classifier or not name.startswith("classifier/")}
+def _declare_stored(artifact: ModelArtifact, stored: dict,
+                    classifier: bool) -> ModelParams:
+    """The one check of an artifact's tensor set: declare its model over
+    `stored` (name -> float64 array of that tensor's stored shape, its
+    widened value or a stand-in), and raise ModelFormatError unless the
+    artifact holds exactly the tensors its config declares, each with its
+    declared shape. Each parameter is declared once. Without `classifier`
+    the classifier is declared in a store that is not kept, and
+    params.classifier is None."""
+    config = artifact.config
     try:
         params = _declare_model(ParameterStore(stored=stored), config,
                                 artifact.vocab.size, None, classifier)
         declared = params.store.names()
         if not classifier:
-            check = ParameterStore(stored={
-                name: np.broadcast_to(0.0, np.shape(arr))
-                for name, arr in tensors.items() if name.startswith("classifier/")})
+            check = ParameterStore(stored=stored)
             _declare_classifier(check, config, None)
             declared += check.names()
     except GraphError as exc:
         raise ModelFormatError(f"tensors do not match the config: {exc}") from exc
-    extra = sorted(set(tensors) - set(declared))
+    extra = sorted(set(artifact.tensors) - set(declared))
     if extra:
         raise ModelFormatError(
             f"tensors the config does not declare: {', '.join(extra)}")
     return params
+
+
+def _stand_in(arr: np.ndarray) -> np.ndarray:
+    """A zero-stride float64 array of arr's shape: declarable, never read."""
+    return np.broadcast_to(0.0, np.shape(arr))
+
+
+def model_from_artifact(artifact: ModelArtifact, *,
+                        classifier: bool = True) -> ModelParams:
+    """Live parameters of an artifact, frozen, with no random draws, through
+    the one check of its tensor set (_declare_stored). Each tensor the model
+    is built from is widened once from float32 to float64, an owned copy
+    even of a loaded artifact's read-only views, and declared once. Without
+    `classifier` the classifier/ tensors are declared over zero-stride
+    stand-ins, so they are checked but neither widened nor held, and
+    params.classifier is None."""
+    return _declare_stored(artifact, {
+        name: np.array(arr, dtype=np.float64)
+        if classifier or not name.startswith("classifier/") else _stand_in(arr)
+        for name, arr in artifact.tensors.items()}, classifier)
 
 
 def _pack_str(text: str) -> bytes:
@@ -158,14 +179,25 @@ class _Reader:
         self.pos += n
         return out
 
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
     def u8(self) -> int:
         return self.take(1)[0]
 
     def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+        return self.unpack("<I")[0]
+
+    def text(self, n: int | None = None) -> str:
+        """The next n bytes, or all that are left, as UTF-8 text."""
+        raw = self.take(len(self.buf) - self.pos if n is None else n)
+        try:
+            return str(raw, "utf-8")
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"{self.what} is not UTF-8: {exc}") from exc
 
     def string(self) -> str:
-        return str(self.take(self.u32()), "utf-8")
+        return self.text(self.u32())
 
     def done(self) -> None:
         if self.pos != len(self.buf):
@@ -212,10 +244,9 @@ def _decode_tensors(r: _Reader) -> dict:
         if name in tensors:
             raise ModelFormatError(f"TENS repeats tensor {name!r}")
         ndim = r.u8()
-        shape = struct.unpack(f"<{ndim}I", r.take(4 * ndim))
+        shape = r.unpack(f"<{ndim}I")
         n_bytes = 4 * int(np.prod(shape, dtype=np.int64))
-        data = np.frombuffer(r.take(n_bytes), dtype="<f4").reshape(shape)
-        tensors[name] = data.copy()
+        tensors[name] = np.frombuffer(r.take(n_bytes), dtype="<f4").reshape(shape)
     r.done()
     return tensors
 
@@ -236,8 +267,7 @@ def _encode_stats(stats: ClusterStatistics) -> bytes:
 def _decode_stats(r: _Reader) -> ClusterStatistics:
     diagonal = bool(r.u8())
     mode = r.string()
-    k = r.u32()
-    dim = r.u32()
+    k, dim = r.unpack("<II")
     means = np.frombuffer(r.take(8 * k * dim), dtype="<f8").reshape(k, dim).copy()
     inv_count = k * dim if diagonal else k * dim * dim
     inv_shape = (k, dim) if diagonal else (k, dim, dim)
@@ -293,12 +323,18 @@ def serialize_model(artifact: ModelArtifact) -> bytes:
 
 
 def deserialize_model(blob: bytes) -> ModelArtifact:
+    """The artifact a container holds. Its tensors are read-only views of
+    the blob's bytes; a blob that is not `bytes` (a bytearray, say) is
+    copied once first, so that no tensor aliases a buffer its caller may
+    reuse."""
+    if not isinstance(blob, bytes):
+        blob = bytes(blob)
     if len(blob) < 12:
         raise ModelFormatError("file too short to be a model container")
     if blob[:4] != MAGIC:
         raise ModelFormatError(f"bad magic {blob[:4]!r}, expected {MAGIC!r}")
-    # Sections are parsed from views of the blob, so that the only copy a
-    # load makes of the parameter bytes is the tensors it returns.
+    # Sections are parsed from views of the blob, and the tensors stay views
+    # of it: a load copies no parameter bytes.
     view = memoryview(blob)
     stored_crc = struct.unpack("<I", view[-4:])[0]
     actual_crc = zlib.crc32(view[:-4]) & 0xFFFFFFFF
@@ -320,11 +356,13 @@ def deserialize_model(blob: bytes) -> ModelArtifact:
     if missing:
         raise ModelFormatError(f"missing sections: {missing}")
     try:
-        conf = parse_config_text(str(sections[b"CONF"].buf, "utf-8"))
+        conf = parse_config_text(sections[b"CONF"].text())
         unnamed = [f.name for f in fields(TrainConfig) if f.name not in conf]
         if unnamed:
             raise ModelFormatError(f"CONF does not name {', '.join(unnamed)}")
-        threshold, quantile = struct.unpack("<dd", sections[b"THRS"].buf)
+        thrs = sections[b"THRS"]
+        threshold, quantile = thrs.unpack("<dd")
+        thrs.done()
         artifact = ModelArtifact(
             vocab=_decode_vocab(sections[b"VOCB"]),
             tensors=_decode_tensors(sections[b"TENS"]),
@@ -332,14 +370,15 @@ def deserialize_model(blob: bytes) -> ModelArtifact:
             stats=_decode_stats(sections[b"CLST"]),
             threshold=threshold,
             quantile=quantile,
-            log_digest=str(sections[b"LOGD"].buf, "utf-8"),
+            log_digest=sections[b"LOGD"].text(),
         )
     except ModelFormatError:
         raise
-    except (ValueError, TypeError, struct.error) as exc:  # UnicodeDecodeError is a ValueError
+    except (ValueError, TypeError, struct.error) as exc:
         raise ModelFormatError(f"malformed section content: {exc}") from exc
     _check_calibration(artifact)
-    model_from_artifact(artifact, classifier=False)
+    _declare_stored(artifact, {name: _stand_in(arr) for name, arr
+                               in artifact.tensors.items()}, classifier=True)
     return artifact
 
 

@@ -519,6 +519,19 @@ def test_container_truncations_name_what_was_read():
             deserialize_model(bad)
 
 
+def test_threshold_and_text_sections_name_themselves_when_malformed():
+    blob = serialize_model(small_artifact())
+    thrs = _sections(blob)[b"THRS"]
+    assert len(thrs) == 16
+    for tag, payload, message in (
+            (b"THRS", thrs[:15], "section b'THRS' truncated"),
+            (b"THRS", thrs + b"\x00", "section b'THRS' has 1 trailing bytes"),
+            (b"CONF", b"\xff", "section b'CONF' is not UTF-8"),
+            (b"LOGD", b"\xff", "section b'LOGD' is not UTF-8")):
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
+            deserialize_model(_with_section(blob, tag, payload))
+
+
 def test_container_fuzz_raises_only_model_format_error():
     train_recs, _, _ = tiny_corpus(n=30, n_ood=10)
     cfg = TrainConfig(seed=1, max_statements=3, embed_dim=2, vocab_max=40,

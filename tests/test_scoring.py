@@ -827,3 +827,92 @@ def test_artifact_tensor_mismatch_is_format_error(case, tmp_path):
         load_model(path)
     with pytest.raises(ModelFormatError, match=name):
         score_records(artifact, records)
+
+
+# --- a loaded artifact: views of the file's bytes ------------------------------
+
+
+def test_loaded_tensors_are_read_only_views_of_the_blob():
+    artifact, _ = small_artifact()
+    blob = serialize_model(artifact)
+    loaded = deserialize_model(blob)
+    assert set(loaded.tensors) == set(artifact.tensors)
+    for name, arr in loaded.tensors.items():
+        assert not arr.flags.writeable
+        assert np.shares_memory(arr, np.frombuffer(blob, dtype=np.uint8))
+        np.testing.assert_array_equal(arr, artifact.tensors[name])
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+
+
+def test_the_load_check_declares_each_tensor_once_over_a_stand_in(monkeypatch):
+    """The load checks the tensor set by the rebuild's own declaration walk,
+    each tensor once, over zero-stride stand-ins: it widens none."""
+    artifact, _ = small_artifact()
+    blob = serialize_model(artifact)
+    created = []
+    create = ParameterStore.create
+
+    def spy(self, name, shape, draw=None):
+        created.append(create(self, name, shape, draw))
+        return created[-1]
+
+    monkeypatch.setattr(ParameterStore, "create", spy)
+    deserialize_model(blob)
+    assert sorted(t.name for t in created) == sorted(artifact.tensors)
+    assert all(not any(t.data.strides) for t in created)
+
+
+def test_a_load_copies_no_parameter_bytes():
+    """classifier/w0 dominates this model, as in the Mahalanobis test above;
+    a load's whole allocation peak stays under a quarter of the float32
+    parameter bytes, so it neither copies nor widens them."""
+    artifact, _ = small_artifact(max_statements=200, embed_dim=8,
+                                 classifier_hidden=(400,))
+    blob = serialize_model(artifact)
+    param_bytes = sum(arr.nbytes for arr in artifact.tensors.values())
+    assert param_bytes > 2_500_000
+    tracemalloc.start()
+    try:
+        loaded = deserialize_model(blob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert set(loaded.tensors) == set(artifact.tensors)
+    assert peak < param_bytes / 4
+
+
+@pytest.mark.parametrize("use_msp", [False, True])
+def test_a_loaded_artifact_scores_bit_for_bit_like_its_source(use_msp, tmp_path):
+    """Mahalanobis and MSP scores of the saved-and-loaded artifact carry the
+    in-memory artifact's bits; the MSP rebuild widens every tensor from the
+    read-only views into arrays of its own."""
+    records, _, _ = generate_synthetic(20, 0, seed=1)
+    artifact, _ = small_artifact(records, max_statements=20)
+    path = str(tmp_path / "model.leo")
+    save_model(artifact, path)
+    loaded = load_model(path)
+    want_scores, want_decisions = score_records(artifact, records, use_msp=use_msp)
+    scores, decisions = score_records(loaded, records, use_msp=use_msp)
+    np.testing.assert_array_equal(scores, want_scores)
+    assert list(decisions) == list(want_decisions)
+    rebuilt = model_from_artifact(loaded, classifier=use_msp)
+    for _, t in rebuilt.store.items():
+        assert t.data.flags.owndata and t.data.flags.writeable
+
+
+def test_a_load_from_a_bytearray_keeps_no_view_of_it():
+    """Overwriting the bytearray a model was loaded from changes neither its
+    tensors nor its scores."""
+    artifact, records = small_artifact()
+    want, _ = score_records(artifact, records)
+    want_msp, _ = score_records(artifact, records, use_msp=True)
+    buf = bytearray(serialize_model(artifact))
+    loaded = deserialize_model(buf)
+    buf[:] = bytes(len(buf))
+    for name, arr in loaded.tensors.items():
+        assert not arr.flags.writeable
+        np.testing.assert_array_equal(arr, artifact.tensors[name])
+    np.testing.assert_array_equal(score_records(loaded, records)[0], want)
+    np.testing.assert_array_equal(score_records(loaded, records, use_msp=True)[0],
+                                  want_msp)
