@@ -334,7 +334,7 @@ def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     def backward(g):
         if not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.data.shape).copy(),)
+        return (np.full(a.data.shape, g),)
 
     return _make(data, (a,), backward, "sum_axis")
 

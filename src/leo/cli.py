@@ -210,7 +210,7 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except (ValueError, TrainingError, ModelFormatError, NormalizeError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,17 +3,18 @@
 init_model declares every parameter (name, shape, store order)
 through the encoder / selector / classifier constructors and draws fresh
 values; model_from_artifact walks the same constructors over an artifact's
-stored tensors instead, so the layout is stated once. That walk is the one
-check of the tensor set: an artifact whose tensors are not exactly the ones
-its config declares is a ModelFormatError, at load and at every rebuild.
-Mahalanobis scoring never reads the classifier, so a rebuild for it leaves
-the classifier/ tensors in their stored float32 form.
+stored tensors instead, so the layout is stated once. Walked over a
+recorder that builds nothing, they give the layout (name -> shape) that
+every artifact is checked against, by shape: an artifact whose tensors are
+not exactly the ones its config declares is a ModelFormatError, at load and
+at every rebuild. Mahalanobis scoring never reads the classifier, so a
+rebuild for it does not declare the classifier and leaves the classifier/
+tensors in their stored float32 form.
 
 A loaded artifact's tensors are read-only float32 views of the file's
 bytes, not copies: each keeps the whole blob alive, and writing into one
-raises ValueError. The load check walks the constructors over zero-stride
-stand-ins of the stored shapes, so it widens and copies no tensor; only a
-rebuild widens, each tensor it builds from, once.
+raises ValueError. The load check reads shapes only, so it widens and
+copies no tensor; only a rebuild widens, each tensor it declares, once.
 
 Binary container layout ("LEO1" format, version 1):
 
@@ -84,27 +85,22 @@ class ModelParams:
     classifier: MLPParams | None  # None in a model rebuilt without it
 
 
-def _declare_classifier(store: ParameterStore, config: TrainConfig,
-                        rng: np.random.Generator | None) -> MLPParams:
-    return init_classifier_params(
-        store, config.max_statements * config.embed_dim, rng,
-        hidden_sizes=config.classifier_hidden,
-        dropout_retain=config.dropout_retain)
-
-
 def _declare_model(store: ParameterStore, config: TrainConfig, vocab_size: int,
                    rng: np.random.Generator | None,
                    classifier: bool = True) -> ModelParams:
     """Declare the encoder, the selector and, with `classifier`, the
-    classifier, in store order; without it params.classifier is None."""
+    classifier, in store order, into `store` (a ParameterStore, or a _Layout
+    that only records shapes); without it params.classifier is None."""
     encoder = init_encoder_params(store, vocab_size, config.embed_dim, rng,
                                   kernel_size=config.kernel_size,
                                   dropout_retain=config.dropout_retain)
     selector = init_selector_params(store, config.embed_dim, rng,
                                     hidden_sizes=config.selector_hidden,
                                     dropout_retain=config.dropout_retain)
-    return ModelParams(store, encoder, selector,
-                       _declare_classifier(store, config, rng) if classifier else None)
+    return ModelParams(store, encoder, selector, init_classifier_params(
+        store, config.max_statements * config.embed_dim, rng,
+        hidden_sizes=config.classifier_hidden,
+        dropout_retain=config.dropout_retain) if classifier else None)
 
 
 def init_model(config: TrainConfig, vocab_size: int,
@@ -113,51 +109,50 @@ def init_model(config: TrainConfig, vocab_size: int,
     return _declare_model(ParameterStore(), config, vocab_size, rng)
 
 
-def _declare_stored(artifact: ModelArtifact, stored: dict,
-                    classifier: bool) -> ModelParams:
-    """The one check of an artifact's tensor set: declare its model over
-    `stored` (name -> float64 array of that tensor's stored shape, its
-    widened value or a stand-in), and raise ModelFormatError unless the
-    artifact holds exactly the tensors its config declares, each with its
-    declared shape. Each parameter is declared once. Without `classifier`
-    the classifier is declared in a store that is not kept, and
-    params.classifier is None."""
-    config = artifact.config
+class _Layout(dict):
+    """name -> declared shape, in store order. Passed to _declare_model in
+    place of a ParameterStore, its `create` records each declaration and
+    builds nothing."""
+
+    def create(self, name: str, shape: tuple, draw=None) -> None:
+        self[name] = shape
+
+
+def _check_tensors(artifact: ModelArtifact) -> None:
+    """The one check of an artifact's tensor set: raise ModelFormatError
+    unless it holds exactly the tensors its config declares, each with its
+    declared shape."""
+    layout = _Layout()
     try:
-        params = _declare_model(ParameterStore(stored=stored), config,
-                                artifact.vocab.size, None, classifier)
-        declared = params.store.names()
-        if not classifier:
-            check = ParameterStore(stored=stored)
-            _declare_classifier(check, config, None)
-            declared += check.names()
+        _declare_model(layout, artifact.config, artifact.vocab.size, None)
     except GraphError as exc:
         raise ModelFormatError(f"tensors do not match the config: {exc}") from exc
-    extra = sorted(set(artifact.tensors) - set(declared))
+    for name, shape in layout.items():
+        if name not in artifact.tensors:
+            raise ModelFormatError("tensors do not match the config: "
+                                   f"no stored value for parameter '{name}'")
+        stored = np.shape(artifact.tensors[name])
+        if stored != shape:
+            raise ModelFormatError(
+                f"tensors do not match the config: parameter '{name}' is "
+                f"stored with shape {stored}, declared {shape}")
+    extra = sorted(set(artifact.tensors) - set(layout))
     if extra:
         raise ModelFormatError(
             f"tensors the config does not declare: {', '.join(extra)}")
-    return params
-
-
-def _stand_in(arr: np.ndarray) -> np.ndarray:
-    """A zero-stride float64 array of arr's shape: declarable, never read."""
-    return np.broadcast_to(0.0, np.shape(arr))
 
 
 def model_from_artifact(artifact: ModelArtifact, *,
                         classifier: bool = True) -> ModelParams:
-    """Live parameters of an artifact, frozen, with no random draws, through
-    the one check of its tensor set (_declare_stored). Each tensor the model
-    is built from is widened once from float32 to float64, an owned copy
-    even of a loaded artifact's read-only views, and declared once. Without
-    `classifier` the classifier/ tensors are declared over zero-stride
-    stand-ins, so they are checked but neither widened nor held, and
-    params.classifier is None."""
-    return _declare_stored(artifact, {
-        name: np.array(arr, dtype=np.float64)
-        if classifier or not name.startswith("classifier/") else _stand_in(arr)
-        for name, arr in artifact.tensors.items()}, classifier)
+    """Live parameters of an artifact, frozen, with no random draws, after
+    the one check of its tensor set (_check_tensors). Each parameter is
+    declared once, over its tensor widened from float32 to float64 into an
+    owned copy, even of a loaded artifact's read-only view. Without
+    `classifier` the classifier is not declared, so its tensors are neither
+    widened nor held, and params.classifier is None."""
+    _check_tensors(artifact)
+    return _declare_model(ParameterStore(stored=artifact.tensors), artifact.config,
+                          artifact.vocab.size, None, classifier)
 
 
 def _pack_str(text: str) -> bytes:
@@ -377,8 +372,7 @@ def deserialize_model(blob: bytes) -> ModelArtifact:
     except (ValueError, TypeError, struct.error) as exc:
         raise ModelFormatError(f"malformed section content: {exc}") from exc
     _check_calibration(artifact)
-    _declare_stored(artifact, {name: _stand_in(arr) for name, arr
-                               in artifact.tensors.items()}, classifier=True)
+    _check_tensors(artifact)
     return artifact
 
 

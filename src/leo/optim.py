@@ -22,11 +22,11 @@ class ParameterStore:
     """Insertion-ordered name -> Tensor map.
 
     `create` declares a parameter. A plain store draws its initial value and
-    makes it trainable. A store over `stored` values (name -> float64 array,
-    such as an artifact's widened tensors) takes each declared parameter
-    from there by name instead, checked against the declared shape, and
-    freezes it (requires_grad False) so forward passes record no tape; it
-    never draws.
+    makes it trainable. A store over `stored` values (name -> array, such as
+    an artifact's float32 tensors, already checked against the declared
+    layout) takes each declared parameter from there by name instead,
+    widened once into an owned float64 copy, and freezes it (requires_grad
+    False) so forward passes record no tape; it never draws.
     """
 
     def __init__(self, stored: dict | None = None):
@@ -43,16 +43,10 @@ class ParameterStore:
     def create(self, name: str, shape: tuple,
                draw: Callable[[tuple], np.ndarray] | None = None) -> Tensor:
         """Declare parameter `name` of `shape`: draw(shape) is its initial
-        value (zeros without a draw), or its stored value."""
+        value (zeros without a draw), or a copy of its stored value."""
         if self._stored is None:
             return self.add(name, np.zeros(shape) if draw is None else draw(shape))
-        if name not in self._stored:
-            raise GraphError(f"no stored value for parameter '{name}'")
-        data = self._stored[name]
-        if data.shape != shape:
-            raise GraphError(f"parameter '{name}' is stored with shape "
-                             f"{data.shape}, declared {shape}")
-        t = self.add(name, data)
+        t = self.add(name, np.array(self._stored[name], dtype=np.float64))
         t.requires_grad = False
         return t
 

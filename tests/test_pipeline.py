@@ -1122,6 +1122,12 @@ def test_cli_error_paths(cli_corpus, tmp_path, capsys):
     assert main(["train", "--data", "nope.jsonl", "--model", "m",
                  "--config", str(nan_cfg)]) == 2
     assert "clip_norm must be finite, not nan" in capsys.readouterr().err
+    # a directory where a file is expected: a named error, not a traceback
+    _train_cli(cli_corpus, tmp_path, "train")
+    for model, data in ((tmp_path, cli_corpus / "train.jsonl"),
+                        (tmp_path / "m.leo", tmp_path)):
+        assert main(["score", "--model", str(model), "--data", str(data)]) == 2
+        assert f"Is a directory: '{tmp_path}'" in capsys.readouterr().err
 
 
 def test_empty_score_and_id_test_files_are_named(cli_corpus, tmp_path, capsys):

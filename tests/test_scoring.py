@@ -672,7 +672,7 @@ def test_mahalanobis_scoring_never_runs_or_widens_the_classifier(monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["missing", "extra", "wrong-shape"])
-def test_classifierless_rebuild_checks_the_classifier_tensors(case):
+def test_classifierless_rebuild_checks_the_classifier_tensors(case, tmp_path):
     artifact, records = small_artifact()
     name = "classifier/w0"
     if case == "missing":
@@ -686,6 +686,10 @@ def test_classifierless_rebuild_checks_the_classifier_tensors(case):
         model_from_artifact(artifact, classifier=False)
     with pytest.raises(ModelFormatError, match=name):
         score_records(artifact, records)
+    path = str(tmp_path / "model.leo")
+    save_model(artifact, path)
+    with pytest.raises(ModelFormatError, match=name):
+        load_model(path)
 
 
 # --- the model rebuilt from an artifact (model_from_artifact) ------------------
@@ -693,9 +697,8 @@ def test_classifierless_rebuild_checks_the_classifier_tensors(case):
 
 def test_a_lean_rebuild_declares_each_parameter_once(monkeypatch):
     """model_from_artifact(classifier=False) creates each encoder and
-    selector parameter once, from its widened float64 tensor, and checks
-    each classifier tensor once over a zero-stride stand-in: none of them
-    is widened."""
+    selector parameter once, from its widened float64 tensor, and declares
+    no classifier parameter: none of the classifier tensors is widened."""
     artifact, _ = small_artifact()
     created = []
     create = ParameterStore.create
@@ -706,12 +709,11 @@ def test_a_lean_rebuild_declares_each_parameter_once(monkeypatch):
 
     monkeypatch.setattr(ParameterStore, "create", spy)
     params = model_from_artifact(artifact, classifier=False)
-    assert sorted(t.name for t in created) == sorted(artifact.tensors)
+    assert sorted(t.name for t in created) == sorted(
+        n for n in artifact.tensors if not n.startswith("classifier/"))
     for t in created:
-        if t.name.startswith("classifier/"):
-            assert not any(t.data.strides) and t.name not in params.store.names()
-        else:
-            assert t.data.flags.owndata and t is params.store[t.name]
+        assert t.data.dtype == np.float64 and t.data.flags.owndata
+        assert t is params.store[t.name]
 
 
 def test_rebuilt_store_matches_init_layout():
@@ -845,22 +847,17 @@ def test_loaded_tensors_are_read_only_views_of_the_blob():
             arr[...] = 0.0
 
 
-def test_the_load_check_declares_each_tensor_once_over_a_stand_in(monkeypatch):
-    """The load checks the tensor set by the rebuild's own declaration walk,
-    each tensor once, over zero-stride stand-ins: it widens none."""
+def test_the_load_check_declares_no_parameter(monkeypatch):
+    """The load checks the tensor set by shape against the declared layout:
+    it makes no ParameterStore.create call, so it builds and widens none."""
     artifact, _ = small_artifact()
     blob = serialize_model(artifact)
-    created = []
-    create = ParameterStore.create
 
-    def spy(self, name, shape, draw=None):
-        created.append(create(self, name, shape, draw))
-        return created[-1]
+    def refuse(self, name, shape, draw=None):
+        raise AssertionError(f"declared '{name}' in a ParameterStore")
 
-    monkeypatch.setattr(ParameterStore, "create", spy)
-    deserialize_model(blob)
-    assert sorted(t.name for t in created) == sorted(artifact.tensors)
-    assert all(not any(t.data.strides) for t in created)
+    monkeypatch.setattr(ParameterStore, "create", refuse)
+    assert set(deserialize_model(blob).tensors) == set(artifact.tensors)
 
 
 def test_a_load_copies_no_parameter_bytes():
