@@ -81,15 +81,16 @@ def _cmd_vocab(args) -> int:
 
 def _evaluate(artifact, args, *, write: bool = True):
     """The report of evaluate on --id-test and --ood-test. With write, it goes
-    to stdout and to --out if given, with the dump beside it in <out>.scores."""
+    to stdout and to --out if given, with the dump beside it in <out>.scores,
+    written first: a report never names a dump that was not written."""
     dump = (args.out + ".scores") if args.out else ""
     report, rows = evaluate(artifact, args.id_test, args.ood_test,
                             dump_path=dump, use_msp=getattr(args, "msp", False))
     if write:
         text = render_report(report)
         if args.out:
-            _write_output(text, args.out)
             _write_output(render_score_dump(rows), dump)
+            _write_output(text, args.out)
         _write_output(text, None)
     return report
 

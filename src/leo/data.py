@@ -1,5 +1,5 @@
 """Dataset ingestion: line-delimited records with code/label/cwe/id fields,
-plus the seeded train/validation split.
+plus the seeded train/validation split. Only training requires a label.
 """
 from __future__ import annotations
 
@@ -14,14 +14,15 @@ import numpy as np
 class DatasetRecord:
     sample_id: str
     code: str
-    label: int
+    label: int | None
     cwe: str = ""
 
 
 def load_dataset(path: str) -> list[DatasetRecord]:
-    """Read one UTF-8 JSON object per line. `code` (a string) and `label`
-    are required; a missing `id` is assigned from the line number. Ids must
-    be unique. A bad line raises ValueError naming the path and the line."""
+    """Read one UTF-8 JSON object per line. `code` (a string) is required;
+    `label` is 0 or 1, or absent or null for None. A missing `id` is assigned
+    from the line number. Ids must be unique. A bad line raises ValueError
+    naming the path and the line."""
     records = []
     seen = set()
     # undecodable bytes become lone surrogates, found per line below
@@ -42,14 +43,12 @@ def load_dataset(path: str) -> list[DatasetRecord]:
                 raise ValueError(f"{path} line {lineno}: record must be an object")
             if "code" not in obj:
                 raise ValueError(f"{path} line {lineno}: missing 'code'")
-            if "label" not in obj:
-                raise ValueError(f"{path} line {lineno}: missing 'label'")
             if not isinstance(obj["code"], str):
                 raise ValueError(f"{path} line {lineno}: code must be a string, "
                                  f"got {obj['code']!r}")
-            label = obj["label"]
+            label = obj.get("label")
             # JSON true and 1.0 compare equal to 1; only a real integer counts
-            if type(label) is not int or label not in (0, 1):
+            if label is not None and (type(label) is not int or label not in (0, 1)):
                 raise ValueError(
                     f"{path} line {lineno}: label must be 0 or 1, got {label!r}")
             sample_id = str(obj.get("id", f"line{lineno}"))

@@ -24,9 +24,10 @@ sums its k gathered tap rows, and no im2col matrix is built. That path also
 encodes each distinct statement (token id sequence) of the batch once,
 and returns which row each kept statement reads. Identifier renaming makes
 repeats common (on the synthetic corpus 6.9% of a 64-function request's
-kept statements are distinct; real C code is not measured), and the
-distinct statements hold the same ids as all of them, so the tap product
-and every window sum, and hence every row, keep their bits.
+kept statements are distinct; on locally installed real C sources, 93% /
+62% / 55% at 1 / 8 / 64 functions per request), and the distinct
+statements hold the same ids as all of them, so the tap product and every
+window sum, and hence every row, keep their bits.
 """
 from __future__ import annotations
 

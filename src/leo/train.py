@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import logging
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,12 +42,6 @@ class TrainingError(RuntimeError):
     pass
 
 
-@dataclass
-class PreparedSample:
-    label: int
-    statements: list
-
-
 def _normalize(record):
     """normalize_source on a record; a lexing failure names the sample."""
     try:
@@ -58,11 +51,11 @@ def _normalize(record):
 
 
 def prepare_samples(records, vocab: Vocabulary, config: TrainConfig):
-    """Normalize each record and map each of its statements to token ids
-    with encode_tokens, capped at stmt_token_cap tokens per statement."""
+    """Each record's function as its list of statement id lists: normalize
+    it and map each statement to token ids with encode_tokens, capped at
+    stmt_token_cap tokens per statement. Reads no label."""
     cap = config.stmt_token_cap
-    return [PreparedSample(r.label, [encode_tokens(stmt[:cap], vocab)
-                                     for stmt in _normalize(r).statements])
+    return [[encode_tokens(stmt[:cap], vocab) for stmt in _normalize(r).statements]
             for r in records]
 
 
@@ -72,7 +65,7 @@ def build_training_vocabulary(train_records, config: TrainConfig) -> Vocabulary:
                             config.vocab_max)
 
 
-def masked_representations(params: ModelParams, samples, config: TrainConfig):
+def masked_representations(params: ModelParams, functions, config: TrainConfig):
     """Deterministic-gate scoring representations, batched, without
     dropout, and the classifier's max-softmax complement when `params` holds
     the classifier (None for a rebuild without it). The selector scores each
@@ -84,13 +77,12 @@ def masked_representations(params: ModelParams, samples, config: TrainConfig):
     pooled-d is the mean of a function's gated rows (zero without
     statements); concat-diagonal is the block flattened row-major, zero past
     longest * dim; max-softmax runs training's classifier_forward on it."""
-    n = len(samples)
+    n = len(functions)
     reps = np.zeros((n, representation_dim(config)))
     msp_out = None if params.classifier is None else np.zeros(n)
     for start in range(0, n, config.batch_size):
-        chunk = samples[start:start + config.batch_size]
-        x, lengths, index = encode_batch([s.statements for s in chunk],
-                                         params.encoder, config.max_statements)
+        chunk = functions[start:start + config.batch_size]
+        x, lengths, index = encode_batch(chunk, params.encoder, config.max_statements)
         probs = selector_forward(x, params.selector).data
         gates = deterministic_mask(probs, config.gate_mode)
         block = gated_block(x, ad.constant(gates), lengths, index)
@@ -111,13 +103,14 @@ def _mean(values) -> float:
     return float(np.mean(values)) if values else 0.0
 
 
-def _train_parameters(config: TrainConfig, vocab_size: int, train_samples,
-                      rngs) -> tuple[dict, str]:
-    """The two-step epoch loop from freshly drawn parameters. Returns the
-    trained parameters rounded to their stored float32 form and the log
-    digest; the live parameters, the Adam moments and the last graph end
-    with this call. `rngs` are the init, order, distribution-mask,
-    joint-loss and dropout streams."""
+def _train_parameters(config: TrainConfig, vocab_size: int, functions,
+                      labels_all: np.ndarray, rngs) -> tuple[dict, str]:
+    """The two-step epoch loop over the prepared training functions and
+    their labels, from freshly drawn parameters. Returns the trained
+    parameters rounded to their stored float32 form and the log digest;
+    the live parameters, the Adam moments and the last graph end with this
+    call. `rngs` are the init, order, distribution-mask, joint-loss and
+    dropout streams."""
     init_rng, order_rng, dd_rng, joint_rng, dropout_rng = rngs
     params = init_model(config, vocab_size, init_rng)
     adam = Adam(lr=config.learning_rate)
@@ -134,20 +127,19 @@ def _train_parameters(config: TrainConfig, vocab_size: int, train_samples,
         return norm
 
     weight = 0.0 if config.ablate_cd else config.contrastive_weight
-    if weight > 0 and not any(s.label == 1 for s in train_samples):
+    if weight > 0 and not (labels_all == 1).any():
         warnings.warn("no vulnerable samples in the training split; "
                       "the contrastive term is permanently zero")
         weight = 0.0
 
-    labels_all = np.array([s.label for s in train_samples], dtype=np.int64)
-    n = len(train_samples)
+    n = len(functions)
     digest_lines = ["epoch,distribution_loss,gated_ce,contrastive"]
     for epoch in range(config.epochs):
         order = order_rng.permutation(n)
         records = []
         for batch_no, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start:start + config.batch_size]
-            batch = [train_samples[i].statements for i in idx]
+            batch = [functions[i] for i in idx]
             labels = labels_all[idx]
             record = {}  # Python numbers only: no step's arrays outlive it
             try:
@@ -201,9 +193,13 @@ def _train_parameters(config: TrainConfig, vocab_size: int, train_samples,
 
 
 def train(config: TrainConfig, records) -> ModelArtifact:
-    """Full training run on in-distribution records; returns the
-    self-contained artifact."""
-    train_recs, val_recs = split_dataset(list(records), config.seed,
+    """Full training run on labeled in-distribution records; returns the
+    self-contained artifact. A record without a label is refused."""
+    records = list(records)
+    if unlabeled := [r.sample_id for r in records if r.label is None]:
+        raise TrainingError(f"{len(unlabeled)} of {len(records)} records have "
+                            f"no label, the first '{unlabeled[0]}'")
+    train_recs, val_recs = split_dataset(records, config.seed,
                                          config.val_fraction)
     vocab = build_training_vocabulary(train_recs, config)
     train_samples = prepare_samples(train_recs, vocab, config)
@@ -211,8 +207,9 @@ def train(config: TrainConfig, records) -> ModelArtifact:
 
     *loop_rngs, stats_rng = (np.random.default_rng(s) for s in
                              np.random.SeedSequence(config.seed).spawn(6))
+    labels = np.array([r.label for r in train_recs], dtype=np.int64)
     tensors, digest = _train_parameters(config, vocab.size, train_samples,
-                                        loop_rngs)
+                                        labels, loop_rngs)
     # stats and threshold are fit below on the model scoring will rebuild
     artifact = ModelArtifact(vocab=vocab, tensors=tensors, config=config,
                              stats=None, threshold=0.0, log_digest=digest)

@@ -374,8 +374,7 @@ def all_rows_representations(params, samples, config, *, distinct_gates=False):
     msp = np.zeros(n) if params.classifier is not None else None
     for start in range(0, n, config.batch_size):
         chunk = samples[start:start + config.batch_size]
-        encoded = encode_batch([s.statements for s in chunk], params.encoder,
-                               config.max_statements)
+        encoded = encode_batch(chunk, params.encoder, config.max_statements)
         x, lengths = kept_rows(encoded)
         rows, _, index = encoded
         gates = deterministic_mask(
@@ -453,8 +452,7 @@ def full_block_representations(params, samples, config):
     msp = np.zeros(n)
     for start in range(0, n, config.batch_size):
         chunk = samples[start:start + config.batch_size]
-        rows, lengths = kept_rows(encode_batch([s.statements for s in chunk],
-                                               params.encoder, m))
+        rows, lengths = kept_rows(encode_batch(chunk, params.encoder, m))
         x = padded_block(rows.data, lengths, m)
         b = len(chunk)
         probs = selector_forward(ad.constant(x.reshape(b * m, -1)),
@@ -482,8 +480,8 @@ def slot_mask_representations(params, samples, config):
     slots = np.arange(config.max_statements)
     for start in range(0, len(samples), config.batch_size):
         chunk = samples[start:start + config.batch_size]
-        x, lengths = kept_rows(encode_batch([s.statements for s in chunk],
-                                            params.encoder, config.max_statements))
+        x, lengths = kept_rows(encode_batch(chunk, params.encoder,
+                                            config.max_statements))
         probs = selector_forward(x, params.selector).data
         masked = x.data * deterministic_mask(probs, config.gate_mode)[:, None]
         if config.scoring_mode == "pooled-d":

@@ -218,14 +218,15 @@ def test_load_dataset_happy_path(tmp_path):
     assert recs[1].cwe == "CWE-125"
 
 
+UNLABELED_LINE2 = '{"id": "a", "code": "x", "label": 0}\n{"code": "y"}\n'
+
+
 def test_load_dataset_errors_name_the_line(tmp_path):
     cases = [
         ('{"code": "x", "label": 2}\n', "label"),
         ('{"label": 0}\n', "code"),
         ('{not json}\n', "malformed"),
         ('[{"code": "x", "label": 0}]\n', "line 1: record must be an object"),
-        ('{"id": "a", "code": "x", "label": 0}\n{"code": "y"}\n',
-         "line 2: missing 'label'"),
         ('{"id": "a", "code": "x", "label": 0}\n{"id": "a", "code": "y", "label": 0}\n',
          "duplicate"),
     ]
@@ -234,6 +235,24 @@ def test_load_dataset_errors_name_the_line(tmp_path):
         p.write_text(text)
         with pytest.raises(ValueError, match=needle):
             load_dataset(str(p))
+    p.write_text(UNLABELED_LINE2)
+    assert [r.label for r in load_dataset(str(p))] == [0, None]
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_training_names_the_first_unlabeled_record(command, tmp_path, capsys):
+    """A label is required only where training starts: train() and `leo
+    train` / `leo ablate` refuse a file whose second line has none."""
+    p = tmp_path / "unlabeled.jsonl"
+    p.write_text(UNLABELED_LINE2)
+    message = "1 of 2 records have no label, the first 'line2'"
+    with pytest.raises(TrainingError, match=re.escape(message)):
+        train(tiny_config(), load_dataset(str(p)))
+    model = tmp_path / "m.leo"
+    assert main([command, "--data", str(p), "--model", str(model),
+                 "--seed", "1"]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not model.exists()
 
 
 @pytest.mark.parametrize("label", ["true", "1.0", '"1"'])
@@ -271,9 +290,11 @@ def test_load_dataset_empty_warns(tmp_path):
 
 def test_dataset_write_read_round_trip(tmp_path):
     recs = [DatasetRecord("x1", 'int f() { return 0; }', 0, "CWE-125"),
-            DatasetRecord("x2", 'char c = \'a\';', 1)]
+            DatasetRecord("x2", 'char c = \'a\';', 1),
+            DatasetRecord("x3", "int x;", None)]
     p = tmp_path / "rt.jsonl"
     write_dataset(recs, str(p))
+    assert '"label": null' in p.read_text().splitlines()[2]
     back = load_dataset(str(p))
     assert [(r.sample_id, r.code, r.label, r.cwe) for r in back] == \
         [(r.sample_id, r.code, r.label, r.cwe) for r in recs]
@@ -691,7 +712,7 @@ def test_prepare_samples_maps_ids_as_encode_tokens_per_statement():
     vocab = build_training_vocabulary(train_recs[:10], cfg)
     statements = [normalize_source(r.code).statements for r in records]
     want = [[encode_tokens(stmt[:4], vocab) for stmt in fn] for fn in statements]
-    got = [s.statements for s in prepare_samples(records, vocab, cfg)]
+    got = prepare_samples(records, vocab, cfg)
     assert got == want
     assert any(len(stmt) > 4 for fn in statements for stmt in fn)
     assert any(UNK_ID in ids for fn in got for ids in fn)
@@ -722,10 +743,9 @@ def test_step1_never_touches_selector_params():
     adam = Adam(lr=cfg.learning_rate)
 
     before = _values(params)
-    x, lengths, _ = encode_batch([s.statements for s in samples[:16]],
-                                 params.encoder, cfg.max_statements)
+    x, lengths, _ = encode_batch(samples[:16], params.encoder, cfg.max_statements)
     loss = data_distribution_loss(
-        x, lengths, [s.label for s in samples[:16]], params.classifier,
+        x, lengths, [r.label for r in train_recs[:16]], params.classifier,
         relax_temp=cfg.relax_temp, rng=np.random.default_rng(1))
     _update(params, adam, loss, cfg.clip_norm)
     moved = _moved(before, _values(params))
@@ -754,7 +774,7 @@ def test_statementless_batch_leaves_encoder_and_its_moments_alone():
             rng=np.random.default_rng(1))
         _update(params, adam, parts.total, cfg.clip_norm)
 
-    step([s.statements for s in samples[:16]], [s.label for s in samples[:16]])
+    step(samples[:16], [r.label for r in train_recs[:16]])
     before = _values(params)
     moments = {n: (adam._m[n].copy(), adam._v[n].copy())
                for n in before if n.startswith("encoder/")}
@@ -1128,6 +1148,17 @@ def test_cli_error_paths(cli_corpus, tmp_path, capsys):
                         (tmp_path / "m.leo", tmp_path)):
         assert main(["score", "--model", str(model), "--data", str(data)]) == 2
         assert f"Is a directory: '{tmp_path}'" in capsys.readouterr().err
+    # a dump that cannot be written leaves no report that would name it
+    report = tmp_path / "report.csv"
+    (tmp_path / "report.csv.scores").mkdir()
+    tests = ["--id-test", str(cli_corpus / "id_test.jsonl"),
+             "--ood-test", str(cli_corpus / "ood_test.jsonl"), "--out", str(report)]
+    for argv in (["eval", "--model", str(tmp_path / "m.leo")],
+                 ["train", "--data", str(cli_corpus / "train.jsonl"), "--model",
+                  str(tmp_path / "m2.leo"), "--config", str(cli_corpus / "run.cfg")]):
+        assert main(argv + tests) == 2
+        assert "Is a directory: " in capsys.readouterr().err
+        assert not report.exists()
 
 
 def test_empty_score_and_id_test_files_are_named(cli_corpus, tmp_path, capsys):
@@ -1170,6 +1201,33 @@ def test_cli_eval_and_score_outputs_read_back_exactly(cli_corpus, tmp_path):
         assert parse_score_dump(score_path.read_text()) == [
             (r.sample_id, "ood", float(s), str(d))
             for r, s, d in zip(records, scores, decisions)]
+
+
+def test_cli_eval_and_score_read_no_label(cli_corpus, tmp_path, capsys):
+    """`leo score` and `leo eval` on copies of the test files without
+    labels print the dump rows and report they print on the labeled files."""
+    _train_cli(cli_corpus, tmp_path, "train")
+    capsys.readouterr()
+    model = str(tmp_path / "m.leo")
+    paths = {}
+    for name in ("id_test", "ood_test"):
+        labeled = cli_corpus / f"{name}.jsonl"
+        unlabeled = tmp_path / f"{name}.unlabeled.jsonl"
+        write_dataset([dataclasses.replace(r, label=None)
+                       for r in load_dataset(str(labeled))], str(unlabeled))
+        paths[name] = (str(labeled), str(unlabeled))
+    out, outputs = tmp_path / "report.csv", []
+    for i in range(2):
+        for flags in ([], ["--msp"]):
+            assert main(["score", "--model", model, "--data", paths["ood_test"][i],
+                         "--population", "ood", *flags]) == 0
+            assert main(["eval", "--model", model, "--id-test", paths["id_test"][i],
+                         "--ood-test", paths["ood_test"][i], "--out", str(out),
+                         *flags]) == 0
+            outputs.append((capsys.readouterr().out, out.read_text(),
+                            (tmp_path / "report.csv.scores").read_text()))
+    assert outputs[:2] == outputs[2:]
+    assert outputs[0] != outputs[1]
 
 
 def test_cli_rejects_a_config_file_with_vocab_max_below_two(tmp_path, capsys):

@@ -67,8 +67,8 @@ def scoring_pass(artifact, records):
     config = artifact.config
     params = model_from_artifact(artifact)
     samples = prepare_samples(records, artifact.vocab, config)
-    rows, lengths = kept_rows(encode_batch([s.statements for s in samples],
-                                           params.encoder, config.max_statements))
+    rows, lengths = kept_rows(encode_batch(samples, params.encoder,
+                                           config.max_statements))
     keep = selector_forward(rows, params.selector).data
     gated = rows.data * deterministic_mask(keep, config.gate_mode)[:, None]
     block = np.zeros((len(samples), config.max_statements, rows.data.shape[1]))
@@ -87,8 +87,8 @@ def guard_gate_auroc(artifact, id_test, twins):
                               artifact.vocab, artifact.config)
     guard, other = [], []
     for sample, twin, probs in zip(samples, lacking, keep):
-        present = {tuple(s) for s in twin.statements}
-        for statement, p in zip(sample.statements, probs):
+        present = {tuple(s) for s in twin}
+        for statement, p in zip(sample, probs):
             (other if tuple(statement) in present else guard).append(p)
     return auroc(ScoreSet(other, guard))
 

@@ -1,4 +1,5 @@
 """Cluster-conditioned Mahalanobis scoring and threshold calibration."""
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -29,7 +30,6 @@ from leo.scoring import (
 from leo.selector import selector_forward
 from leo.synth import generate_synthetic
 from leo.train import (
-    PreparedSample,
     build_training_vocabulary,
     init_model,
     masked_representations,
@@ -70,8 +70,7 @@ def representations(mode):
     """Scoring representations of FUNCS from one fixed random model."""
     cfg = TrainConfig(seed=0, scoring_mode=mode, **SMALL)
     params = init_model(cfg, 9, np.random.default_rng(5))
-    samples = [PreparedSample(0, f) for f in FUNCS]
-    return masked_representations(params, samples, cfg)[0], params
+    return masked_representations(params, FUNCS, cfg)[0], params
 
 
 def test_pooled_single_row_is_the_row():
@@ -108,10 +107,6 @@ def test_concat_mode_flattens_row_major():
     assert np.all(concat[1].reshape(4, 3)[3:] == 0.0)
 
 
-def samples_of(funcs):
-    return [PreparedSample(0, f) for f in funcs]
-
-
 @pytest.mark.parametrize("scoring_mode", ["pooled-d", "concat-diagonal"])
 @pytest.mark.parametrize("gate_mode", ["expected", "hard"])
 def test_live_row_pass_matches_full_block_oracle(gate_mode, scoring_mode):
@@ -120,7 +115,7 @@ def test_live_row_pass_matches_full_block_oracle(gate_mode, scoring_mode):
     classifier rebuilt; the last batch has no statements at all."""
     artifact, _ = small_artifact(gate_mode=gate_mode, scoring_mode=scoring_mode)
     cfg = artifact.config
-    samples = samples_of(FUNCS + FUNCS[::-1] + [[], []])
+    samples = FUNCS + FUNCS[::-1] + [[], []]
     full = model_from_artifact(artifact)
     want_reps, want_msp = full_block_representations(full, samples, cfg)
     reps, msp = masked_representations(full, samples, cfg)
@@ -150,9 +145,8 @@ def test_shared_block_reps_match_the_slot_mask_oracle_bit_for_bit(scoring_mode,
     funcs[2] = []
     funcs[5] = [[2, 3], [4]] * 8
     params = init_model(cfg, 9, np.random.default_rng(5))
-    samples = samples_of(funcs)
-    reps, _ = masked_representations(params, samples, cfg)
-    want = slot_mask_representations(params, samples, cfg)
+    reps, _ = masked_representations(params, funcs, cfg)
+    want = slot_mask_representations(params, funcs, cfg)
     if embed_dim == 1:
         np.testing.assert_allclose(reps, want, rtol=1e-12, atol=0)
     else:
@@ -171,7 +165,7 @@ def test_selector_scores_live_rows_only(monkeypatch):
         return selector_forward(x, params, rng)
 
     monkeypatch.setattr(train_module, "selector_forward", spy)
-    masked_representations(params, samples_of(FUNCS), cfg)
+    masked_representations(params, FUNCS, cfg)
     assert sum(seen) == sum(min(len(f), cfg.max_statements) for f in FUNCS) == 9
 
 
@@ -478,8 +472,7 @@ def test_msp_score_examples():
     scores, _ = score_records(artifact, records, use_msp=True)
     params = model_from_artifact(artifact)
     samples = prepare_samples(records, artifact.vocab, artifact.config)
-    x, lengths = kept_rows(encode_batch([s.statements for s in samples],
-                                         params.encoder, 4))
+    x, lengths = kept_rows(encode_batch(samples, params.encoder, 4))
     gates = selector_forward(x, params.selector).data
     block = padded_block(x.data * gates[:, None], lengths, 4)
     probs = classifier_forward(ad.constant(block), params.classifier).data
@@ -514,6 +507,24 @@ def test_msp_decisions_use_the_artifact_quantile():
     assert abs(list(decisions).count("OOD") - len(records) / 2) <= 1
 
 
+@pytest.mark.parametrize("use_msp", [False, True])
+def test_scores_and_decisions_read_no_label(use_msp):
+    """One set of functions labeled 0, labeled 1 and unlabeled gets the
+    same scores and decisions, bit for bit: the read path reads no label."""
+    records, _, _ = generate_synthetic(20, 0, seed=1)
+    artifact, _ = small_artifact(records, max_statements=20)
+    artifact.threshold = float(np.median(score_records(artifact, records)[0]))
+    want_scores, want_decisions = score_records(
+        artifact, [dataclasses.replace(r, label=0) for r in records], use_msp=use_msp)
+    assert set(want_decisions) == {"ID", "OOD"}
+    for label in (1, None):
+        scores, decisions = score_records(
+            artifact, [dataclasses.replace(r, label=label) for r in records],
+            use_msp=use_msp)
+        np.testing.assert_array_equal(scores, want_scores)
+        np.testing.assert_array_equal(decisions, want_decisions)
+
+
 def test_frozen_selector_scores_distinct_rows_only(monkeypatch):
     """Under a rebuilt model the selector sees each batch's distinct kept
     statements once: FUNCS repeats [2, 3] and [8], and cuts [8] * 6 at
@@ -526,8 +537,7 @@ def test_frozen_selector_scores_distinct_rows_only(monkeypatch):
         return selector_forward(x, params, rng)
 
     monkeypatch.setattr(train_module, "selector_forward", spy)
-    samples = samples_of(FUNCS + FUNCS)
-    masked_representations(model_from_artifact(artifact), samples, artifact.config)
+    masked_representations(model_from_artifact(artifact), FUNCS + FUNCS, artifact.config)
     # batches of two functions, 4, 4, 1, 3 and 4 kept statements:
     # {[2, 3], [4, 5, 6], [7]}, {[8]}, {[3, 4, 5, 6, 7], [2, 3]},
     # {[2, 3], [4, 5, 6], [7]}, {[8], [3, 4, 5, 6, 7]}
@@ -553,7 +563,7 @@ def test_a_batch_without_repeats_keeps_the_all_rows_bits(scoring_mode):
     _, samples, (reps, msp), (want_reps, want_msp) = scoring_pair(
         records, scoring_mode=scoring_mode, batch_size=1, max_statements=3)
     for s in samples:
-        kept = s.statements[:3]
+        kept = s[:3]
         assert len({tuple(x) for x in kept}) == len(kept)
     np.testing.assert_array_equal(reps, want_reps)
     np.testing.assert_array_equal(msp, want_msp)
@@ -569,7 +579,7 @@ def test_repeated_statements_move_scores_by_rounding_only(gate_mode, scoring_mod
     artifact, samples, (reps, msp), (want_reps, want_msp) = scoring_pair(
         records, scoring_mode=scoring_mode, gate_mode=gate_mode,
         max_statements=20, batch_size=16)
-    kept = [tuple(s) for f in samples for s in f.statements[:20]]
+    kept = [tuple(s) for f in samples for s in f[:20]]
     assert len(set(kept)) < 0.25 * len(kept)
     scores = mahalanobis_scores(reps, artifact.stats)
     want = mahalanobis_scores(want_reps, artifact.stats)
@@ -616,7 +626,7 @@ def test_gate_product_sees_distinct_rows_only(monkeypatch):
         return mul(a, b)
 
     monkeypatch.setattr(ad, "mul", spy)
-    masked_representations(model_from_artifact(artifact), samples_of(FUNCS + FUNCS),
+    masked_representations(model_from_artifact(artifact), FUNCS + FUNCS,
                            artifact.config)
     assert seen == [3, 1, 2, 3, 2]
 
@@ -771,7 +781,7 @@ def test_rebuilt_model_records_no_tape():
     artifact, records = small_artifact()
     params = model_from_artifact(artifact)
     samples = prepare_samples(records, artifact.vocab, artifact.config)
-    x, _, _ = encode_batch([s.statements for s in samples], params.encoder, 4)
+    x, _, _ = encode_batch(samples, params.encoder, 4)
     probs = selector_forward(x, params.selector)
     assert not probs.requires_grad
     assert probs._parents == () and probs._backward is None
