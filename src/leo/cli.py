@@ -79,20 +79,21 @@ def _cmd_vocab(args) -> int:
     return 0
 
 
-def _evaluate(artifact, args, *, write: bool = True):
-    """The report of evaluate on --id-test and --ood-test. With write, it goes
-    to stdout and to --out if given, with the dump beside it in <out>.scores,
-    written first: a report never names a dump that was not written."""
+def _evaluate(artifact, args):
+    """evaluate's report and dump rows on --id-test and --ood-test."""
     dump = (args.out + ".scores") if args.out else ""
-    report, rows = evaluate(artifact, args.id_test, args.ood_test,
-                            dump_path=dump, use_msp=getattr(args, "msp", False))
-    if write:
-        text = render_report(report)
-        if args.out:
-            _write_output(render_score_dump(rows), dump)
-            _write_output(text, args.out)
-        _write_output(text, None)
-    return report
+    return evaluate(artifact, args.id_test, args.ood_test,
+                    dump_path=dump, use_msp=getattr(args, "msp", False))
+
+
+def _write_report(report, rows, out) -> None:
+    """Print the report; with `out`, write the dump to <out>.scores, then
+    the report to `out`: a report never names a dump that was not written."""
+    text = render_report(report)
+    if out:
+        _write_output(render_score_dump(rows), out + ".scores")
+        _write_output(text, out)
+    _write_output(text, None)
 
 
 def _cmd_train(args) -> int:
@@ -108,25 +109,27 @@ def _cmd_train(args) -> int:
     config = load_config(args.config, {f.name: getattr(args, f.name, None)
                                        for f in dataclasses.fields(TrainConfig)})
     records = load_dataset(args.data)
-    reports = []
-    for i in range(args.repeats):
-        artifact = train(dataclasses.replace(config, seed=config.seed + i),
-                         records)
-        if i == 0:
-            save_model(artifact, args.model)
-            print(f"model saved: {args.model}")
+    # every run trains and evaluates before anything is written, the model last
+    model, results = None, []
+    for seed in range(config.seed, config.seed + args.repeats):
+        artifact = train(dataclasses.replace(config, seed=seed), records)
+        model = model or artifact
         if evaluating:
-            reports.append(_evaluate(artifact, args, write=i == 0))
-    if len(reports) > 1:
-        print(f"averages over {len(reports)} runs:")
+            results.append(_evaluate(artifact, args))
+    if results:
+        _write_report(*results[0], args.out)
+    if len(results) > 1:
+        print(f"averages over {len(results)} runs:")
         for name in METRIC_NAMES:
-            mean = float(np.mean([getattr(r, name) for r in reports]))
+            mean = float(np.mean([getattr(r, name) for r, _ in results]))
             print(f"{name},{mean!r}")
+    save_model(model, args.model)
+    print(f"model saved: {args.model}")
     return 0
 
 
 def _cmd_eval(args) -> int:
-    _evaluate(load_model(args.model), args)
+    _write_report(*_evaluate(load_model(args.model), args), args.out)
     return 0
 
 

@@ -156,9 +156,9 @@ def encode_batch(batch: list[list], params: EncoderParams, max_statements: int,
     requires a gradient the encoding is tape-free and folds the conv taps,
     a dropout rng is an error, and each distinct statement is encoded once.
 
-    Kept statement s is row index[s] of rows, the distinct statements in
-    first-occurrence order. index is None when rows are one per kept
-    statement: on the taped path, or when no kept statement repeats.
+    Frozen rows are the distinct kept statements, first occurrence first,
+    and kept statement s is row index[s] (int64). index is None exactly on
+    the taped path, where rows are one per kept statement.
     """
     folded = not any(t.requires_grad for t in
                      (params.embedding, params.conv_kernel, params.conv_bias))
@@ -169,13 +169,10 @@ def encode_batch(batch: list[list], params: EncoderParams, max_statements: int,
     flat = [s for k in kept for s in k]
     index = None
     if folded:
-        keys = list(map(tuple, flat))
-        row = dict.fromkeys(keys)
-        if len(row) < len(keys):
-            row = {key: i for i, key in enumerate(row)}
-            index = np.fromiter(map(row.__getitem__, keys), dtype=np.int64,
-                                count=len(keys))
-            flat = list(row)
+        row = {}
+        index = np.fromiter((row.setdefault(tuple(s), len(row)) for s in flat),
+                            dtype=np.int64, count=len(flat))
+        flat = list(row)
     rows = (_encode_packed(flat, params, rng, folded) if flat
             else ad.constant(np.zeros((0, params.dim))))
     return rows, true_lengths, index

@@ -17,6 +17,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import GraphError, Tensor
 
+# Adam's moment decay rates and denominator offset
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class ParameterStore:
     """Insertion-ordered name -> Tensor map.
@@ -127,12 +130,8 @@ class Adam:
     rows past it have had zero gradients and so zero moments, and their
     update would be exactly 0; their moments are never touched."""
 
-    def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, lr: float = 1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self._t: dict[str, int] = {}
@@ -160,18 +159,18 @@ class Adam:
             # in place, in the operation order of
             # p - lr * (m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps), so the
             # result is bit for bit that formula's
-            step = np.multiply(g, 1.0 - self.beta1)
-            m *= self.beta1
+            step = np.multiply(g, 1.0 - BETA1)
+            m *= BETA1
             m += step
-            np.multiply(g, 1.0 - self.beta2, out=step)
+            np.multiply(g, 1.0 - BETA2, out=step)
             step *= g
-            v *= self.beta2
+            v *= BETA2
             v += step
-            np.divide(m, 1.0 - self.beta1 ** t, out=step)
+            np.divide(m, 1.0 - BETA1 ** t, out=step)
             step *= self.lr
-            denom = np.divide(v, 1.0 - self.beta2 ** t)
+            denom = np.divide(v, 1.0 - BETA2 ** t)
             np.sqrt(denom, out=denom)
-            denom += self.eps
+            denom += EPS
             step /= denom
             p.data[:reach] -= step
 

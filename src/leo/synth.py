@@ -19,6 +19,7 @@ from .data import DatasetRecord, write_dataset
 
 ID_FAMILIES = ("A", "B")
 OOD_FAMILY = "C"
+ID_TEST_FRACTION = 0.2  # share of the ID pool held out as the ID test set
 CWE_OF = {"A": "CWE-125", "B": "CWE-787", "C": "CWE-862"}
 
 _NAMES = [
@@ -144,13 +145,12 @@ def generate_family(family: str, n: int, rng: np.random.Generator):
     return records
 
 
-def generate_synthetic(n_per_id_family: int, n_ood: int, seed: int,
-                       id_test_fraction: float = 0.2):
+def generate_synthetic(n_per_id_family: int, n_ood: int, seed: int):
     """Build the three-way corpus: (train, id_test, ood_test) record lists.
 
     The in-distribution pool (families A and B) is shuffled with the seed
-    and a fixed fraction is held out as the ID test population; family C is
-    entirely test-side.
+    and ID_TEST_FRACTION of it is held out as the ID test population;
+    family C is entirely test-side.
     """
     rng = np.random.default_rng(seed)
     pool = []
@@ -159,7 +159,7 @@ def generate_synthetic(n_per_id_family: int, n_ood: int, seed: int,
     ood = generate_family(OOD_FAMILY, n_ood, rng)
     order = rng.permutation(len(pool))
     shuffled = [pool[i] for i in order]
-    n_test = max(1, int(len(shuffled) * id_test_fraction))
+    n_test = max(1, int(len(shuffled) * ID_TEST_FRACTION))
     return shuffled[n_test:], shuffled[:n_test], ood
 
 

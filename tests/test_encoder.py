@@ -302,8 +302,9 @@ def test_folded_packed_encoder_matches_statement_oracle():
                                               params.conv_bias.data, PAD_ID)
             np.testing.assert_allclose(row, want, rtol=1e-12, atol=0)
         for empty in ([], [[], []]):
-            out, none, _ = encode_batch(empty, params, cap)
+            out, none, index = encode_batch(empty, params, cap)
             assert out.data.shape == (0, 5)
+            assert index.dtype == np.int64 and index.shape == (0,)
             np.testing.assert_array_equal(none, [0] * len(empty))
 
 
@@ -328,9 +329,9 @@ def distinct_kept(batch, cap):
 @pytest.mark.parametrize("case", list(REPEAT_CASES))
 def test_frozen_rows_match_the_occurrence_oracle_bit_for_bit(case, kernel):
     """Frozen parameters encode each distinct kept statement once, first
-    occurrence first; index maps each kept statement to its row (None when
-    nothing repeats), and the rows so read carry the bits of encoding every
-    occurrence."""
+    occurrence first; index, int64 and one entry per kept statement even
+    when nothing repeats, maps each kept statement to its row, and the rows
+    so read carry the bits of encoding every occurrence."""
     batch, cap = REPEAT_CASES[case], 3
     _, params = make_params(vocab=9, dim=5, kernel=kernel, seed=kernel)
     params.embedding.data[PAD_ID] = np.random.default_rng(0).normal(size=5)
@@ -341,11 +342,9 @@ def test_frozen_rows_match_the_occurrence_oracle_bit_for_bit(case, kernel):
     np.testing.assert_array_equal(lengths, [min(len(fn), cap) for fn in batch])
     keys = distinct_kept(batch, cap)
     assert distinct.data.shape == (len(keys), 5)
-    if len(keys) == len(want):
-        assert index is None
-    else:
-        kept = [tuple(s) for fn in batch for s in fn[:cap]]
-        np.testing.assert_array_equal(index, [keys.index(s) for s in kept])
+    kept = [tuple(s) for fn in batch for s in fn[:cap]]
+    assert index.dtype == np.int64 and index.shape == (len(kept),)
+    np.testing.assert_array_equal(index, [keys.index(s) for s in kept])
     np.testing.assert_array_equal(kept_rows(encoded)[0].data, want)
 
 

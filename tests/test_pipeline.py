@@ -1153,12 +1153,26 @@ def test_cli_error_paths(cli_corpus, tmp_path, capsys):
     (tmp_path / "report.csv.scores").mkdir()
     tests = ["--id-test", str(cli_corpus / "id_test.jsonl"),
              "--ood-test", str(cli_corpus / "ood_test.jsonl"), "--out", str(report)]
-    for argv in (["eval", "--model", str(tmp_path / "m.leo")],
-                 ["train", "--data", str(cli_corpus / "train.jsonl"), "--model",
-                  str(tmp_path / "m2.leo"), "--config", str(cli_corpus / "run.cfg")]):
+    trained = tmp_path / "m2.leo"
+    train_argv = ["train", "--data", str(cli_corpus / "train.jsonl"), "--model",
+                  str(trained), "--config", str(cli_corpus / "run.cfg")]
+    for argv in (["eval", "--model", str(tmp_path / "m.leo")], train_argv):
         assert main(argv + tests) == 2
         assert "Is a directory: " in capsys.readouterr().err
         assert not report.exists()
+    # nor does it leave a trained model, and neither does an ID test file
+    # that will not lex: a train whose evaluation fails writes nothing
+    assert not trained.exists()
+    unlexable = tmp_path / "unlexable.jsonl"
+    unlexable.write_text('{"id": "a", "code": "int f() { /* open", "label": 0}\n')
+    report = tmp_path / "fresh.csv"
+    assert main(train_argv + ["--id-test", str(unlexable), "--ood-test",
+                              str(cli_corpus / "ood_test.jsonl"),
+                              "--out", str(report)]) == 2
+    assert ("error: sample 'a': unterminated block comment"
+            in capsys.readouterr().err)
+    assert not (trained.exists() or report.exists()
+                or (tmp_path / "fresh.csv.scores").exists())
 
 
 def test_empty_score_and_id_test_files_are_named(cli_corpus, tmp_path, capsys):
