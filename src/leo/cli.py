@@ -14,6 +14,7 @@ import sys
 
 import numpy as np
 
+from .autodiff import NumericError
 from .config import CONTRASTIVE_VARIANTS, TrainConfig, load_config
 from .data import load_dataset
 from .metrics import METRIC_NAMES, dump_rows, render_report, render_score_dump
@@ -214,7 +215,7 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except (ValueError, TrainingError, ModelFormatError, NormalizeError,
-            OSError) as exc:
+            NumericError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,6 +15,8 @@ A loaded artifact's tensors are read-only float32 views of the file's
 bytes, not copies: each keeps the whole blob alive, and writing into one
 raises ValueError. The load check reads shapes only, so it widens and
 copies no tensor; only a rebuild widens, each tensor it declares, once.
+Nor does it read values: a non-finite parameter loads, and scoring that
+reads it raises NumericError.
 
 Binary container layout ("LEO1" format, version 1):
 
@@ -32,8 +34,10 @@ float32 quantization. One cursor reads the container body and, in turn,
 each section's payload, and a truncation or leftover bytes name which of
 them it was. Unknown, repeated or missing section tags, a repeated tensor
 name, a repeated vocabulary token, a vocabulary that does not start with
-the pad and unknown tokens, a CONF that leaves a field out, and CLST or THRS
-contents that CONF's scoring could not have fit are rejected; every
+the pad and unknown tokens, and a CONF that leaves a field out are
+rejected. CONF is parsed first, and CLST and THRS are checked against it
+as they are read: CLST's mode string and diagonal flag restate CONF's
+scoring_mode in the file, and in memory only CONF states it. Every
 decoding failure raises ModelFormatError.
 """
 from __future__ import annotations
@@ -246,10 +250,10 @@ def _decode_tensors(r: _Reader) -> dict:
     return tensors
 
 
-def _encode_stats(stats: ClusterStatistics) -> bytes:
+def _encode_stats(stats: ClusterStatistics, mode: str) -> bytes:
     parts = [
-        struct.pack("<B", 1 if stats.diagonal_covariance else 0),
-        _pack_str(stats.mode),
+        struct.pack("<B", 1 if stats.inverses.ndim == 2 else 0),
+        _pack_str(mode),
         struct.pack("<II", stats.k, stats.dim),
         np.asarray(stats.means, dtype="<f8").tobytes(),
         np.asarray(stats.inverses, dtype="<f8").tobytes(),
@@ -259,45 +263,37 @@ def _encode_stats(stats: ClusterStatistics) -> bytes:
     return b"".join(parts)
 
 
-def _decode_stats(r: _Reader) -> ClusterStatistics:
+def _decode_stats(r: _Reader, config: TrainConfig) -> ClusterStatistics:
+    """CLST's statistics, checked as they are read against what scoring
+    under `config` could have fit: its mode and diagonal flag, k and the
+    representation width before any array is read, then finite means and
+    inverses. Each mismatch names its field."""
     diagonal = bool(r.u8())
     mode = r.string()
+    if mode != config.scoring_mode:
+        raise ModelFormatError(f"CLST mode {mode!r} does not match "
+                               f"scoring_mode {config.scoring_mode!r}")
+    if diagonal != (mode == "concat-diagonal"):
+        raise ModelFormatError(f"CLST diagonal flag {diagonal} does not match "
+                               f"scoring_mode {config.scoring_mode!r}")
     k, dim = r.unpack("<II")
+    if k < 1:
+        raise ModelFormatError("CLST k is 0; scoring needs at least one cluster")
+    if dim != representation_dim(config):
+        raise ModelFormatError(f"CLST dim {dim} is not the config's "
+                               f"representation width {representation_dim(config)}")
     means = np.frombuffer(r.take(8 * k * dim), dtype="<f8").reshape(k, dim).copy()
-    inv_count = k * dim if diagonal else k * dim * dim
     inv_shape = (k, dim) if diagonal else (k, dim, dim)
-    inverses = np.frombuffer(r.take(8 * inv_count), dtype="<f8").reshape(inv_shape).copy()
+    inverses = np.frombuffer(r.take(8 * math.prod(inv_shape)),
+                             dtype="<f8").reshape(inv_shape).copy()
+    for name, values in (("means", means), ("inverses", inverses)):
+        if not np.isfinite(values).all():
+            raise ModelFormatError(f"CLST {name} are not all finite")
     counts = np.frombuffer(r.take(4 * k), dtype="<u4").astype(np.int64)
     eps_used = np.frombuffer(r.take(8 * k), dtype="<f8").copy()
     r.done()
     return ClusterStatistics(means=means, inverses=inverses, counts=counts,
-                             eps_used=eps_used, diagonal_covariance=diagonal,
-                             mode=mode)
-
-
-def _check_calibration(artifact: ModelArtifact) -> None:
-    """CLST and THRS must be statistics and a threshold that scoring under
-    the artifact's config could have fit; each mismatch names its field."""
-    config, stats = artifact.config, artifact.stats
-    if stats.mode != config.scoring_mode:
-        raise ModelFormatError(f"CLST mode {stats.mode!r} does not match "
-                               f"scoring_mode {config.scoring_mode!r}")
-    if stats.diagonal_covariance != (config.scoring_mode == "concat-diagonal"):
-        raise ModelFormatError(
-            f"CLST diagonal flag {stats.diagonal_covariance} does not match "
-            f"scoring_mode {config.scoring_mode!r}")
-    if stats.k < 1:
-        raise ModelFormatError("CLST k is 0; scoring needs at least one cluster")
-    if stats.dim != representation_dim(config):
-        raise ModelFormatError(f"CLST dim {stats.dim} is not the config's "
-                               f"representation width {representation_dim(config)}")
-    for name in ("means", "inverses"):
-        if not np.isfinite(getattr(stats, name)).all():
-            raise ModelFormatError(f"CLST {name} are not all finite")
-    if not math.isfinite(artifact.threshold):
-        raise ModelFormatError(f"THRS threshold {artifact.threshold} is not finite")
-    if not 0.0 < artifact.quantile < 1.0:
-        raise ModelFormatError(f"THRS quantile {artifact.quantile} is not inside (0, 1)")
+                             eps_used=eps_used)
 
 
 def serialize_model(artifact: ModelArtifact) -> bytes:
@@ -305,7 +301,7 @@ def serialize_model(artifact: ModelArtifact) -> bytes:
         b"VOCB": _encode_vocab(artifact.vocab),
         b"TENS": _encode_tensors(artifact.tensors),
         b"CONF": artifact.config.render().encode("utf-8"),
-        b"CLST": _encode_stats(artifact.stats),
+        b"CLST": _encode_stats(artifact.stats, artifact.config.scoring_mode),
         b"THRS": struct.pack("<dd", artifact.threshold, artifact.quantile),
         b"LOGD": artifact.log_digest.encode("utf-8"),
     }
@@ -355,23 +351,23 @@ def deserialize_model(blob: bytes) -> ModelArtifact:
         unnamed = [f.name for f in fields(TrainConfig) if f.name not in conf]
         if unnamed:
             raise ModelFormatError(f"CONF does not name {', '.join(unnamed)}")
+        config = TrainConfig(**conf)
+        vocab = _decode_vocab(sections[b"VOCB"])
+        tensors = _decode_tensors(sections[b"TENS"])
+        stats = _decode_stats(sections[b"CLST"], config)
         thrs = sections[b"THRS"]
         threshold, quantile = thrs.unpack("<dd")
         thrs.done()
-        artifact = ModelArtifact(
-            vocab=_decode_vocab(sections[b"VOCB"]),
-            tensors=_decode_tensors(sections[b"TENS"]),
-            config=TrainConfig(**conf),
-            stats=_decode_stats(sections[b"CLST"]),
-            threshold=threshold,
-            quantile=quantile,
-            log_digest=sections[b"LOGD"].text(),
-        )
+        if not math.isfinite(threshold):
+            raise ModelFormatError(f"THRS threshold {threshold} is not finite")
+        if not 0.0 < quantile < 1.0:
+            raise ModelFormatError(f"THRS quantile {quantile} is not inside (0, 1)")
+        artifact = ModelArtifact(vocab, tensors, config, stats, threshold,
+                                 quantile, sections[b"LOGD"].text())
     except ModelFormatError:
         raise
     except (ValueError, TypeError, struct.error) as exc:
         raise ModelFormatError(f"malformed section content: {exc}") from exc
-    _check_calibration(artifact)
     _check_tensors(artifact)
     return artifact
 

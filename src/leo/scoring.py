@@ -22,16 +22,15 @@ class ClusterStatistics:
     """Per-cluster moments in scoring space.
 
     `inverses` holds full (k, dim, dim) inverse covariance matrices, or
-    (k, dim) inverse variance rows when diagonal_covariance is set (used
-    for the long concatenated representation, where a dense covariance
-    would be unworkable).
+    (k, dim) inverse variance rows for a diagonal covariance (the
+    concat-diagonal scoring mode, whose long concatenated representation
+    would make a dense covariance unworkable). The scoring mode itself is
+    the config's scoring_mode; these statistics do not restate it.
     """
     means: np.ndarray
     inverses: np.ndarray
     counts: np.ndarray
     eps_used: np.ndarray
-    diagonal_covariance: bool = False
-    mode: str = "pooled-d"
 
     @property
     def k(self) -> int:
@@ -43,6 +42,7 @@ class ClusterStatistics:
 
 
 SCORING_MODES = ("pooled-d", "concat-diagonal")
+EPS_SCALE, EPS_FLOOR = 1e-3, 1e-6  # per-cluster shrinkage: scale * trace / dim, floor
 
 
 def representation_dim(config) -> int:
@@ -57,12 +57,11 @@ def representation_dim(config) -> int:
 def fit_cluster_statistics(representations: np.ndarray, k: int,
                            rng: np.random.Generator, *,
                            mode: str = "pooled-d",
-                           eps_scale: float = 1e-3, eps_floor: float = 1e-6,
                            kmeans_iters: int = 10) -> ClusterStatistics:
     """Cluster the training representations and fit per-cluster moments.
 
     Covariance is the unbiased sample covariance (zero for singleton
-    clusters); shrinkage per cluster is max(eps_scale*trace/dim, eps_floor),
+    clusters); shrinkage per cluster is max(EPS_SCALE*trace/dim, EPS_FLOOR),
     far above rounding, so cov + shrinkage*I always has a Cholesky inverse.
     In concat-diagonal mode only the covariance diagonal is kept (the
     concatenated representation is too wide for a dense matrix).
@@ -93,17 +92,16 @@ def fit_cluster_statistics(representations: np.ndarray, k: int,
         dof = max(len(members) - 1, 1)
         if diagonal:
             var = (centered * centered).sum(axis=0) / dof
-            eps_used[c] = max(eps_scale * var.sum() / dim, eps_floor)
+            eps_used[c] = max(EPS_SCALE * var.sum() / dim, EPS_FLOOR)
             inverses[c] = 1.0 / (var + eps_used[c])
         else:
             cov = centered.T @ centered / dof
-            eps_used[c] = max(eps_scale * np.trace(cov) / dim, eps_floor)
+            eps_used[c] = max(EPS_SCALE * np.trace(cov) / dim, EPS_FLOOR)
             lower_inv = np.linalg.inv(
                 np.linalg.cholesky(cov + eps_used[c] * np.eye(dim)))
             inverses[c] = lower_inv.T @ lower_inv
     return ClusterStatistics(means=means, inverses=inverses, counts=counts,
-                             eps_used=eps_used, diagonal_covariance=diagonal,
-                             mode=mode)
+                             eps_used=eps_used)
 
 
 def mahalanobis_scores(reps: np.ndarray, stats: ClusterStatistics) -> np.ndarray:
@@ -116,7 +114,7 @@ def mahalanobis_scores(reps: np.ndarray, stats: ClusterStatistics) -> np.ndarray
     per_cluster = np.empty((stats.k, len(reps)))
     for c in range(stats.k):
         diff = reps - stats.means[c]
-        if stats.diagonal_covariance:
+        if stats.inverses.ndim == 2:
             per_cluster[c] = (diff * diff * stats.inverses[c]).sum(axis=1)
         else:
             per_cluster[c] = ((diff @ stats.inverses[c]) * diff).sum(axis=1)

@@ -395,7 +395,6 @@ def test_container_round_trip_exact():
     np.testing.assert_array_equal(back.stats.means, art.stats.means)
     np.testing.assert_array_equal(back.stats.inverses, art.stats.inverses)
     np.testing.assert_array_equal(back.stats.counts, art.stats.counts)
-    assert back.stats.mode == art.stats.mode
     assert back.threshold == art.threshold
     assert back.log_digest == art.log_digest
     assert serialize_model(back) == blob
@@ -1148,6 +1147,22 @@ def test_cli_error_paths(cli_corpus, tmp_path, capsys):
                         (tmp_path / "m.leo", tmp_path)):
         assert main(["score", "--model", str(model), "--data", str(data)]) == 2
         assert f"Is a directory: '{tmp_path}'" in capsys.readouterr().err
+    # a model file with a non-finite parameter loads, and scoring it is a
+    # named error that writes no output, not a traceback
+    artifact = load_model(str(tmp_path / "m.leo"))
+    poisoned = artifact.tensors["selector/w0"].copy()
+    poisoned[0, 0] = np.nan
+    artifact.tensors = {**artifact.tensors, "selector/w0": poisoned}
+    save_model(artifact, str(tmp_path / "nan.leo"))
+    out = tmp_path / "nan.out"
+    for argv in (["score", "--data", str(cli_corpus / "id_test.jsonl")],
+                 ["score", "--msp", "--data", str(cli_corpus / "id_test.jsonl")],
+                 ["eval", "--id-test", str(cli_corpus / "id_test.jsonl"),
+                  "--ood-test", str(cli_corpus / "ood_test.jsonl")]):
+        assert main(argv + ["--model", str(tmp_path / "nan.leo"),
+                            "--out", str(out)]) == 2
+        assert "error: non-finite values in node" in capsys.readouterr().err
+        assert not (out.exists() or (tmp_path / "nan.out.scores").exists())
     # a dump that cannot be written leaves no report that would name it
     report = tmp_path / "report.csv"
     (tmp_path / "report.csv.scores").mkdir()

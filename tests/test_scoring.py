@@ -1,11 +1,14 @@
 """Cluster-conditioned Mahalanobis scoring and threshold calibration."""
 import dataclasses
+import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 
 import leo.autodiff as ad
+import leo.scoring as scoring
 import leo.train as train_module
 from leo.config import TrainConfig
 from leo.data import DatasetRecord
@@ -51,14 +54,13 @@ def mahalanobis_score(rep, stats) -> float:
     return float(mahalanobis_scores(np.asarray(rep)[None, :], stats)[0])
 
 
-def manual_stats(means, inverses, diagonal=False):
+def manual_stats(means, inverses):
     means = np.asarray(means, dtype=np.float64)
     inverses = np.asarray(inverses, dtype=np.float64)
     return ClusterStatistics(
         means=means, inverses=inverses,
         counts=np.full(len(means), 2, dtype=np.int64),
-        eps_used=np.zeros(len(means)),
-        diagonal_covariance=diagonal)
+        eps_used=np.zeros(len(means)))
 
 
 # --- scoring representations (masked_representations) ------------------------
@@ -239,7 +241,6 @@ def test_diagonal_mode_inverts_per_dimension_variances():
     points = rng.normal(size=(150, 4)) * np.array([1.0, 2.0, 0.5, 3.0])
     stats = fit_cluster_statistics(points, 1, np.random.default_rng(0),
                                    mode="concat-diagonal")
-    assert stats.diagonal_covariance
     assert stats.inverses.shape == (1, 4)
     centered = points - points.mean(axis=0)
     var = (centered ** 2).sum(axis=0) / (len(points) - 1)
@@ -318,11 +319,12 @@ def test_scores_match_dense_oracle_same_partition():
         assert mine == pytest.approx(ref, rel=1e-9)
 
 
-def test_single_cluster_tiny_shrinkage_matches_dense_oracle():
+def test_single_cluster_tiny_shrinkage_matches_dense_oracle(monkeypatch):
+    monkeypatch.setattr(scoring, "EPS_SCALE", 1e-12)
+    monkeypatch.setattr(scoring, "EPS_FLOOR", 1e-12)
     rng = np.random.default_rng(33)
     points = rng.normal(size=(300, 4)) @ rng.normal(size=(4, 4)) + 2.0
-    stats = fit_cluster_statistics(points, 1, np.random.default_rng(0),
-                                   eps_scale=1e-12, eps_floor=1e-12)
+    stats = fit_cluster_statistics(points, 1, np.random.default_rng(0))
     labels = np.zeros(len(points), dtype=np.int64)
     for q in rng.normal(scale=3.0, size=(20, 4)):
         ref = dense_mahalanobis(q, points, labels,
@@ -738,12 +740,27 @@ def test_rebuilt_store_matches_init_layout():
         np.testing.assert_array_equal(t.data, artifact.tensors[name].astype(np.float64))
 
 
-def _corrupt_calibration(artifact, case):
+def _with_clst_mode(blob: bytes, mode: str) -> bytes:
+    """The container with CLST's mode string replaced in its bytes, the
+    section length and the checksum redone."""
+    pos = 8
+    while blob[pos:pos + 4] != b"CLST":
+        pos += 8 + struct.unpack("<I", blob[pos + 4:pos + 8])[0]
+    length = struct.unpack("<I", blob[pos + 4:pos + 8])[0]
+    clst = blob[pos + 8:pos + 8 + length]
+    old = struct.unpack("<I", clst[1:5])[0]
+    clst = clst[:1] + struct.pack("<I", len(mode)) + mode.encode() + clst[5 + old:]
+    body = (blob[:pos + 4] + struct.pack("<I", len(clst)) + clst
+            + blob[pos + 8 + length:-4])
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+def _corrupt_calibration(artifact, case) -> bytes:
+    """The artifact's container with `case` disagreeing with its config."""
     stats = artifact.stats
     if case == "mode":
-        stats.mode = "nonsense"
+        return _with_clst_mode(serialize_model(artifact), "nonsense")
     elif case == "diagonal":
-        stats.diagonal_covariance = True
         stats.inverses = np.diagonal(stats.inverses, axis1=1, axis2=2).copy()
     elif case == "k":
         stats.means, stats.inverses = stats.means[:0], stats.inverses[:0]
@@ -760,6 +777,7 @@ def _corrupt_calibration(artifact, case):
         artifact.threshold = float(case.split("=")[1])
     else:
         artifact.quantile = float(case.split("=")[1])
+    return serialize_model(artifact)
 
 
 @pytest.mark.parametrize("case, field", [
@@ -772,9 +790,9 @@ def _corrupt_calibration(artifact, case):
 def test_calibration_disagreeing_with_config_is_format_error(case, field):
     artifact, _ = small_artifact()
     deserialize_model(serialize_model(artifact))
-    _corrupt_calibration(artifact, case)
+    blob = _corrupt_calibration(artifact, case)
     with pytest.raises(ModelFormatError, match=field):
-        deserialize_model(serialize_model(artifact))
+        deserialize_model(blob)
 
 
 def test_rebuilt_model_records_no_tape():
