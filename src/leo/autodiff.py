@@ -14,9 +14,10 @@ the closures captured are freed during the walk; only leaves keep their
 `.grad`. A consumed node keeps its `.data`, but a second `backward` through
 it, from the same loss or from a new one built on top of it, raises
 GraphError naming it. Gradients are owned: a closure returns, per parent,
-a fresh array, which the parent adopts as its `.grad` without a copy, or the
-incoming gradient, a view, or an array it also gave another parent, which
-is copied; later contributions are added into that `.grad` in place.
+an array of that parent's shape: a fresh one, which the parent adopts as its
+`.grad` without a copy, or the incoming gradient, a view, or an array it also
+gave another parent, which is copied; later contributions are added into
+that `.grad` in place.
 
 Design limits, on purpose: CPU only, no broadcasting beyond what the ops
 documented here need, no higher-order gradients, no graph rewriting.
@@ -69,12 +70,6 @@ def constant(data, name: str = "") -> Tensor:
     return Tensor(data, requires_grad=False, name=name or "const")
 
 
-def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return constant(np.asarray(x, dtype=np.float64))
-
-
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward, name: str) -> Tensor:
     name = f"{name}#{next(_node_ids)}"
     if CHECK_FINITE and not np.all(np.isfinite(data)):
@@ -100,8 +95,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # elementwise arithmetic
 
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
     def backward(g):
@@ -110,8 +104,7 @@ def add(a, b) -> Tensor:
     return _make(data, (a, b), backward, "add")
 
 
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
     def backward(g):
@@ -123,8 +116,7 @@ def mul(a, b) -> Tensor:
     return _make(data, (a, b), backward, "mul")
 
 
-def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def div(a: Tensor, b: Tensor) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore"):
         data = a.data / b.data
 
@@ -416,8 +408,6 @@ def dropout(x: Tensor, retain: float, rng: np.random.Generator | None) -> Tensor
     scale by 1/retain. Without an rng (inference) it is the identity."""
     if rng is None:
         return x
-    if not 0.0 < retain <= 1.0:
-        raise GraphError(f"dropout retain probability {retain} outside (0, 1]")
     u = rng.random(x.data.shape)
     mask = (u < retain) / retain
 
@@ -476,8 +466,6 @@ def backward(loss: Tensor) -> None:
             raise GraphError(f"node '{node.name}' was consumed by an earlier backward")
         g_in, parents = node.grad, node._parents
         node.grad, node._backward, node._parents = None, _consumed, ()
-        if g_in is None:
-            continue
         handed: list[np.ndarray] = []
         for parent, g in zip(parents, push(g_in)):
             if g is None or not parent.requires_grad:
@@ -487,8 +475,6 @@ def backward(loss: Tensor) -> None:
             # array another parent already holds
             owned = (g.base is None and g is not g_in
                      and not any(g is h for h in handed))
-            if g.shape != parent.data.shape:
-                g = g.reshape(parent.data.shape)
             if CHECK_FINITE and not np.all(np.isfinite(g)):
                 raise NumericError(f"non-finite gradient flowing into '{parent.name}'")
             if parent.grad is not None:

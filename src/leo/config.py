@@ -1,18 +1,22 @@
 """Run configuration: defaults, validation, the `key = value` config file
 format, and the fingerprint string stamped into evaluation reports.
+
+A TrainConfig is validated once, as it is built, and is frozen: a config
+in hand is valid for its whole life, so the functions it configures do not
+re-check its ranges or modes. `dataclasses.replace` builds and validates a
+new one.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
 
-from .scoring import SCORING_MODES
-
+SCORING_MODES = ("pooled-d", "concat-diagonal")
 CONTRASTIVE_VARIANTS = ("cluster", "supervised-class")
 GATE_MODES = ("expected", "hard")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     seed: int
     max_statements: int = 100
@@ -44,7 +48,7 @@ class TrainConfig:
         # back, and a list of hidden widths as a tuple
         for name, kind in _FIELD_TYPES.items():
             if kind in _STORED:
-                setattr(self, name, _STORED[kind](getattr(self, name)))
+                object.__setattr__(self, name, _STORED[kind](getattr(self, name)))
 
     def validate(self):
         """Every value must be one its CONF text reads back: a bool only in

@@ -20,9 +20,10 @@ class DatasetRecord:
 
 def load_dataset(path: str) -> list[DatasetRecord]:
     """Read one UTF-8 JSON object per line. `code` (a string) is required;
-    `label` is 0 or 1, or absent or null for None. A missing `id` is assigned
-    from the line number. Ids must be unique. A bad line raises ValueError
-    naming the path and the line."""
+    `label` is 0 or 1, or absent or null for None. A missing or null `id` is
+    assigned from the line number, and a missing or null `cwe` reads as "".
+    Ids must be unique. A bad line raises ValueError naming the path and the
+    line."""
     records = []
     seen = set()
     # undecodable bytes become lone surrogates, found per line below
@@ -51,7 +52,8 @@ def load_dataset(path: str) -> list[DatasetRecord]:
             if label is not None and (type(label) is not int or label not in (0, 1)):
                 raise ValueError(
                     f"{path} line {lineno}: label must be 0 or 1, got {label!r}")
-            sample_id = str(obj.get("id", f"line{lineno}"))
+            sample_id = obj.get("id")
+            sample_id = f"line{lineno}" if sample_id is None else str(sample_id)
             if sample_id in seen:
                 raise ValueError(f"{path} line {lineno}: duplicate id '{sample_id}'")
             seen.add(sample_id)
@@ -59,7 +61,7 @@ def load_dataset(path: str) -> list[DatasetRecord]:
                 sample_id=sample_id,
                 code=obj["code"],
                 label=label,
-                cwe=str(obj.get("cwe", "")),
+                cwe="" if obj.get("cwe") is None else str(obj["cwe"]),
             ))
     if not records:
         warnings.warn(f"{path} contained no records")
@@ -81,8 +83,6 @@ def split_dataset(records, seed: int, val_fraction: float = 0.2):
     record ids and the seed."""
     if len(records) < 5:
         raise ValueError(f"need at least 5 records to split, got {len(records)}")
-    if not 0.0 < val_fraction < 1.0:
-        raise ValueError("val_fraction must lie strictly inside (0, 1)")
     ordered = sorted(records, key=lambda r: r.sample_id)
     perm = np.random.default_rng(seed).permutation(len(ordered))
     shuffled = [ordered[i] for i in perm]

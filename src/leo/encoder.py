@@ -71,10 +71,6 @@ def init_encoder_params(store: ParameterStore, vocab_size: int, embed_dim: int,
     """
     if vocab_size < 2:
         raise GraphError("vocabulary must include the pad and unknown entries")
-    if embed_dim < 1 or kernel_size < 1:
-        raise GraphError("embed_dim and kernel_size must be positive")
-    if not 0.0 < dropout_retain <= 1.0:
-        raise GraphError(f"dropout retain probability {dropout_retain} outside (0, 1]")
 
     def embedding_draw(shape):
         emb = rng.normal(0.0, 0.1, size=shape)

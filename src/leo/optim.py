@@ -91,10 +91,6 @@ def init_mlp_params(store: ParameterStore, prefix: str, input_dim: int,
                     dropout_retain: float = 0.8) -> MLPParams:
     """Declare an MLP's weights: He-normal matrices, zero biases. `rng` is
     only drawn from by a store that draws (None for a stored one)."""
-    if not 0.0 < dropout_retain <= 1.0:
-        raise GraphError(f"dropout retain probability {dropout_retain} outside (0, 1]")
-    if input_dim < 1 or out_dim < 1 or any(h < 1 for h in hidden_sizes):
-        raise GraphError("layer widths must be positive")
     layers = []
     fan_in = input_dim
     for i, width in enumerate(hidden_sizes):
@@ -178,8 +174,6 @@ class Adam:
 def clip_gradients(grads: list[np.ndarray], max_norm: float) -> float:
     """Scale gradients in place so their global L2 norm is at most max_norm.
     Returns the pre-clip norm."""
-    if max_norm <= 0:
-        raise GraphError("max_norm must be positive")
     norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
     if norm > max_norm:
         factor = max_norm / norm

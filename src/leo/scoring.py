@@ -41,7 +41,6 @@ class ClusterStatistics:
         return self.means.shape[1]
 
 
-SCORING_MODES = ("pooled-d", "concat-diagonal")
 EPS_SCALE, EPS_FLOOR = 1e-3, 1e-6  # per-cluster shrinkage: scale * trace / dim, floor
 
 
@@ -72,8 +71,6 @@ def fit_cluster_statistics(representations: np.ndarray, k: int,
         raise ValueError("need a non-empty (n, dim) representation matrix")
     if not np.isfinite(reps).all():
         raise ValueError("representations must be finite")
-    if mode not in SCORING_MODES:
-        raise ValueError(f"unknown scoring mode '{mode}'")
     diagonal = mode == "concat-diagonal"
     if k > len(reps):
         warnings.warn(f"cluster count reduced from {k} to {len(reps)}")

@@ -66,8 +66,6 @@ def relax_gates(scores: Tensor, a: np.ndarray, b: np.ndarray, nu: float) -> Tens
     The score already equals log(p/(1-p)), so the gate is
     sigmoid((score + a - b) / nu) with gradient flowing into the scores.
     """
-    if nu <= 0:
-        raise GraphError("relaxation temperature must be positive")
     noise = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
     if noise.shape != scores.data.shape:
         raise GraphError("gate noise shape must match the score shape")
@@ -79,8 +77,6 @@ def deterministic_mask(p: np.ndarray, mode: str = "expected") -> np.ndarray:
     """Inference-time gates: the expected gate z = p (default), or hard
     0/1 thresholding at 0.5 where a tie rounds down."""
     p = np.asarray(p, dtype=np.float64)
-    if mode == "expected":
-        return p.copy()
     if mode == "hard":
         return (p > 0.5).astype(np.float64)
-    raise GraphError(f"unknown deterministic mask mode '{mode}'")
+    return p.copy()

@@ -84,10 +84,6 @@ def test_init_rejects_bad_arguments():
     rng = np.random.default_rng(0)
     with pytest.raises(GraphError):
         init_encoder_params(store, 1, 4, rng)
-    with pytest.raises(GraphError):
-        init_encoder_params(store, 9, 0, rng)
-    with pytest.raises(GraphError):
-        init_encoder_params(store, 9, 4, rng, dropout_retain=0.0)
 
 
 # ---------------------------------------------------------------------------

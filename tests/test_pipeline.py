@@ -2,6 +2,7 @@
 the training loop contracts, and the CLI."""
 import argparse
 import dataclasses
+import json
 import logging
 import os
 import re
@@ -16,8 +17,8 @@ from hypothesis import strategies as st
 import leo.train as train_module
 from leo.autodiff import NumericError, backward
 from leo.cli import build_parser, main
-from leo.config import (CONTRASTIVE_VARIANTS, GATE_MODES, TrainConfig,
-                        load_config, parse_config_text)
+from leo.config import (CONTRASTIVE_VARIANTS, GATE_MODES, SCORING_MODES,
+                        TrainConfig, load_config, parse_config_text)
 from leo.data import DatasetRecord, load_dataset, split_dataset, write_dataset
 from leo.encoder import encode_batch
 from leo.losses import data_distribution_loss, joint_loss
@@ -31,7 +32,7 @@ from leo.model import (
 )
 from leo.normalize import UNK_ID, encode_tokens, normalize_source
 from leo.optim import Adam, clip_store_gradients
-from leo.scoring import SCORING_MODES, calibrate_threshold, mahalanobis_scores
+from leo.scoring import calibrate_threshold, mahalanobis_scores
 from leo.synth import generate_family, generate_pair, generate_synthetic, write_corpus
 from leo.train import (
     TrainingError,
@@ -134,7 +135,10 @@ def test_config_validation_rejects_bad_values():
     for kw in (dict(dropout_retain=0.0), dict(val_fraction=1.0),
                dict(clusters=0), dict(scoring_mode="avg"),
                dict(contrastive_variant="pairwise"), dict(gate_mode="soft"),
-               dict(contrastive_weight=-0.1), dict(selector_hidden=(0,))):
+               dict(contrastive_weight=-0.1), dict(selector_hidden=(0,)),
+               dict(relax_temp=0.0), dict(contrastive_temp=0.0),
+               dict(clip_norm=0.0), dict(embed_dim=0), dict(kernel_size=0),
+               dict(classifier_hidden=(0,))):
         with pytest.raises(ValueError):
             TrainConfig(seed=1, **kw)
     # hidden widths: a tuple or list of ints of at least 1, stored as a tuple
@@ -167,6 +171,17 @@ def test_config_validation_rejects_bad_values():
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match=f"^{name} must be finite"):
                 TrainConfig(seed=1, **{name: bad})
+
+
+def test_a_config_cannot_change_after_validation():
+    cfg = TrainConfig(seed=1, classifier_hidden=[5])
+    assert cfg.classifier_hidden == (5,)
+    for f in dataclasses.fields(cfg):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, f.name, getattr(cfg, f.name))
+    with pytest.raises(ValueError, match="^clusters must be at least 1"):
+        dataclasses.replace(cfg, clusters=0)
+    assert dataclasses.replace(cfg, clusters=4).clusters == 4
 
 
 CONFIG_VALUES = st.one_of(
@@ -298,6 +313,18 @@ def test_dataset_write_read_round_trip(tmp_path):
     back = load_dataset(str(p))
     assert [(r.sample_id, r.code, r.label, r.cwe) for r in back] == \
         [(r.sample_id, r.code, r.label, r.cwe) for r in recs]
+
+
+def test_a_null_id_or_cwe_reads_as_absent(tmp_path):
+    p = tmp_path / "nulls.jsonl"
+    p.write_text('{"id": null, "code": "int f() { return 1; }", "label": 0, "cwe": null}\n'
+                 '{"id": null, "code": "int g;", "label": null}\n')
+    back = load_dataset(str(p))
+    assert [(r.sample_id, r.cwe) for r in back] == [("line1", ""), ("line2", "")]
+    out = tmp_path / "out.jsonl"
+    write_dataset(back, str(out))
+    first = json.loads(out.read_text().splitlines()[0])
+    assert first == {"id": "line1", "code": "int f() { return 1; }", "label": 0}
 
 
 def _records(n):

@@ -262,9 +262,6 @@ def test_fit_counts_cover_all_points_and_is_deterministic():
 def test_fit_rejects_bad_inputs():
     with pytest.raises(ValueError):
         fit_cluster_statistics(np.zeros((0, 2)), 1, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        fit_cluster_statistics(np.zeros((3, 2)), 1, np.random.default_rng(0),
-                               mode="full")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
