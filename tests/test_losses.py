@@ -7,6 +7,7 @@ import pytest
 
 import leo.autodiff as ad
 from leo.autodiff import GraphError
+from leo.config import CONTRASTIVE_VARIANTS
 from leo.encoder import encode_batch, init_encoder_params
 from leo.losses import (
     assign_clusters,
@@ -265,6 +266,12 @@ def test_kmeans_effective_count_and_edges():
     assert empty.k_effective == 0 and empty.labels.size == 0
 
 
+def test_kmeans_rejects_a_non_matrix():
+    for pts in (np.zeros(4), np.zeros((2, 3, 2))):
+        with pytest.raises(GraphError, match="point matrix"):
+            minibatch_kmeans(pts, 2, np.random.default_rng(8))
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_kmeans_inertia_never_increases(seed):
     rng = np.random.default_rng(seed)
@@ -370,6 +377,21 @@ def test_assign_is_scale_invariant():
     a = assign_clusters(reps, labels, 2, np.random.default_rng(3))
     b = assign_clusters(reps * 7.0, labels, 2, np.random.default_rng(3))
     np.testing.assert_array_equal(a.cluster_of, b.cluster_of)
+
+
+def test_each_contrastive_variant_names_its_own_assignment():
+    # assign_clusters trusts the config's variant list: every listed
+    # variant must reach a distinct branch, not fall through to k-means.
+    reps = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.1, 0.9], [-1.0, 0.0]])
+    labels = [1, 1, 1, 1, 0]
+    got = {v: assign_clusters(reps, labels, 2, np.random.default_rng(3), variant=v)
+           for v in CONTRASTIVE_VARIANTS}
+    assert set(got) == {"cluster", "supervised-class"}
+    assert got["supervised-class"].k_effective == 1
+    assert got["supervised-class"].cluster_of.tolist() == [0, 0, 0, 0, -1]
+    clustered = got["cluster"].cluster_of
+    assert got["cluster"].k_effective == 2 and clustered[4] == -1
+    assert clustered[0] == clustered[1] != clustered[2] == clustered[3]
 
 
 # ---------------------------------------------------------------------------

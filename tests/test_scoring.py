@@ -10,7 +10,7 @@ import pytest
 import leo.autodiff as ad
 import leo.scoring as scoring
 import leo.train as train_module
-from leo.config import TrainConfig
+from leo.config import SCORING_MODES, TrainConfig
 from leo.data import DatasetRecord
 from leo.encoder import encode_batch
 from leo.autodiff import GraphError, NumericError
@@ -262,6 +262,16 @@ def test_fit_counts_cover_all_points_and_is_deterministic():
 def test_fit_rejects_bad_inputs():
     with pytest.raises(ValueError):
         fit_cluster_statistics(np.zeros((0, 2)), 1, np.random.default_rng(0))
+
+
+def test_each_scoring_mode_names_its_own_statistics():
+    # fit_cluster_statistics trusts the config's mode list: every listed
+    # mode must reach a distinct branch, not fall through to the default.
+    points = np.random.default_rng(1).normal(size=(20, 3))
+    shapes = {mode: fit_cluster_statistics(points, 2, np.random.default_rng(2),
+                                           mode=mode).inverses.shape
+              for mode in SCORING_MODES}
+    assert shapes == {"pooled-d": (2, 3, 3), "concat-diagonal": (2, 3)}
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -5,6 +5,7 @@ import pytest
 import leo.autodiff as ad
 from leo import losses
 from leo.autodiff import GraphError
+from leo.config import GATE_MODES
 from leo.optim import ParameterStore
 from leo.selector import (
     deterministic_mask,
@@ -219,6 +220,14 @@ def test_deterministic_mask_modes():
     np.testing.assert_array_equal(deterministic_mask(p, "hard"), [1.0, 0.0])
     np.testing.assert_array_equal(
         deterministic_mask(np.full(4, 0.5), "hard"), np.zeros(4))
+
+
+def test_each_gate_mode_names_its_own_mask():
+    # deterministic_mask trusts the config's mode list: every listed mode
+    # must reach a distinct branch, not fall through to the default.
+    p = np.array([0.9, 0.1, 0.5])
+    masks = {mode: deterministic_mask(p, mode).tolist() for mode in GATE_MODES}
+    assert masks == {"expected": [0.9, 0.1, 0.5], "hard": [1.0, 0.0, 0.0]}
 
 
 # ---------------------------------------------------------------------------
